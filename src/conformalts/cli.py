@@ -410,6 +410,8 @@ def sidecar_path_for(csv_path) -> str:
 
 
 def _read_intervals_csv(path):
+    """Interval columns grouped by series id, and whether the file names its
+    series (a file without a ``series`` column is one series)."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         rows = list(csv.reader(fh))
     rows = [r for r in rows if any(c.strip() for c in r)]
@@ -435,22 +437,31 @@ def _read_intervals_csv(path):
                 entry[name].append(float(row[idx[name]]))
         except ValueError:
             raise ParseError("cannot parse interval row", row=r) from None
-    return grouped
+    return grouped, sid_col is not None
 
 
 def cmd_eval(intervals_path, oracle_path=None, out_path=None) -> dict:
-    """Recompute metrics from an intervals file (plus optional sidecar)."""
-    grouped = _read_intervals_csv(intervals_path)
+    """Recompute metrics from an intervals file (plus optional sidecar).
+
+    The sidecar's reference intervals score the series with the sidecar's
+    id, or the only series of a file that names none.
+    """
+    grouped, keyed = _read_intervals_csv(intervals_path)
     oracle = None
     if oracle_path is not None:
         with open(oracle_path, "r", encoding="utf-8") as fh:
             oracle = json.load(fh)
+        if keyed and oracle.get("id") not in grouped:
+            raise ConfigError(
+                f"sidecar {oracle_path} is for series {oracle.get('id')!r}, but "
+                f"{intervals_path} holds series {', '.join(map(repr, grouped))}"
+            )
     per_series = {}
     reports = []
     for sid, cols in grouped.items():
         intervals = [PredictionInterval(lo, up) for lo, up in zip(cols["lower"], cols["upper"])]
         reference = None
-        if oracle is not None and (oracle.get("id") == sid or len(grouped) == 1):
+        if oracle is not None and (not keyed or oracle.get("id") == sid):
             lower, upper = oracle["lower"], oracle["upper"]
             reference = [
                 PredictionInterval(float(lower[o + h - 2]), float(upper[o + h - 2]))

@@ -49,15 +49,6 @@ def pinaw(intervals, y) -> float:
     return float(np.mean(upper - lower) / span)
 
 
-def _iou(a_lo: float, a_hi: float, b_lo: float, b_hi: float) -> float:
-    union = max(a_hi, b_hi) - min(a_lo, b_lo)
-    if union == 0.0:
-        # both intervals are the same single point
-        return 1.0
-    inter = max(0.0, min(a_hi, b_hi) - max(a_lo, b_lo))
-    return inter / union
-
-
 def miou(intervals, reference) -> float:
     """Mean intersection-over-union between paired intervals.
 
@@ -69,10 +60,11 @@ def miou(intervals, reference) -> float:
         raise EmptyInput("miou needs at least one pair")
     a_lo, a_hi = _bounds(intervals)
     b_lo, b_hi = _bounds(reference)
-    vals = [
-        _iou(a_lo[i], a_hi[i], b_lo[i], b_hi[i]) for i in range(a_lo.size)
-    ]
-    return float(np.mean(vals))
+    union = np.maximum(a_hi, b_hi) - np.minimum(a_lo, b_lo)
+    inter = np.maximum(0.0, np.minimum(a_hi, b_hi) - np.maximum(a_lo, b_lo))
+    # a zero union means both intervals are the same single point
+    iou = np.divide(inter, union, out=np.ones_like(union), where=union != 0.0)
+    return float(np.mean(iou))
 
 
 @dataclass

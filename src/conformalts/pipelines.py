@@ -6,6 +6,16 @@ for a block of ``horizon`` steps only after the intervals for that block
 have been submitted. All state updates (score windows, working miscoverage
 levels, conformal corrections) therefore happen strictly between blocks.
 
+Every runner checks its inputs, fits (or takes) its models, calibrates on
+held-out scores and hands the test segment to ``_walk``, the one block loop.
+A runner supplies two callbacks: ``emit(history)`` returns the next block's
+(lower band, upper band, correction) from the values seen so far, and
+``observe(block, y, history)`` updates the runner's state once the block's
+values ``y`` are revealed. ``_walk`` owns the rest: the history, the block
+origins, the CQR intervals (``cqr_interval``), ``submit``/``reveal`` and
+``per_origin``. Scores are the package's CQR score (``score_cqr``) and
+absolute residual (``score_absolute``).
+
 Methods
 -------
 run_aenbmimocqr  bagged multi-output quantile pair, per-step score windows,
@@ -13,7 +23,8 @@ run_aenbmimocqr  bagged multi-output quantile pair, per-step score windows,
 run_mimocqr      single multi-output quantile pair, split calibration,
                  corrections frozen before the test segment
 run_enbpi        bagged point forecaster rolled forward recursively,
-                 symmetric absolute-residual intervals, sliding scores
+                 symmetric absolute-residual intervals (a zero-width band
+                 widened by the correction), sliding scores
 run_enbcqr       three bagged one-step quantile models (lower, median,
                  upper), recursion through the median, sliding scores
 """
@@ -31,7 +42,7 @@ from .adaptive import (
     init_gamma,
     sample_without_replacement,
 )
-from .conformal import conformal_quantile, cqr_interval
+from .conformal import conformal_quantile, cqr_interval, score_absolute, score_cqr
 from .errors import AllRowsInBag, SeriesTooShort
 from .framing import (
     HorizonIntervals,
@@ -246,14 +257,36 @@ class RunResult:
         return np.repeat([block.origin for block, _ in self.per_origin], self.horizon)
 
 
-def _check_stream(stream: FeedbackStream, horizon: int) -> int:
+def _check_run(stream: FeedbackStream, horizon: int, alpha: float) -> None:
+    """Reject a bad level or stream before any model is trained."""
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
     if stream.n_submitted or stream.n_revealed:
         raise ValueError("stream has already been consumed")
     if len(stream) % horizon != 0:
         raise ValueError(
             f"test length {len(stream)} is not a multiple of horizon {horizon}"
         )
-    return len(stream) // horizon
+
+
+def _walk(train_series: TimeSeries, stream: FeedbackStream, horizon: int, emit, observe):
+    """The block loop of every runner (see the module docstring); returns
+    ``per_origin``. ``emit`` may give one correction or one per step."""
+    history = list(train_series.values)
+    per_origin: list[tuple[HorizonIntervals, np.ndarray]] = []
+    for b in range(len(stream) // horizon):
+        lo, hi, qhat = emit(history)
+        intervals = [
+            cqr_interval(float(lo_h), float(hi_h), float(q_h))
+            for lo_h, hi_h, q_h in zip(lo, hi, np.broadcast_to(qhat, horizon), strict=True)
+        ]
+        block = HorizonIntervals(origin=len(train_series) + b * horizon + 1, intervals=intervals)
+        stream.submit(block)
+        y = stream.reveal(horizon)
+        per_origin.append((block, y))
+        history.extend(y)
+        observe(block, y, history)
+    return per_origin
 
 
 def _ordered_bounds(lo, hi):
@@ -267,6 +300,15 @@ def _trailing_bands(lo_ens, hi_ens, history, n_lags: int, count: int):
     tail = np.asarray(history[len(history) - n_lags - count + 1:], dtype=float)
     X = np.lib.stride_tricks.sliding_window_view(tail, n_lags)
     return _ordered_bounds(lo_ens.predict_mean_batch(X), hi_ens.predict_mean_batch(X))
+
+
+def _oob_band_scores(lo_ens, hi_ens, frame: SupervisedFrame):
+    """CQR scores of the ordered out-of-bag band, (n_kept, horizon), over
+    the rows that have one, and the count of rows that have none."""
+    lo_oob, kept = oob_predict(lo_ens, frame)
+    hi_oob, _ = oob_predict(hi_ens, frame)
+    lo_cal, hi_cal = _ordered_bounds(lo_oob[kept], hi_oob[kept])
+    return score_cqr(lo_cal, hi_cal, frame.targets[kept]), int(frame.n_rows - kept.sum())
 
 
 def _require_shared_index_sets(*ensembles: BootstrapEnsemble) -> None:
@@ -306,9 +348,9 @@ def run_aenbmimocqr(
     the oldest. Each revealed value y_t is the h-step target of the
     forecast from the origin ending at t - h, whose inputs were all
     revealed before y_t, so step h scores the whole block. Every score is
-    the CQR conformity score (Romano et al. 2019, arXiv 1905.03222)
-    max(lo - y, y - hi) against the raw ordered ensemble band, the same
-    score the out-of-bag calibration uses. Scoring against the corrected
+    the CQR conformity score (``score_cqr``; Romano et al. 2019, arXiv
+    1905.03222) against the raw ordered ensemble band, the same score the
+    out-of-bag calibration uses. Scoring against the corrected
     bounds instead would shift each new score down by the correction in
     force and pull the corrections toward half their calibrated size.
     Ensemble bands are predicted once per forecast origin, in one batch
@@ -318,8 +360,8 @@ def run_aenbmimocqr(
     training; ``gamma_override`` pins the adaptation rate (0 disables
     adaptation), both mainly for equivalence testing.
     """
+    _check_run(stream, horizon, alpha)
     config = config or TrainConfig()
-    n_blocks = _check_stream(stream, horizon)
     frame = frame_mimo(train_series, n_lags, horizon)
     if ensembles is None:
         lo_ens = fit_ensemble(frame, alpha / 2.0, n_models, seed, config)
@@ -328,15 +370,8 @@ def run_aenbmimocqr(
         lo_ens, hi_ens = ensembles
     _require_shared_index_sets(lo_ens, hi_ens)
 
-    lo_oob, kept = oob_predict(lo_ens, frame)
-    hi_oob, _ = oob_predict(hi_ens, frame)
-    skipped = int(frame.n_rows - kept.sum())
-    lo_cal, hi_cal = _ordered_bounds(lo_oob[kept], hi_oob[kept])
-    y_cal = frame.targets[kept]
-    scores = np.maximum(lo_cal - y_cal, y_cal - hi_cal)  # (n_kept, horizon)
-
-    n_scores = scores.shape[0]
-    gamma = init_gamma(window_size, n_scores) if gamma_override is None else gamma_override
+    scores, skipped = _oob_band_scores(lo_ens, hi_ens, frame)
+    gamma = init_gamma(window_size, len(scores)) if gamma_override is None else gamma_override
     state = AciState.fresh(alpha, gamma, horizon)
     qhat = np.array(
         [conformal_quantile(scores[:, h], state.alphas[h]) for h in range(horizon)]
@@ -346,37 +381,28 @@ def run_aenbmimocqr(
         for h in range(horizon)
     ]
 
-    history = list(train_series.values)
     # bands at the last `horizon` forecast origins; the newest one is the
     # origin of the block about to be emitted
-    lo_band, hi_band = _trailing_bands(lo_ens, hi_ens, history, n_lags, horizon)
+    lo_band, hi_band = _trailing_bands(lo_ens, hi_ens, train_series.values, n_lags, horizon)
     steps = np.arange(horizon)
     # in the previous and new bands stacked, row horizon - 1 + j - h is the
     # origin whose step h + 1 forecast targets the block's j-th value
     score_rows = horizon - 1 + steps[None, :] - steps[:, None]
-    per_origin: list[tuple[HorizonIntervals, np.ndarray]] = []
     alpha_rows = [state.alphas.copy()]
     window_rows = [[len(w) for w in windows]]
-    for b in range(n_blocks):
-        lo, hi = lo_band[-1], hi_band[-1]
-        intervals = [
-            cqr_interval(float(lo[h]), float(hi[h]), float(qhat[h]))
-            for h in range(horizon)
-        ]
-        block = HorizonIntervals(origin=len(train_series) + b * horizon + 1, intervals=intervals)
-        stream.submit(block)
-        y = stream.reveal(horizon)
-        per_origin.append((block, y))
-        history.extend(y)
 
+    def emit(history):
+        return lo_band[-1], hi_band[-1], qhat
+
+    def observe(block, y, history):
+        nonlocal lo_band, hi_band, qhat
         new_lo, new_hi = _trailing_bands(lo_ens, hi_ens, history, n_lags, horizon)
         lo_t = np.vstack([lo_band, new_lo])[score_rows, steps[:, None]]
         hi_t = np.vstack([hi_band, new_hi])[score_rows, steps[:, None]]
-        new_scores = np.maximum(lo_t - y, y - hi_t)  # (step, target)
+        new_scores = score_cqr(lo_t, hi_t, y)  # (step, target)
         for h in range(horizon):
             windows[h].extend(new_scores[h])
-        for h in range(horizon):
-            aci_update(state, h + 1, intervals[h].covers(float(y[h])))
+            aci_update(state, h + 1, block.intervals[h].covers(float(y[h])))
         qhat = np.array(
             [conformal_quantile(windows[h].values(), state.alphas[h]) for h in range(horizon)]
         )
@@ -387,7 +413,7 @@ def run_aenbmimocqr(
     return RunResult(
         method="aenbmimocqr",
         horizon=horizon,
-        per_origin=per_origin,
+        per_origin=_walk(train_series, stream, horizon, emit, observe),
         alpha_traces=np.asarray(alpha_rows).T,
         window_size_traces=np.asarray(window_rows, dtype=int),
         skipped_oob_rows=skipped,
@@ -413,12 +439,10 @@ def run_mimocqr(
     one correction per forecast step. Corrections stay frozen across the
     whole test segment.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+    _check_run(stream, horizon, alpha)
     if not 0.0 < cal_fraction <= 1.0:
         raise ValueError("cal_fraction must be in (0, 1]")
     config = config or TrainConfig()
-    n_blocks = _check_stream(stream, horizon)
     frame = frame_mimo(train_series, n_lags, horizon)
     n_cal = int(frame.n_rows * cal_fraction)
     if n_cal < 1:
@@ -436,30 +460,20 @@ def run_mimocqr(
         f_lo, f_hi = models
 
     cal_X = frame.covariates[n_fit:]
-    cal_Y = frame.targets[n_fit:]
     lo_cal, hi_cal = _ordered_bounds(
         _member_predict_batch(f_lo, cal_X), _member_predict_batch(f_hi, cal_X)
     )
-    scores = np.maximum(lo_cal - cal_Y, cal_Y - hi_cal)
+    scores = score_cqr(lo_cal, hi_cal, frame.targets[n_fit:])
     qhat = np.array(
         [conformal_quantile(scores[:, h], alpha) for h in range(horizon)]
     )
 
-    history = list(train_series.values)
-    per_origin: list[tuple[HorizonIntervals, np.ndarray]] = []
-    for b in range(n_blocks):
+    def emit(history):
         x = np.asarray(history[-n_lags:], dtype=float)
         lo, hi = _ordered_bounds(_member_predict(f_lo, x), _member_predict(f_hi, x))
-        intervals = [
-            cqr_interval(float(lo[h]), float(hi[h]), float(qhat[h]))
-            for h in range(horizon)
-        ]
-        block = HorizonIntervals(origin=len(train_series) + b * horizon + 1, intervals=intervals)
-        stream.submit(block)
-        y = stream.reveal(horizon)
-        per_origin.append((block, y))
-        history.extend(y)
+        return lo, hi, qhat
 
+    per_origin = _walk(train_series, stream, horizon, emit, lambda block, y, history: None)
     return RunResult(method="mimocqr", horizon=horizon, per_origin=per_origin)
 
 
@@ -482,48 +496,41 @@ def run_enbpi(
     sliding window of absolute residuals that advances by ``horizon`` scores
     per block.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+    _check_run(stream, horizon, alpha)
     config = config or TrainConfig()
-    n_blocks = _check_stream(stream, horizon)
     frame = frame_recursive(train_series, n_lags)
     if ensemble is None:
         ensemble = fit_ensemble(frame, None, n_models, seed, config)
 
     oob, kept = oob_predict(ensemble, frame)
     skipped = int(frame.n_rows - kept.sum())
-    residuals = np.abs(oob[kept, 0] - frame.targets[kept, 0])
+    residuals = score_absolute(oob[kept, 0], frame.targets[kept, 0])
     window = SlidingScoreWindow(capacity=residuals.size)
     window.extend(residuals)
     qhat = conformal_quantile(window.values(), alpha)
-
-    history = list(train_series.values)
-    per_origin: list[tuple[HorizonIntervals, np.ndarray]] = []
+    points = None
     window_rows = [[len(window)]]
-    for b in range(n_blocks):
+
+    def emit(history):
+        nonlocal points
         points = recursive_forecast(
             lambda x: float(ensemble.predict_mean(x)[0]),
             np.asarray(history[-n_lags:], dtype=float),
             horizon,
         )
-        intervals = [
-            PredictionInterval(float(points[h] - qhat), float(points[h] + qhat))
-            for h in range(horizon)
-        ]
-        block = HorizonIntervals(origin=len(train_series) + b * horizon + 1, intervals=intervals)
-        stream.submit(block)
-        y = stream.reveal(horizon)
-        per_origin.append((block, y))
-        for h in range(horizon):
-            window.push(abs(float(points[h]) - float(y[h])))
+        # qhat >= 0, so the CQR interval of the point band is points -/+ qhat
+        return points, points, qhat
+
+    def observe(block, y, history):
+        nonlocal qhat
+        window.extend(score_absolute(points, y))
         qhat = conformal_quantile(window.values(), alpha)
-        history.extend(y)
         window_rows.append([len(window)])
 
     return RunResult(
         method="enbpi",
         horizon=horizon,
-        per_origin=per_origin,
+        per_origin=_walk(train_series, stream, horizon, emit, observe),
         window_size_traces=np.asarray(window_rows, dtype=int),
         skipped_oob_rows=skipped,
     )
@@ -548,10 +555,8 @@ def run_enbcqr(
     the lower/upper ensembles evaluated on those covariates give the band,
     widened by the conformal quantile of a sliding window of band scores.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+    _check_run(stream, horizon, alpha)
     config = config or TrainConfig()
-    n_blocks = _check_stream(stream, horizon)
     frame = frame_recursive(train_series, n_lags)
     if ensembles is None:
         lo_ens = fit_ensemble(frame, alpha / 2.0, n_models, seed, config)
@@ -561,47 +566,37 @@ def run_enbcqr(
         lo_ens, med_ens, hi_ens = ensembles
     _require_shared_index_sets(lo_ens, med_ens, hi_ens)
 
-    lo_oob, kept = oob_predict(lo_ens, frame)
-    hi_oob, _ = oob_predict(hi_ens, frame)
-    skipped = int(frame.n_rows - kept.sum())
-    lo_cal, hi_cal = _ordered_bounds(lo_oob[kept, 0], hi_oob[kept, 0])
-    y_cal = frame.targets[kept, 0]
-    band_scores = np.maximum(lo_cal - y_cal, y_cal - hi_cal)
-    window = SlidingScoreWindow(capacity=band_scores.size)
-    window.extend(band_scores)
+    scores, skipped = _oob_band_scores(lo_ens, hi_ens, frame)
+    window = SlidingScoreWindow(capacity=scores.shape[0])
+    window.extend(scores[:, 0])
     qhat = conformal_quantile(window.values(), alpha)
-
-    history = list(train_series.values)
-    per_origin: list[tuple[HorizonIntervals, np.ndarray]] = []
+    lo_steps = hi_steps = None
     window_rows = [[len(window)]]
-    for b in range(n_blocks):
-        buffer = list(history[-n_lags:])
-        lo_steps = np.empty(horizon)
-        hi_steps = np.empty(horizon)
-        for h in range(horizon):
-            x = np.asarray(buffer[-n_lags:], dtype=float)
-            lo_h = float(lo_ens.predict_mean(x)[0])
-            hi_h = float(hi_ens.predict_mean(x)[0])
-            lo_steps[h], hi_steps[h] = min(lo_h, hi_h), max(lo_h, hi_h)
-            buffer.append(float(med_ens.predict_mean(x)[0]))
-        intervals = [
-            cqr_interval(float(lo_steps[h]), float(hi_steps[h]), float(qhat))
-            for h in range(horizon)
-        ]
-        block = HorizonIntervals(origin=len(train_series) + b * horizon + 1, intervals=intervals)
-        stream.submit(block)
-        y = stream.reveal(horizon)
-        per_origin.append((block, y))
-        for h in range(horizon):
-            window.push(float(max(lo_steps[h] - y[h], y[h] - hi_steps[h])))
+
+    def emit(history):
+        nonlocal lo_steps, hi_steps
+        last = np.asarray(history[-n_lags:], dtype=float)
+        path = recursive_forecast(lambda x: float(med_ens.predict_mean(x)[0]), last, horizon)
+        # the lag window of step h + 1: the last observations, then path[:h]
+        lags = np.concatenate([last, path[:-1]])
+        # one row per predict_mean call: batching them changes last bits
+        windows = [lags[h: h + n_lags] for h in range(horizon)]
+        lo_steps, hi_steps = _ordered_bounds(
+            np.array([lo_ens.predict_mean(x)[0] for x in windows]),
+            np.array([hi_ens.predict_mean(x)[0] for x in windows]),
+        )
+        return lo_steps, hi_steps, qhat
+
+    def observe(block, y, history):
+        nonlocal qhat
+        window.extend(score_cqr(lo_steps, hi_steps, y))
         qhat = conformal_quantile(window.values(), alpha)
-        history.extend(y)
         window_rows.append([len(window)])
 
     return RunResult(
         method="enbcqr",
         horizon=horizon,
-        per_origin=per_origin,
+        per_origin=_walk(train_series, stream, horizon, emit, observe),
         window_size_traces=np.asarray(window_rows, dtype=int),
         skipped_oob_rows=skipped,
     )

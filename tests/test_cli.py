@@ -155,6 +155,32 @@ class TestIntervalsCsvAndEval:
         (sid,) = results["per_series"].keys()
         assert payload["per_series"][sid]["miou"] == results["per_series"][sid]["miou"]
 
+    def test_eval_rejects_sidecar_of_another_series(self, tmp_path, capsys):
+        csv_path = tmp_path / "other.csv"
+        cmd_synth(4, csv_path, length=120)
+        out = str(tmp_path / "run")
+        cmd_run(fast_config(), out)  # seed 3
+        intervals = os.path.join(out, "intervals.csv")
+        oracle = sidecar_path_for(csv_path)
+        with pytest.raises(ConfigError, match="'synthetic-4'.*'synthetic-3'"):
+            cmd_eval(intervals, oracle_path=oracle)
+        assert main(["eval", "--intervals", intervals, "--oracle", oracle]) == 2
+        assert capsys.readouterr().out == ""
+
+    def test_eval_file_without_series_column_pairs_with_sidecar(self, tmp_path, capsys):
+        csv_path = tmp_path / "bench.csv"
+        cmd_synth(3, csv_path, length=120)
+        out = str(tmp_path / "run")
+        results = cmd_run(fast_config(), out)
+        with open(os.path.join(out, "intervals.csv"), encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+        unnamed = tmp_path / "unnamed.csv"
+        unnamed.write_text("\n".join(line.split(",", 1)[1] for line in lines) + "\n")
+        payload = cmd_eval(str(unnamed), oracle_path=sidecar_path_for(csv_path))
+        capsys.readouterr()
+        (sid,) = results["per_series"].keys()
+        assert payload["per_series"]["series"]["miou"] == results["per_series"][sid]["miou"]
+
     def test_eval_three_row_fixture(self, tmp_path, capsys):
         path = tmp_path / "intervals.csv"
         path.write_text(

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import oracles
+from conformalts import pipelines
 from conformalts.errors import AllRowsInBag
 from conformalts.framing import (
     HorizonIntervals,
@@ -617,6 +618,26 @@ class TestEnbcqrRunner:
                 train, FeedbackStream(rng.uniform(size=2)),
                 n_lags=p, horizon=1, alpha=0.1, ensembles=(a, b, a),
             )
+
+
+class TestAlphaCheck:
+    @pytest.mark.parametrize("runner", [run_aenbmimocqr, run_mimocqr, run_enbpi, run_enbcqr])
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5, -0.1])
+    def test_rejected_before_any_training(self, monkeypatch, rng, runner, alpha):
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            raise AssertionError("a model was trained")
+
+        for name in ("fit_ensemble", "train", "mse_train"):
+            monkeypatch.setattr(pipelines, name, spy)
+        with pytest.raises(ValueError, match="alpha"):
+            runner(
+                TimeSeries(rng.uniform(size=40)), FeedbackStream(rng.uniform(size=4)),
+                n_lags=3, horizon=2, alpha=alpha,
+            )
+        assert calls == []
 
 
 class TestTrainedRunners:
