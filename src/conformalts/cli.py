@@ -31,7 +31,7 @@ import numpy as np
 
 from .data import SyntheticConfig, gen_synthetic, load_csv, save_wide_csv, split_train_test
 from .errors import ConfigError, ConformalTSError, ParseError
-from .framing import PredictionInterval, TimeSeries
+from .framing import TimeSeries, covered
 from .metrics import EvalReport, aggregate_star, evaluate
 from .pipelines import FeedbackStream, run_aenbmimocqr, run_enbcqr, run_enbpi, run_mimocqr
 from .quantile_net import TrainConfig
@@ -39,6 +39,7 @@ from .seeding import derive_seed
 
 SCHEMA_VERSION = 1
 METHODS = ("aenbmimocqr", "mimocqr", "enbpi", "enbcqr")
+LAYOUTS = ("wide", "long")
 
 
 @dataclass
@@ -88,31 +89,17 @@ class ExperimentConfig:
             raise ConfigError("cal-fraction must be in (0, 1]")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
+        if self.layout not in LAYOUTS:
+            raise ConfigError(f"layout must be one of {', '.join(LAYOUTS)}")
         if self.synthetic == (self.data is not None):
             raise ConfigError("give exactly one data source: --data PATH or --synthetic")
         if self.synthetic and self.length <= 40:
             raise ConfigError("length must exceed the 40-step warmup")
 
     def to_json_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "alpha": self.alpha,
-            "p": self.n_lags,
-            "H": self.horizon,
-            "B": self.n_models,
-            "T": self.window_size,
-            "n_test": self.n_test,
-            "epochs": self.epochs,
-            "hidden": list(self.hidden),
-            "lr": self.learning_rate,
-            "cal_fraction": self.cal_fraction,
-            "seed": self.seed,
-            "workers": self.workers,
-            "data": self.data,
-            "layout": self.layout,
-            "synthetic": self.synthetic,
-            "length": self.length,
-        }
+        """The settings under their config-file keys, "-" written as "_"."""
+        body = {key.replace("-", "_"): getattr(self, attr) for key, (attr, _) in _RUN_KEYS.items()}
+        return {**body, "hidden": list(self.hidden)}
 
 
 def _to_int(key):
@@ -202,35 +189,33 @@ def _resolve_run_config(args) -> tuple[ExperimentConfig, str]:
     for key, (attr, conv) in _RUN_KEYS.items():
         if key in file_values:
             setattr(cfg, attr, conv(file_values[key]))
-    flag_values = {
-        "method": args.method,
-        "alpha": args.alpha,
-        "p": args.p,
-        "H": args.H,
-        "B": args.B,
-        "T": args.T,
-        "n-test": args.n_test,
-        "epochs": args.epochs,
-        "hidden": args.hidden,
-        "lr": args.lr,
-        "cal-fraction": args.cal_fraction,
-        "seed": args.seed,
-        "workers": args.workers,
-        "data": args.data,
-        "layout": args.layout,
-        "synthetic": args.synthetic,
-        "length": args.length,
-    }
-    for key, value in flag_values.items():
-        if value is None:
-            continue
-        attr, conv = _RUN_KEYS[key]
-        setattr(cfg, attr, conv(value) if isinstance(value, str) else value)
+        # an explicit flag (key "n-test" is flag dest "n_test") wins over the file
+        value = getattr(args, key.replace("-", "_"))
+        if value is not None:
+            setattr(cfg, attr, conv(value) if isinstance(value, str) else value)
     out = args.out if args.out is not None else file_values.get("out")
     if not out:
         raise ConfigError("an output directory is required (--out)")
     cfg.validate()
     return cfg, out
+
+
+def _oracle_reference(lower, upper, origins, horizons):
+    """A sidecar's (lower, upper) reference bounds at each forecast's target,
+    0-based position ``origin + h - 2``; None if one is on the warmup (NaN or
+    null). A position outside the sidecar is a ConfigError."""
+    lower, upper = np.asarray(lower, dtype=float), np.asarray(upper, dtype=float)
+    positions = np.asarray(origins) + np.asarray(horizons) - 2
+    outside = np.flatnonzero((positions < 0) | (positions >= len(lower)))
+    if outside.size:
+        i = outside[0]
+        raise ConfigError(
+            f"the forecast at origin {origins[i]}, step {horizons[i]} targets position "
+            f"{positions[i]}, outside the sidecar's {len(lower)} reference intervals"
+        )
+    if np.any(np.isnan(lower[positions])):
+        return None
+    return lower[positions], upper[positions]
 
 
 def _series_job(payload: dict) -> dict:
@@ -259,24 +244,17 @@ def _series_job(payload: dict) -> dict:
     else:
         result = run_enbcqr(train_ts, stream, n_models=cfg.n_models, **common)
 
-    intervals = result.intervals_flat()
+    lower, upper = result.bounds_flat()
     y = result.realized_flat()
     horizons = result.horizons_flat()
     origins = result.origins_flat()
-    reference = None
     oracle = payload.get("oracle")
-    if oracle is not None:
-        lower, upper = oracle
-        positions = origins + horizons - 2  # 0-based index of each forecast step
-        if not np.any(np.isnan(lower[positions])):
-            reference = [
-                PredictionInterval(float(lower[pos]), float(upper[pos]))
-                for pos in positions
-            ]
-    report = evaluate(intervals, y, horizons, reference)
+    reference = None if oracle is None else _oracle_reference(*oracle, origins, horizons)
+    report = evaluate(lower, upper, y, horizons, reference)
     rows = [
-        (series.id, int(o), int(h), iv.lower, iv.upper, float(v), int(iv.covers(float(v))))
-        for o, h, iv, v in zip(origins, horizons, intervals, y)
+        (series.id, *row)
+        for row in zip(origins.tolist(), horizons.tolist(), lower.tolist(), upper.tolist(),
+                       y.tolist(), covered(lower, upper, y).astype(int).tolist())
     ]
     return {
         "id": series.id,
@@ -459,15 +437,11 @@ def cmd_eval(intervals_path, oracle_path=None, out_path=None) -> dict:
     per_series = {}
     reports = []
     for sid, cols in grouped.items():
-        intervals = [PredictionInterval(lo, up) for lo, up in zip(cols["lower"], cols["upper"])]
         reference = None
         if oracle is not None and (not keyed or oracle.get("id") == sid):
-            lower, upper = oracle["lower"], oracle["upper"]
-            reference = [
-                PredictionInterval(float(lower[o + h - 2]), float(upper[o + h - 2]))
-                for o, h in zip(cols["origin"], cols["h"])
-            ]
-        report = evaluate(intervals, np.asarray(cols["y"]), np.asarray(cols["h"]), reference)
+            reference = _oracle_reference(
+                oracle["lower"], oracle["upper"], cols["origin"], cols["h"])
+        report = evaluate(cols["lower"], cols["upper"], cols["y"], cols["h"], reference)
         reports.append(report)
         per_series[sid] = _report_dict(report, {})
     picp_star, pinaw_star, miou_star = aggregate_star(reports)
@@ -500,7 +474,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--config", help="flat key = value config file")
     run.add_argument("--method", choices=METHODS)
     run.add_argument("--data", help="CSV dataset path")
-    run.add_argument("--layout", choices=("wide", "long"))
+    run.add_argument("--layout", choices=LAYOUTS)
     run.add_argument("--synthetic", action="store_const", const=True, default=None,
                      help="use the built-in synthetic benchmark series")
     run.add_argument("--alpha", type=float)

@@ -14,7 +14,6 @@ import math
 import numpy as np
 
 from .errors import EmptyScoreSet, InvalidInterval
-from .framing import PredictionInterval
 
 
 def score_absolute(y_hat: np.ndarray | float, y: np.ndarray | float) -> np.ndarray | float:
@@ -51,17 +50,19 @@ def conformal_quantile(scores, alpha: float) -> float:
     return float(np.sort(s, kind="stable")[k - 1])
 
 
-def cqr_interval(lo: float, hi: float, qhat: float) -> PredictionInterval:
-    """Widen the band [lo, hi] by qhat on each side.
+def cqr_interval(lo, hi, qhat):
+    """Widen the band [lo, hi] by qhat on each side, elementwise; returns
+    the (lower, upper) bounds.
 
-    A sufficiently negative qhat would invert the bounds; the interval then
-    collapses to the band midpoint instead.
+    A sufficiently negative qhat would invert a pair of bounds; that pair
+    then collapses to its band midpoint instead.
     """
-    if lo > hi:
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+    if np.any(lo > hi):
         raise InvalidInterval("lower quantile exceeds upper quantile")
     lower = lo - qhat
     upper = hi + qhat
-    if lower > upper:
-        mid = 0.5 * (lo + hi)
-        return PredictionInterval(mid, mid)
-    return PredictionInterval(float(lower), float(upper))
+    inverted = lower > upper
+    mid = 0.5 * (lo + hi)
+    return np.where(inverted, mid, lower)[()], np.where(inverted, mid, upper)[()]

@@ -5,11 +5,14 @@ framings here differ only in the target side. The recursive framing pairs
 each window of ``n_lags`` consecutive values with the single next value; the
 multi-output framing pairs it with the next ``horizon`` values, so one model
 call yields a whole forecast path with no error feedback between steps.
+
+Intervals travel as ``lower``/``upper`` bound arrays, from a HorizonIntervals
+block to the metrics; ``check_bounds`` and ``covered`` hold the rules.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -54,16 +57,29 @@ class SupervisedFrame:
         return self.covariates.shape[0]
 
 
+def check_bounds(lower, upper) -> None:
+    """Raise InvalidInterval unless all bounds are finite and ordered."""
+    lower, upper = np.asarray(lower, dtype=float), np.asarray(upper, dtype=float)
+    if not (np.isfinite(lower).all() and np.isfinite(upper).all()):
+        raise InvalidInterval("interval bounds must be finite")
+    inverted = lower > upper
+    if inverted.any():
+        i = inverted.argmax()
+        raise InvalidInterval(f"lower {lower.flat[i]} exceeds upper {upper.flat[i]}")
+
+
+def covered(lower, upper, y) -> np.ndarray:
+    """Closed-interval membership, elementwise."""
+    return (lower <= y) & (y <= upper)
+
+
 @dataclass(frozen=True)
 class PredictionInterval:
     lower: float
     upper: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.lower) and np.isfinite(self.upper)):
-            raise InvalidInterval("interval bounds must be finite")
-        if self.lower > self.upper:
-            raise InvalidInterval(f"lower {self.lower} exceeds upper {self.upper}")
+        check_bounds(self.lower, self.upper)
 
     def covers(self, y: float) -> bool:
         """Closed-interval membership."""
@@ -74,25 +90,38 @@ class PredictionInterval:
         return self.upper - self.lower
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HorizonIntervals:
-    """The block of intervals emitted from one forecast origin.
+    """The block of intervals emitted from one forecast origin, as two
+    read-only bound arrays of one length.
 
     ``origin`` is the 1-based time index of the first forecast step, so the
     interval for step h (1-based) refers to time ``origin + h - 1``.
     """
 
     origin: int
-    intervals: tuple[PredictionInterval, ...] = field(default_factory=tuple)
+    lower: np.ndarray
+    upper: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "intervals", tuple(self.intervals))
+        lower = np.array(self.lower, dtype=float).reshape(-1)
+        upper = np.array(self.upper, dtype=float).reshape(-1)
+        if lower.size != upper.size:
+            raise ValueError(f"{lower.size} lower vs {upper.size} upper bounds")
+        check_bounds(lower, upper)
+        lower.flags.writeable = upper.flags.writeable = False
+        object.__setattr__(self, "lower", lower)
+        object.__setattr__(self, "upper", upper)
 
     def __len__(self) -> int:
-        return len(self.intervals)
+        return self.lower.size
 
     def __iter__(self):
-        return iter(self.intervals)
+        return map(PredictionInterval, self.lower.tolist(), self.upper.tolist())
+
+    def covers(self, y) -> np.ndarray:
+        """Closed-interval membership of each step's realized value."""
+        return covered(self.lower, self.upper, np.asarray(y, dtype=float))
 
 
 def _window_view(values: np.ndarray, width: int) -> np.ndarray:

@@ -1,11 +1,12 @@
-"""Interval quality metrics.
+"""Interval quality metrics over bound arrays.
 
 picp   fraction of realized values inside their (closed) intervals
 pinaw  mean interval width, normalized by the realized value range
 miou   mean intersection-over-union against reference intervals
 
-The starred aggregates are plain unweighted means across series, so a short
-series counts as much as a long one.
+Every metric takes intervals as aligned ``lower``/``upper`` arrays, checked
+with ``framing.check_bounds``. The starred aggregates are plain unweighted
+means across series, so a short series counts as much as a long one.
 """
 
 from __future__ import annotations
@@ -15,51 +16,44 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyInput, LengthMismatch, ZeroRange
-from .framing import PredictionInterval
+from .framing import check_bounds, covered
 
 
-def _bounds(intervals) -> tuple[np.ndarray, np.ndarray]:
-    lower = np.asarray([iv.lower for iv in intervals], dtype=float)
-    upper = np.asarray([iv.upper for iv in intervals], dtype=float)
-    return lower, upper
+def _aligned(name: str, *columns) -> list[np.ndarray]:
+    """The columns as flat float arrays of one non-zero length. Columns come
+    as (lower, upper) pairs, then optionally the realized values; each pair
+    is bounds-checked."""
+    arrays = [np.asarray(c, dtype=float).reshape(-1) for c in columns]
+    if len({a.size for a in arrays}) != 1:
+        raise LengthMismatch(f"{name}: lengths {[a.size for a in arrays]} differ")
+    if arrays[0].size == 0:
+        raise EmptyInput(f"{name} needs at least one interval")
+    for k in range(0, len(arrays) - 1, 2):
+        check_bounds(arrays[k], arrays[k + 1])
+    return arrays
 
 
-def picp(intervals, y) -> float:
+def picp(lower, upper, y) -> float:
     """Prediction interval coverage probability: mean of 1{lower <= y <= upper}."""
-    y = np.asarray(y, dtype=float).reshape(-1)
-    if len(intervals) != y.size:
-        raise LengthMismatch(f"{len(intervals)} intervals vs {y.size} values")
-    if y.size == 0:
-        raise EmptyInput("picp needs at least one interval")
-    lower, upper = _bounds(intervals)
-    return float(np.mean((lower <= y) & (y <= upper)))
+    lower, upper, y = _aligned("picp", lower, upper, y)
+    return float(np.mean(covered(lower, upper, y)))
 
 
-def pinaw(intervals, y) -> float:
+def pinaw(lower, upper, y) -> float:
     """Mean interval width divided by the range of the realized values."""
-    y = np.asarray(y, dtype=float).reshape(-1)
-    if len(intervals) != y.size:
-        raise LengthMismatch(f"{len(intervals)} intervals vs {y.size} values")
-    if y.size == 0:
-        raise EmptyInput("pinaw needs at least one interval")
+    lower, upper, y = _aligned("pinaw", lower, upper, y)
     span = float(np.max(y) - np.min(y))
     if span == 0.0:
         raise ZeroRange("realized values have zero range")
-    lower, upper = _bounds(intervals)
     return float(np.mean(upper - lower) / span)
 
 
-def miou(intervals, reference) -> float:
+def miou(lower, upper, ref_lower, ref_upper) -> float:
     """Mean intersection-over-union between paired intervals.
 
     Disjoint pairs contribute 0; identical degenerate pairs contribute 1.
     """
-    if len(intervals) != len(reference):
-        raise LengthMismatch(f"{len(intervals)} intervals vs {len(reference)} references")
-    if len(intervals) == 0:
-        raise EmptyInput("miou needs at least one pair")
-    a_lo, a_hi = _bounds(intervals)
-    b_lo, b_hi = _bounds(reference)
+    a_lo, a_hi, b_lo, b_hi = _aligned("miou", lower, upper, ref_lower, ref_upper)
     union = np.maximum(a_hi, b_hi) - np.minimum(a_lo, b_lo)
     inter = np.maximum(0.0, np.minimum(a_hi, b_hi) - np.maximum(a_lo, b_lo))
     # a zero union means both intervals are the same single point
@@ -79,23 +73,23 @@ class EvalReport:
     miou_per_horizon: list[float] | None
 
 
-def evaluate(intervals, y, horizons, reference=None) -> EvalReport:
-    """Build an EvalReport from flat aligned sequences.
+def evaluate(lower, upper, y, horizons, reference=None) -> EvalReport:
+    """Build an EvalReport from flat aligned arrays.
 
     ``horizons`` gives the 1-based forecast step of each interval; the
-    per-horizon numbers restrict each metric to one step. The width
+    per-horizon numbers restrict each metric to one step. ``reference`` is
+    an optional (lower, upper) pair of reference bounds. The width
     normalizer stays the full-series value range so per-horizon pinaw values
     are comparable with each other.
     """
-    y = np.asarray(y, dtype=float).reshape(-1)
     horizons = np.asarray(horizons, dtype=int).reshape(-1)
-    if not (len(intervals) == y.size == horizons.size):
+    refs = () if reference is None else tuple(reference)
+    lower, upper, *refs, y = _aligned("evaluate", lower, upper, *refs, y)
+    if horizons.size != y.size:
         raise LengthMismatch("intervals, y and horizons must align")
-    if reference is not None and len(reference) != len(intervals):
-        raise LengthMismatch("reference intervals must align with intervals")
-    overall_picp = picp(intervals, y)
-    overall_pinaw = pinaw(intervals, y)
-    overall_miou = miou(intervals, reference) if reference is not None else None
+    overall_picp = picp(lower, upper, y)
+    overall_pinaw = pinaw(lower, upper, y)
+    overall_miou = miou(lower, upper, *refs) if refs else None
 
     span = float(np.max(y) - np.min(y))
     picp_h, pinaw_h, miou_h = [], [], []
@@ -103,19 +97,17 @@ def evaluate(intervals, y, horizons, reference=None) -> EvalReport:
         idx = np.flatnonzero(horizons == h)
         if idx.size == 0:
             raise LengthMismatch(f"no intervals for horizon step {h}")
-        sub = [intervals[i] for i in idx]
-        picp_h.append(picp(sub, y[idx]))
-        lower, upper = _bounds(sub)
-        pinaw_h.append(float(np.mean(upper - lower) / span))
-        if reference is not None:
-            miou_h.append(miou(sub, [reference[i] for i in idx]))
+        picp_h.append(picp(lower[idx], upper[idx], y[idx]))
+        pinaw_h.append(float(np.mean(upper[idx] - lower[idx]) / span))
+        if refs:
+            miou_h.append(miou(lower[idx], upper[idx], *(r[idx] for r in refs)))
     return EvalReport(
         picp=overall_picp,
         pinaw=overall_pinaw,
         miou=overall_miou,
         picp_per_horizon=picp_h,
         pinaw_per_horizon=pinaw_h,
-        miou_per_horizon=miou_h if reference is not None else None,
+        miou_per_horizon=miou_h if refs else None,
     )
 
 

@@ -12,9 +12,9 @@ A runner supplies two callbacks: ``emit(history)`` returns the next block's
 (lower band, upper band, correction) from the values seen so far, and
 ``observe(block, y, history)`` updates the runner's state once the block's
 values ``y`` are revealed. ``_walk`` owns the rest: the history, the block
-origins, the CQR intervals (``cqr_interval``), ``submit``/``reveal`` and
-``per_origin``. Scores are the package's CQR score (``score_cqr``) and
-absolute residual (``score_absolute``).
+origins, the block's CQR bound arrays (one ``cqr_interval`` call),
+``submit``/``reveal`` and ``per_origin``. Scores are the package's CQR
+score (``score_cqr``) and absolute residual (``score_absolute``).
 
 Methods
 -------
@@ -46,7 +46,6 @@ from .conformal import conformal_quantile, cqr_interval, score_absolute, score_c
 from .errors import AllRowsInBag, SeriesTooShort
 from .framing import (
     HorizonIntervals,
-    PredictionInterval,
     SupervisedFrame,
     TimeSeries,
     frame_mimo,
@@ -242,8 +241,11 @@ class RunResult:
     def n_blocks(self) -> int:
         return len(self.per_origin)
 
-    def intervals_flat(self) -> list[PredictionInterval]:
-        return [iv for block, _ in self.per_origin for iv in block]
+    def bounds_flat(self) -> tuple[np.ndarray, np.ndarray]:
+        if not self.per_origin:
+            return np.empty(0), np.empty(0)
+        return (np.concatenate([block.lower for block, _ in self.per_origin]),
+                np.concatenate([block.upper for block, _ in self.per_origin]))
 
     def realized_flat(self) -> np.ndarray:
         if not self.per_origin:
@@ -276,11 +278,7 @@ def _walk(train_series: TimeSeries, stream: FeedbackStream, horizon: int, emit, 
     per_origin: list[tuple[HorizonIntervals, np.ndarray]] = []
     for b in range(len(stream) // horizon):
         lo, hi, qhat = emit(history)
-        intervals = [
-            cqr_interval(float(lo_h), float(hi_h), float(q_h))
-            for lo_h, hi_h, q_h in zip(lo, hi, np.broadcast_to(qhat, horizon), strict=True)
-        ]
-        block = HorizonIntervals(origin=len(train_series) + b * horizon + 1, intervals=intervals)
+        block = HorizonIntervals(len(train_series) + b * horizon + 1, *cqr_interval(lo, hi, qhat))
         stream.submit(block)
         y = stream.reveal(horizon)
         per_origin.append((block, y))
@@ -400,9 +398,10 @@ def run_aenbmimocqr(
         lo_t = np.vstack([lo_band, new_lo])[score_rows, steps[:, None]]
         hi_t = np.vstack([hi_band, new_hi])[score_rows, steps[:, None]]
         new_scores = score_cqr(lo_t, hi_t, y)  # (step, target)
+        covers = block.covers(y)
         for h in range(horizon):
             windows[h].extend(new_scores[h])
-            aci_update(state, h + 1, block.intervals[h].covers(float(y[h])))
+            aci_update(state, h + 1, bool(covers[h]))
         qhat = np.array(
             [conformal_quantile(windows[h].values(), state.alphas[h]) for h in range(horizon)]
         )

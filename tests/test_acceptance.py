@@ -24,7 +24,7 @@ from conformalts.adaptive import AciState, aci_update
 from conformalts.cli import ExperimentConfig, cmd_run
 from conformalts.conformal import conformal_quantile, score_absolute
 from conformalts.data import SyntheticConfig, gen_synthetic, split_train_test
-from conformalts.framing import PredictionInterval, TimeSeries
+from conformalts.framing import TimeSeries
 from conformalts.metrics import evaluate, miou, picp, pinaw
 from conformalts.pipelines import (
     BootstrapEnsemble,
@@ -203,8 +203,8 @@ def _compare_blocks(result, blocks, structural, method, case):
         if emitted.origin != expected["origin"]:
             structural.append(
                 f"{method} case {case}: origin {emitted.origin} vs {expected['origin']}")
-        for iv, (lo, hi) in zip(emitted.intervals, expected["intervals"]):
-            worst = max(worst, abs(iv.lower - lo), abs(iv.upper - hi))
+        for got_lo, got_hi, (lo, hi) in zip(emitted.lower, emitted.upper, expected["intervals"]):
+            worst = max(worst, abs(got_lo - lo), abs(got_hi - hi))
     return worst
 
 
@@ -301,16 +301,12 @@ def test_criterion_06_metric_brute_force():
         ref_lo[point_ref] = lo[point_ref]
         ref_hi[point_ref] = hi[point_ref]
 
-        intervals = [PredictionInterval(float(a), float(b)) for a, b in zip(lo, hi)]
-        reference = [PredictionInterval(float(a), float(b))
-                     for a, b in zip(ref_lo, ref_hi)]
-
         covered = sum(1 for a, b, v in zip(lo, hi, y) if a <= v <= b)
-        worst = max(worst, abs(picp(intervals, y) - covered / n))
+        worst = max(worst, abs(picp(lo, hi, y) - covered / n))
 
         value_range = float(y.max() - y.min())
         mean_width = sum(float(b - a) for a, b in zip(lo, hi)) / n
-        worst = max(worst, abs(pinaw(intervals, y) - mean_width / value_range))
+        worst = max(worst, abs(pinaw(lo, hi, y) - mean_width / value_range))
 
         terms = []
         for a, b, ra, rb in zip(lo, hi, ref_lo, ref_hi):
@@ -319,13 +315,12 @@ def test_criterion_06_metric_brute_force():
                 terms.append(1.0)
             else:
                 terms.append(max(0.0, min(b, rb) - max(a, ra)) / union)
-        worst = max(worst, abs(miou(intervals, reference) - sum(terms) / n))
+        worst = max(worst, abs(miou(lo, hi, ref_lo, ref_hi) - sum(terms) / n))
 
     examples = (
-        miou([PredictionInterval(3.0, 5.0)], [PredictionInterval(4.0, 6.0)]) == 1.0 / 3.0,
-        picp([PredictionInterval(0.0, 1.0)] * 3, np.array([0.5, 2.0, 1.0])) == 2.0 / 3.0,
-        pinaw([PredictionInterval(0.0, 1.0), PredictionInterval(0.0, 2.0),
-               PredictionInterval(0.0, 3.0)], np.array([0.0, 4.0, 2.0])) == 0.5,
+        miou([3.0], [5.0], [4.0], [6.0]) == 1.0 / 3.0,
+        picp([0.0] * 3, [1.0] * 3, np.array([0.5, 2.0, 1.0])) == 2.0 / 3.0,
+        pinaw([0.0, 0.0, 0.0], [1.0, 2.0, 3.0], np.array([0.0, 4.0, 2.0])) == 0.5,
     )
     ok = worst <= 1e-12 and all(examples)
     _line(6, ok, f"{n_instances} random instances recomputed directly, "
@@ -354,10 +349,8 @@ def _benchmark(seed: int, method: str) -> tuple[float, float]:
         else:
             result = run_enbpi(train, stream, n_models=10, **common)
         positions = result.origins_flat() + result.horizons_flat() - 2
-        reference = [PredictionInterval(float(oracle.lower[pos]),
-                                        float(oracle.upper[pos]))
-                     for pos in positions]
-        report = evaluate(result.intervals_flat(), result.realized_flat(),
+        reference = (oracle.lower[positions], oracle.upper[positions])
+        report = evaluate(*result.bounds_flat(), result.realized_flat(),
                           result.horizons_flat(), reference)
         _BENCH[key] = (report.picp, report.miou)
     return _BENCH[key]
@@ -508,7 +501,8 @@ def test_criterion_10_window_and_cadence_invariants():
                                BootstrapEnsemble(make_affine_members(2, p, 1, seed=base + 2, scale=0.4), sets)))
             expected_size = rows - result.skipped_oob_rows
 
-        if any(iv.lower > iv.upper for iv in result.intervals_flat()):
+        lower, upper = result.bounds_flat()
+        if np.any(lower > upper):
             problems.append(f"trial {trial}: {method} emitted an inverted interval")
 
         expected_events = []

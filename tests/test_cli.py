@@ -15,7 +15,7 @@ from conformalts.cli import (
     sidecar_path_for,
 )
 from conformalts.data import SyntheticConfig, gen_synthetic, load_csv, save_wide_csv
-from conformalts.errors import ConfigError
+from conformalts.errors import ConfigError, InvalidInterval
 from conformalts.framing import TimeSeries
 
 FAST = dict(
@@ -53,6 +53,7 @@ class TestExperimentConfig:
             dict(synthetic=False),   # no data source at all
             dict(data="x.csv"),      # two data sources
             dict(length=40),
+            dict(layout="tall"),
         ):
             with pytest.raises(ConfigError):
                 fast_config(**overrides).validate()
@@ -194,6 +195,55 @@ class TestIntervalsCsvAndEval:
         capsys.readouterr()
         assert payload["per_series"]["s"]["picp"] == pytest.approx(0.5)
         assert payload["per_series"]["s"]["picp_per_horizon"] == [1.0, 0.0]
+
+    def test_eval_oracle_positions_checked_at_both_ends(self, tmp_path, capsys):
+        # a 200-step sidecar: positions 0..39 are the warmup (null), and the
+        # step-h forecast from origin o targets position o + h - 2
+        csv_path = tmp_path / "bench.csv"
+        cmd_synth(1, csv_path, length=200)
+        oracle = sidecar_path_for(csv_path)
+
+        def eval_rows(name, *rows):
+            path = tmp_path / name
+            path.write_text("series,origin,h,lower,upper,y,covered\n" + "".join(
+                f"synthetic-1,{o},{h},0.0,2.0,{y},1\n" for o, h, y in rows))
+            return str(path)
+
+        before_start = eval_rows("start.csv", (0, 1, 1.0), (100, 1, 1.5))
+        with pytest.raises(ConfigError, match="origin 0, step 1"):
+            cmd_eval(before_start, oracle_path=oracle)
+        assert main(["eval", "--intervals", before_start, "--oracle", oracle]) == 2
+
+        past_end = eval_rows("end.csv", (100, 1, 1.0), (200, 1, 1.5), (100, 2, 1.0), (200, 2, 1.5))
+        with pytest.raises(ConfigError, match="origin 200, step 2"):
+            cmd_eval(past_end, oracle_path=oracle)
+        assert main(["eval", "--intervals", past_end, "--oracle", oracle]) == 2
+        assert capsys.readouterr().out == ""
+
+        on_warmup = eval_rows("warmup.csv", (1, 1, 1.0), (100, 1, 1.5))
+        payload = cmd_eval(on_warmup, oracle_path=oracle)
+        capsys.readouterr()
+        assert payload["per_series"]["synthetic-1"]["miou"] is None
+        assert payload["per_series"]["synthetic-1"]["picp"] == 1.0
+        assert main(["eval", "--intervals", on_warmup, "--oracle", oracle]) == 0
+        assert json.loads(capsys.readouterr().out)["aggregates"]["miou_star"] is None
+
+    @pytest.mark.parametrize(
+        "bounds, message", [("2.0,1.0", "lower 2.0 exceeds upper 1.0"), ("nan,1.0", "finite")]
+    )
+    def test_eval_rejects_a_bad_interval(self, tmp_path, capsys, bounds, message):
+        path = tmp_path / "intervals.csv"
+        path.write_text(
+            "series,origin,h,lower,upper,y,covered\n"
+            "s,1,1,0.0,2.0,1.0,1\n"
+            f"s,2,1,{bounds},1.5,0\n"
+        )
+        with pytest.raises(InvalidInterval, match=message):
+            cmd_eval(str(path))
+        assert main(["eval", "--intervals", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
 
     def test_intervals_csv_round_trips_floats(self, tmp_path):
         out = str(tmp_path / "run")

@@ -101,21 +101,21 @@ class TestConformalQuantile:
 
 class TestCqrInterval:
     def test_widens_both_sides(self):
-        iv = cqr_interval(2.0, 4.0, 1.0)
-        assert (iv.lower, iv.upper) == (1.0, 5.0)
+        lower, upper = cqr_interval(2.0, 4.0, 1.0)
+        assert (lower, upper) == (1.0, 5.0)
 
     def test_negative_correction_shrinks(self):
-        iv = cqr_interval(2.0, 4.0, -0.5)
-        assert (iv.lower, iv.upper) == (2.5, 3.5)
+        lower, upper = cqr_interval(2.0, 4.0, -0.5)
+        assert (lower, upper) == (2.5, 3.5)
 
     def test_collapses_to_midpoint(self):
-        iv = cqr_interval(2.0, 4.0, -2.0)
-        assert (iv.lower, iv.upper) == (3.0, 3.0)
+        lower, upper = cqr_interval(2.0, 4.0, -2.0)
+        assert (lower, upper) == (3.0, 3.0)
 
     def test_collapse_boundary_exact(self):
         # qhat = -(hi - lo) / 2 still yields the degenerate-but-valid band
-        iv = cqr_interval(2.0, 4.0, -1.0)
-        assert (iv.lower, iv.upper) == (3.0, 3.0)
+        lower, upper = cqr_interval(2.0, 4.0, -1.0)
+        assert (lower, upper) == (3.0, 3.0)
 
     def test_rejects_inverted_band(self):
         with pytest.raises(InvalidInterval):
@@ -127,5 +127,24 @@ class TestCqrInterval:
         qhat=st.floats(-1e3, 1e3),
     )
     def test_always_a_valid_interval(self, lo, width, qhat):
-        iv = cqr_interval(lo, lo + width, qhat)
-        assert iv.lower <= iv.upper
+        lower, upper = cqr_interval(lo, lo + width, qhat)
+        assert lower <= upper
+
+    def test_elementwise_with_per_step_corrections(self):
+        # each step widens or collapses on its own, exactly as a scalar call
+        lo, hi = np.array([2.0, 2.0, 2.0, 0.0]), np.array([4.0, 4.0, 4.0, 3.0])
+        qhat = np.array([1.0, -0.5, -2.0, 0.25])
+        lower, upper = cqr_interval(lo, hi, qhat)
+        np.testing.assert_array_equal(lower, [1.0, 2.5, 3.0, -0.25])
+        np.testing.assert_array_equal(upper, [5.0, 3.5, 3.0, 3.25])
+        for k in range(lo.size):
+            assert cqr_interval(lo[k], hi[k], qhat[k]) == (lower[k], upper[k])
+
+    def test_one_correction_for_every_step(self):
+        lower, upper = cqr_interval(np.array([0.0, 1.0]), np.array([0.0, 2.0]), 0.5)
+        np.testing.assert_array_equal(lower, [-0.5, 0.5])
+        np.testing.assert_array_equal(upper, [0.5, 2.5])
+
+    def test_rejects_any_inverted_pair(self):
+        with pytest.raises(InvalidInterval):
+            cqr_interval(np.array([0.0, 4.0]), np.array([1.0, 2.0]), 1.0)

@@ -3,93 +3,94 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conformalts.errors import EmptyInput, LengthMismatch, ZeroRange
-from conformalts.framing import PredictionInterval
+from conformalts.errors import EmptyInput, InvalidInterval, LengthMismatch, ZeroRange
 from conformalts.metrics import EvalReport, aggregate_star, evaluate, miou, picp, pinaw
 
 
 def ivs(pairs):
-    return [PredictionInterval(lo, hi) for lo, hi in pairs]
+    """(lower, upper) bound arrays of (lo, hi) pairs."""
+    pairs = np.asarray(pairs, dtype=float).reshape(-1, 2)
+    return pairs[:, 0], pairs[:, 1]
 
 
 class TestPicp:
     def test_two_of_three_covered(self):
         intervals = ivs([(0.0, 2.0), (0.0, 2.0), (0.0, 2.0)])
-        assert picp(intervals, [1.0, 2.0, 3.0]) == pytest.approx(2.0 / 3.0)
+        assert picp(*intervals, [1.0, 2.0, 3.0]) == pytest.approx(2.0 / 3.0)
 
     def test_boundary_counts_as_covered(self):
-        assert picp(ivs([(1.0, 3.0)]), [3.0]) == 1.0
-        assert picp(ivs([(1.0, 3.0)]), [1.0]) == 1.0
+        assert picp(*ivs([(1.0, 3.0)]), [3.0]) == 1.0
+        assert picp(*ivs([(1.0, 3.0)]), [1.0]) == 1.0
 
     def test_none_covered(self):
-        assert picp(ivs([(0.0, 1.0), (0.0, 1.0)]), [5.0, -5.0]) == 0.0
+        assert picp(*ivs([(0.0, 1.0), (0.0, 1.0)]), [5.0, -5.0]) == 0.0
 
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
-            picp(ivs([(0.0, 1.0)]), [0.5, 0.6])
+            picp(*ivs([(0.0, 1.0)]), [0.5, 0.6])
 
     def test_empty(self):
         with pytest.raises(EmptyInput):
-            picp([], [])
+            picp([], [], [])
 
 
 class TestPinaw:
     def test_worked_example(self):
         # widths 1, 2, 3 with realized range 4: mean(2) / 4 = 0.5
         intervals = ivs([(0.0, 1.0), (0.0, 2.0), (0.0, 3.0)])
-        assert pinaw(intervals, [0.0, 2.0, 4.0]) == pytest.approx(0.5)
+        assert pinaw(*intervals, [0.0, 2.0, 4.0]) == pytest.approx(0.5)
 
     def test_zero_range_rejected(self):
         with pytest.raises(ZeroRange):
-            pinaw(ivs([(0.0, 1.0), (0.0, 1.0)]), [2.0, 2.0])
+            pinaw(*ivs([(0.0, 1.0), (0.0, 1.0)]), [2.0, 2.0])
 
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
-            pinaw(ivs([(0.0, 1.0)]), [0.5, 0.6])
+            pinaw(*ivs([(0.0, 1.0)]), [0.5, 0.6])
 
     def test_empty(self):
         with pytest.raises(EmptyInput):
-            pinaw([], [])
+            pinaw([], [], [])
 
 
 class TestMiou:
     def test_overlap_one_third(self):
         # [3,5] vs [4,6]: intersection 1, union 3
-        assert miou(ivs([(3.0, 5.0)]), ivs([(4.0, 6.0)])) == pytest.approx(1.0 / 3.0)
+        assert miou(*ivs([(3.0, 5.0)]), *ivs([(4.0, 6.0)])) == pytest.approx(1.0 / 3.0)
 
     def test_disjoint_is_zero(self):
-        assert miou(ivs([(0.0, 1.0)]), ivs([(2.0, 3.0)])) == 0.0
+        assert miou(*ivs([(0.0, 1.0)]), *ivs([(2.0, 3.0)])) == 0.0
 
     def test_identical_is_one(self):
-        assert miou(ivs([(1.5, 4.0)]), ivs([(1.5, 4.0)])) == 1.0
+        assert miou(*ivs([(1.5, 4.0)]), *ivs([(1.5, 4.0)])) == 1.0
 
     def test_identical_points_are_one(self):
-        assert miou(ivs([(2.0, 2.0)]), ivs([(2.0, 2.0)])) == 1.0
+        assert miou(*ivs([(2.0, 2.0)]), *ivs([(2.0, 2.0)])) == 1.0
 
     def test_point_inside_interval_is_zero(self):
         # zero-width intersection over positive union
-        assert miou(ivs([(2.0, 2.0)]), ivs([(1.0, 3.0)])) == 0.0
+        assert miou(*ivs([(2.0, 2.0)]), *ivs([(1.0, 3.0)])) == 0.0
 
     def test_nested_intervals(self):
-        assert miou(ivs([(1.0, 2.0)]), ivs([(0.0, 4.0)])) == pytest.approx(0.25)
+        assert miou(*ivs([(1.0, 2.0)]), *ivs([(0.0, 4.0)])) == pytest.approx(0.25)
 
     def test_mean_over_pairs(self):
         a = ivs([(3.0, 5.0), (0.0, 1.0)])
         b = ivs([(4.0, 6.0), (0.0, 1.0)])
-        assert miou(a, b) == pytest.approx((1.0 / 3.0 + 1.0) / 2.0)
+        assert miou(*a, *b) == pytest.approx((1.0 / 3.0 + 1.0) / 2.0)
 
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
-            miou(ivs([(0.0, 1.0)]), ivs([(0.0, 1.0), (0.0, 2.0)]))
+            miou(*ivs([(0.0, 1.0)]), *ivs([(0.0, 1.0), (0.0, 2.0)]))
 
     def test_empty(self):
         with pytest.raises(EmptyInput):
-            miou([], [])
+            miou([], [], [], [])
 
     def test_symmetric(self, rng):
         a = ivs([tuple(sorted(rng.normal(size=2))) for _ in range(20)])
         b = ivs([tuple(sorted(rng.normal(size=2))) for _ in range(20)])
-        assert miou(a, b) == pytest.approx(miou(b, a), rel=1e-14)
+        assert miou(*a, *b) == pytest.approx(miou(*b, *a), rel=1e-14)
 
     @given(
         st.lists(
@@ -101,14 +102,31 @@ class TestMiou:
         )
     )
     def test_brute_force_recount(self, quads):
-        a = ivs([(lo, lo + w) for lo, w, _, _ in quads])
-        b = ivs([(lo, lo + w) for _, _, lo, w in quads])
+        a = [(lo, lo + w) for lo, w, _, _ in quads]
+        b = [(lo, lo + w) for _, _, lo, w in quads]
         total = 0.0
-        for x, y in zip(a, b):
-            union = max(x.upper, y.upper) - min(x.lower, y.lower)
-            inter = min(x.upper, y.upper) - max(x.lower, y.lower)
+        for (x_lo, x_hi), (y_lo, y_hi) in zip(a, b):
+            union = max(x_hi, y_hi) - min(x_lo, y_lo)
+            inter = min(x_hi, y_hi) - max(x_lo, y_lo)
             total += 1.0 if union == 0.0 else max(inter, 0.0) / union
-        assert miou(a, b) == pytest.approx(total / len(quads), rel=1e-12, abs=1e-12)
+        assert miou(*ivs(a), *ivs(b)) == pytest.approx(total / len(quads), rel=1e-12, abs=1e-12)
+
+
+class TestBoundsChecked:
+    @pytest.mark.parametrize("pair", [(2.0, 1.0), (np.nan, 1.0), (0.0, np.inf)])
+    def test_every_metric_rejects_a_bad_pair(self, pair):
+        lower, upper = ivs([(0.0, 1.0), pair])
+        with pytest.raises(InvalidInterval):
+            picp(lower, upper, [0.5, 0.5])
+        with pytest.raises(InvalidInterval):
+            pinaw(lower, upper, [0.0, 1.0])
+        with pytest.raises(InvalidInterval):
+            evaluate(lower, upper, [0.0, 1.0], [1, 1])
+        good = ivs([(0.0, 1.0), (0.0, 1.0)])
+        with pytest.raises(InvalidInterval):
+            miou(*good, lower, upper)
+        with pytest.raises(InvalidInterval):
+            miou(lower, upper, *good)
 
 
 class TestEvaluate:
@@ -116,7 +134,7 @@ class TestEvaluate:
         intervals = ivs([(0.0, 2.0), (1.0, 5.0), (0.0, 2.0), (0.0, 4.0)])
         y = [1.0, 5.0, 3.0, 4.0]
         horizons = [1, 2, 1, 2]
-        report = evaluate(intervals, y, horizons)
+        report = evaluate(*intervals, y, horizons)
         # step 1 covers y=1 but not y=3; step 2 covers both on its bounds
         assert report.picp == pytest.approx(3.0 / 4.0)
         # range of y is 4; step 1 widths (2, 2), step 2 widths (4, 4)
@@ -129,26 +147,26 @@ class TestEvaluate:
     def test_per_horizon_normalizer_is_global_range(self):
         intervals = ivs([(0.0, 1.0), (0.0, 1.0)])
         y = [0.0, 10.0]
-        report = evaluate(intervals, y, [1, 2])
+        report = evaluate(*intervals, y, [1, 2])
         assert report.pinaw_per_horizon == pytest.approx([0.1, 0.1])
 
     def test_with_reference(self):
         intervals = ivs([(3.0, 5.0), (0.0, 1.0)])
         reference = ivs([(4.0, 6.0), (0.0, 1.0)])
-        report = evaluate(intervals, [4.0, 0.5], [1, 2], reference)
+        report = evaluate(*intervals, [4.0, 0.5], [1, 2], reference)
         assert report.miou == pytest.approx((1.0 / 3.0 + 1.0) / 2.0)
         assert report.miou_per_horizon == pytest.approx([1.0 / 3.0, 1.0])
 
     def test_missing_horizon_step_rejected(self):
         # max step is 2 but no interval carries step 1
         with pytest.raises(LengthMismatch):
-            evaluate(ivs([(0.0, 1.0), (0.0, 1.0)]), [0.5, 0.8], [2, 2])
+            evaluate(*ivs([(0.0, 1.0), (0.0, 1.0)]), [0.5, 0.8], [2, 2])
 
     def test_alignment_checked(self):
         with pytest.raises(LengthMismatch):
-            evaluate(ivs([(0.0, 1.0)]), [0.5, 0.7], [1])
+            evaluate(*ivs([(0.0, 1.0)]), [0.5, 0.7], [1])
         with pytest.raises(LengthMismatch):
-            evaluate(ivs([(0.0, 1.0)]), [0.5], [1], reference=ivs([(0.0, 1.0), (0.0, 2.0)]))
+            evaluate(*ivs([(0.0, 1.0)]), [0.5], [1], reference=ivs([(0.0, 1.0), (0.0, 2.0)]))
 
 
 class TestAggregateStar:

@@ -6,7 +6,6 @@ from conformalts import pipelines
 from conformalts.errors import AllRowsInBag
 from conformalts.framing import (
     HorizonIntervals,
-    PredictionInterval,
     SupervisedFrame,
     TimeSeries,
     frame_mimo,
@@ -30,9 +29,7 @@ from support import (
 
 
 def block_of(width, lo=0.0, hi=1.0, origin=1):
-    return HorizonIntervals(
-        origin=origin, intervals=[PredictionInterval(lo, hi) for _ in range(width)]
-    )
+    return HorizonIntervals(origin, np.full(width, lo), np.full(width, hi))
 
 
 class TestFeedbackStream:
@@ -257,8 +254,7 @@ class TestAdaptiveRunner:
                 ensembles=(BootstrapEnsemble([lo, lo], sets),
                            BootstrapEnsemble([hi, hi], sets)),
             )
-            covered += sum(iv.covers(float(y)) for iv, y in
-                           zip(result.intervals_flat(), result.realized_flat()))
+            covered += sum(int(block.covers(y).sum()) for block, y in result.per_origin)
         n = len(seeds) * n_blocks * H
         slack = 3.0 * np.sqrt(alpha * (1.0 - alpha) / n)
         assert covered / n >= 1.0 - alpha - slack
@@ -432,7 +428,12 @@ class TestAdaptiveRunner:
         np.testing.assert_array_equal(result.horizons_flat(), [1, 2, 3, 1, 2, 3])
         np.testing.assert_array_equal(result.origins_flat(), [21, 21, 21, 24, 24, 24])
         np.testing.assert_array_equal(result.realized_flat(), test)
-        assert len(result.intervals_flat()) == 6
+        lower, upper = result.bounds_flat()
+        assert lower.size == upper.size == 6
+        np.testing.assert_array_equal(
+            lower, np.concatenate([block.lower for block, _ in result.per_origin]))
+        np.testing.assert_array_equal(
+            upper, np.concatenate([block.upper for block, _ in result.per_origin]))
 
 
 class TestSplitRunner:
@@ -485,7 +486,7 @@ class TestSplitRunner:
             models=(lo, hi),
         )
         for block, y in result.per_origin:
-            assert block.intervals[0].lower == block.intervals[0].upper == 5.0
+            assert block.lower[0] == block.upper[0] == 5.0
 
     def test_cal_fraction_bounds(self, rng):
         train = TimeSeries(rng.uniform(size=20))
@@ -546,7 +547,7 @@ class TestEnbpiRunner:
         for block, y in result.per_origin:
             for iv, v in zip(block, y):
                 assert iv.lower == iv.upper == 3.0
-        assert all(iv.covers(3.0) for iv in result.intervals_flat())
+        assert all(block.covers(3.0).all() for block, _ in result.per_origin)
 
     def test_intervals_symmetric_around_points(self, rng):
         p, H = 2, 2
@@ -558,7 +559,8 @@ class TestEnbpiRunner:
             n_lags=p, horizon=H, alpha=0.2,
             ensemble=BootstrapEnsemble(members, random_index_sets(2, 18, rng)),
         )
-        widths = [iv.width for iv in result.intervals_flat()]
+        lower, upper = result.bounds_flat()
+        widths = upper - lower
         # one shared correction per block: all widths in a block equal
         assert widths[0] == pytest.approx(widths[1], rel=1e-12)
 
