@@ -429,6 +429,13 @@ def cmd_eval(intervals_path, oracle_path=None, out_path=None) -> dict:
     if oracle_path is not None:
         with open(oracle_path, "r", encoding="utf-8") as fh:
             oracle = json.load(fh)
+        missing = [key for key in ("lower", "upper")
+                   if not isinstance(oracle, dict) or not isinstance(oracle.get(key), list)]
+        if missing:
+            raise ConfigError(
+                f"sidecar {oracle_path} has no {' or '.join(map(repr, missing))} "
+                "array of reference bounds"
+            )
         if keyed and oracle.get("id") not in grouped:
             raise ConfigError(
                 f"sidecar {oracle_path} is for series {oracle.get('id')!r}, but "

@@ -16,6 +16,13 @@ origins, the block's CQR bound arrays (one ``cqr_interval`` call),
 ``submit``/``reveal`` and ``per_origin``. Scores are the package's CQR
 score (``score_cqr``) and absolute residual (``score_absolute``).
 
+An ensemble of QuantileNets of one shape answers single-window predicts
+(``predict_mean``, and ``predict_mean_rows`` for enbcqr's H lag windows)
+with one forward pass over its members' stacked (B, in, out) weights,
+bit for bit equal to the per-member loop (``_stacked_predict`` says why).
+The stack is built on the first single-window call, so aenbmimocqr, which
+predicts in batches only, never copies its weights.
+
 Methods
 -------
 run_aenbmimocqr  bagged multi-output quantile pair, per-step score windows,
@@ -31,7 +38,7 @@ run_enbcqr       three bagged one-step quantile models (lower, median,
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -43,7 +50,7 @@ from .adaptive import (
     sample_without_replacement,
 )
 from .conformal import conformal_quantile, cqr_interval, score_absolute, score_cqr
-from .errors import AllRowsInBag, SeriesTooShort
+from .errors import AllRowsInBag, DimensionMismatch, SeriesTooShort
 from .framing import (
     HorizonIntervals,
     SupervisedFrame,
@@ -52,7 +59,7 @@ from .framing import (
     frame_recursive,
     recursive_forecast,
 )
-from .quantile_net import TrainConfig, mse_train, train
+from .quantile_net import QuantileNet, TrainConfig, mse_train, train
 from .seeding import derive_seed, spawn_rng
 
 
@@ -135,6 +142,9 @@ class BootstrapEnsemble:
 
     members: list
     index_sets: list[np.ndarray]
+    # per layer, (B, in, out) weights and (B, 1, out) biases of all members;
+    # None until the first single-row predict, () if the members do not stack
+    _layers: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.members) < 2:
@@ -149,12 +159,59 @@ class BootstrapEnsemble:
 
     def predict_mean(self, x: np.ndarray) -> np.ndarray:
         """Mean prediction of all members at one lag window."""
-        vals = [_member_predict(m, x) for m in self.members]
-        return np.mean(vals, axis=0)
+        preds = self._stacked_predict(np.asarray(x, dtype=float).reshape(1, -1))
+        if preds is None:
+            return np.mean([_member_predict(m, x) for m in self.members], axis=0)
+        return np.mean(preds[0], axis=0)
+
+    def predict_mean_rows(self, X: np.ndarray) -> np.ndarray:
+        """``predict_mean`` at each row of X, (n_rows, n_out), bit for bit."""
+        X = np.asarray(X, dtype=float)
+        preds = self._stacked_predict(X)
+        if preds is None:
+            return np.array([self.predict_mean(x) for x in X])
+        return np.array([np.mean(p, axis=0) for p in preds])
 
     def predict_mean_batch(self, X: np.ndarray) -> np.ndarray:
         vals = [_member_predict_batch(m, X) for m in self.members]
         return np.mean(vals, axis=0)
+
+    def _stacked_predict(self, X: np.ndarray) -> np.ndarray | None:
+        """Every member's prediction at each row of X, (n_rows, B, n_out), or
+        None unless the members are QuantileNets of one shape.
+
+        Each (row, member) pair runs one (1, in) @ (in, out) product per
+        layer, the product ``QuantileNet.predict`` runs, so the results match
+        it bit for bit. A multi-row product would not: BLAS sums its rows in
+        another order.
+        """
+        if self._layers is None:
+            self._layers = _stack_layers(self.members)
+        if not self._layers:
+            return None
+        width = self._layers[0][0].shape[1]
+        if X.ndim != 2 or X.shape[1] != width:
+            raise DimensionMismatch(f"expected rows of {width} covariates, got shape {X.shape}")
+        a = X[:, None, None, :]
+        for W, b in self._layers[:-1]:
+            a = np.maximum(a @ W + b, 0.0)
+        W, b = self._layers[-1]
+        return (a @ W + b)[:, :, 0]
+
+
+def _stack_layers(members) -> tuple:
+    """Per layer, the members' weights as (B, in, out) and biases as
+    (B, 1, out); () unless every member is a QuantileNet with C-ordered
+    weights and all share one ``layer_sizes``."""
+    if not (all(type(m) is QuantileNet for m in members)
+            and len({m.layer_sizes for m in members}) == 1
+            and all(w.flags.c_contiguous for m in members for w in m.weights)):
+        return ()
+    return tuple(
+        (np.stack([m.weights[k] for m in members]),
+         np.stack([m.biases[k] for m in members])[:, None, :])
+        for k in range(len(members[0].weights))
+    )
 
 
 def fit_ensemble(
@@ -578,11 +635,9 @@ def run_enbcqr(
         path = recursive_forecast(lambda x: float(med_ens.predict_mean(x)[0]), last, horizon)
         # the lag window of step h + 1: the last observations, then path[:h]
         lags = np.concatenate([last, path[:-1]])
-        # one row per predict_mean call: batching them changes last bits
-        windows = [lags[h: h + n_lags] for h in range(horizon)]
+        windows = np.lib.stride_tricks.sliding_window_view(lags, n_lags)
         lo_steps, hi_steps = _ordered_bounds(
-            np.array([lo_ens.predict_mean(x)[0] for x in windows]),
-            np.array([hi_ens.predict_mean(x)[0] for x in windows]),
+            lo_ens.predict_mean_rows(windows)[:, 0], hi_ens.predict_mean_rows(windows)[:, 0]
         )
         return lo_steps, hi_steps, qhat
 

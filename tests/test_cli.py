@@ -156,6 +156,24 @@ class TestIntervalsCsvAndEval:
         (sid,) = results["per_series"].keys()
         assert payload["per_series"][sid]["miou"] == results["per_series"][sid]["miou"]
 
+    @pytest.mark.parametrize("sidecar, missing", [
+        ({"id": "synthetic-3", "upper": [1.0]}, "'lower'"),
+        ({"id": "synthetic-3", "lower": [0.0]}, "'upper'"),
+        ({"id": "synthetic-3", "lower": None, "upper": None}, "'lower' or 'upper'"),
+        ({"id": "synthetic-3"}, "'lower' or 'upper'"),
+        ([0.0, 1.0], "'lower' or 'upper'"),
+    ])
+    def test_eval_rejects_sidecar_without_bounds(self, tmp_path, capsys, sidecar, missing):
+        out = str(tmp_path / "run")
+        cmd_run(fast_config(), out)  # seed 3
+        intervals = os.path.join(out, "intervals.csv")
+        oracle = tmp_path / "bad.oracle.json"
+        oracle.write_text(json.dumps(sidecar))
+        with pytest.raises(ConfigError, match=f"bad.oracle.json has no {missing} array"):
+            cmd_eval(intervals, oracle_path=str(oracle))
+        assert main(["eval", "--intervals", intervals, "--oracle", str(oracle)]) == 2
+        assert capsys.readouterr().out == ""
+
     def test_eval_rejects_sidecar_of_another_series(self, tmp_path, capsys):
         csv_path = tmp_path / "other.csv"
         cmd_synth(4, csv_path, length=120)

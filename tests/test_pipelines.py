@@ -1,14 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import oracles
 from conformalts import pipelines
-from conformalts.errors import AllRowsInBag
+from conformalts.errors import AllRowsInBag, DimensionMismatch
 from conformalts.framing import (
     HorizonIntervals,
     SupervisedFrame,
     TimeSeries,
     frame_mimo,
+    frame_recursive,
 )
 from conformalts.pipelines import (
     BootstrapEnsemble,
@@ -20,8 +23,9 @@ from conformalts.pipelines import (
     run_enbpi,
     run_mimocqr,
 )
-from conformalts.quantile_net import TrainConfig
+from conformalts.quantile_net import QuantileNet, TrainConfig
 from support import (
+    make_affine_member,
     make_affine_members,
     make_constant_member,
     random_index_sets,
@@ -75,6 +79,31 @@ class TestFeedbackStream:
         stream = FeedbackStream(TimeSeries(np.array([1.0, 2.0])))
         assert len(stream) == 2
 
+    @given(
+        n=st.integers(1, 12),
+        calls=st.lists(
+            st.tuples(st.sampled_from(["submit", "reveal"]), st.integers(-1, 6)), max_size=30
+        ),
+    )
+    def test_any_call_sequence_keeps_reveals_behind_submits(self, n, calls):
+        values = np.arange(n, dtype=float)
+        stream = FeedbackStream(values)
+        accepted = []
+        for kind, k in calls:
+            before = (stream.n_submitted, stream.n_revealed)
+            try:
+                if kind == "submit":
+                    stream.submit(block_of(max(k, 0)))
+                    accepted.append((kind, before[0], max(k, 0)))
+                else:
+                    out = stream.reveal(k)
+                    np.testing.assert_array_equal(out, values[before[1]: before[1] + k])
+                    accepted.append((kind, before[1], k))
+            except ValueError:
+                assert (stream.n_submitted, stream.n_revealed) == before
+            assert 0 <= stream.n_revealed <= stream.n_submitted <= len(stream)
+            assert stream.events == accepted
+
     def test_rejects_empty_or_nonfinite(self):
         with pytest.raises(ValueError):
             FeedbackStream([])
@@ -98,6 +127,88 @@ class TestBootstrapEnsemble:
             [np.array([0]), np.array([0])],
         )
         np.testing.assert_array_equal(ens.predict_mean(np.zeros(2)), [2.0, 4.0])
+
+
+def trained_ensemble(horizon, hidden):
+    """Ten briefly trained median nets on 6-lag windows of a random walk."""
+    values = np.random.default_rng(5).normal(size=60).cumsum()
+    frame = frame_mimo(TimeSeries(values), 6, horizon)
+    return fit_ensemble(frame, 0.5, 10, 5, TrainConfig(epochs=3, hidden=hidden))
+
+
+def member_loop(ens):
+    """The same members behind plain callables, which do not stack."""
+    return BootstrapEnsemble([m.predict for m in ens.members], ens.index_sets)
+
+
+class TestStackedMembers:
+    """QuantileNet members of one shape predict through one stacked pass,
+    bit for bit equal to the per-member loop."""
+
+    @pytest.mark.parametrize("hidden", [(4,), (64, 64)])
+    @pytest.mark.parametrize("horizon", [1, 5])
+    def test_bitwise_equal_to_member_loop(self, rng, hidden, horizon):
+        ens = trained_ensemble(horizon, hidden)
+        X = rng.normal(size=(7, 6)).cumsum(axis=1)
+        rows = ens.predict_mean_rows(X)
+        assert rows.shape == (7, horizon)
+        for x, row in zip(X, rows):
+            expected = np.mean([m.predict(x) for m in ens.members], axis=0)
+            assert np.array_equal(ens.predict_mean(x), expected)
+            assert np.array_equal(row, expected)
+        assert ens._layers
+
+    def test_wrong_width_window_rejected(self):
+        ens = trained_ensemble(2, (4,))
+        with pytest.raises(DimensionMismatch):
+            ens.predict_mean(np.zeros(7))
+        with pytest.raises(DimensionMismatch):
+            ens.predict_mean_rows(np.zeros((3, 5)))
+
+    def test_members_that_do_not_stack_use_member_loop(self, rng):
+        net = trained_ensemble(2, (4,)).members[0]
+        wider = trained_ensemble(2, (5,)).members[0]
+        fortran = QuantileNet([np.asfortranarray(w) for w in net.weights], net.biases, net.tau)
+        stand_in = make_affine_member(6, 2, 3)
+        X = rng.normal(size=(3, 6))
+        for members in ([stand_in, stand_in], [net, stand_in], [net, wider], [net, fortran]):
+            ens = BootstrapEnsemble(members, [np.array([0])] * 2)
+            expected = np.array([np.mean([m(x) for m in members], axis=0) for x in X])
+            assert np.array_equal(ens.predict_mean(X[0]), expected[0])
+            assert np.array_equal(ens.predict_mean_rows(X), expected)
+            assert ens._layers == ()
+
+    def test_recursive_runners_equal_generic_path(self):
+        values = np.random.default_rng(8).normal(size=70).cumsum()
+        train, test = TimeSeries(values[:60]), values[60:]
+        frame = frame_recursive(train, 6)
+        cfg = TrainConfig(epochs=3, hidden=(32, 32))
+        point = fit_ensemble(frame, None, 10, 4, cfg)
+        bands = tuple(fit_ensemble(frame, tau, 10, 4, cfg) for tau in (0.05, 0.5, 0.95))
+        common = dict(n_lags=6, horizon=5, alpha=0.1)
+        pairs = [
+            (run_enbpi(train, FeedbackStream(test), ensemble=point, **common),
+             run_enbpi(train, FeedbackStream(test), ensemble=member_loop(point), **common)),
+            (run_enbcqr(train, FeedbackStream(test), ensembles=bands, **common),
+             run_enbcqr(train, FeedbackStream(test),
+                        ensembles=tuple(map(member_loop, bands)), **common)),
+        ]
+        for stacked, generic in pairs:
+            for a, b in zip(stacked.bounds_flat(), generic.bounds_flat()):
+                assert a.size == 10 and np.array_equal(a, b)
+        assert point._layers and all(ens._layers for ens in bands)
+
+    def test_adaptive_runner_builds_no_stack(self):
+        values = np.random.default_rng(9).normal(size=70).cumsum()
+        train, test = TimeSeries(values[:60]), values[60:]
+        frame = frame_mimo(train, 6, 5)
+        cfg = TrainConfig(epochs=3, hidden=(8,))
+        ensembles = tuple(fit_ensemble(frame, tau, 3, 4, cfg) for tau in (0.05, 0.95))
+        run_aenbmimocqr(
+            train, FeedbackStream(test), n_lags=6, horizon=5, alpha=0.1, window_size=20,
+            ensembles=ensembles,
+        )
+        assert all(ens._layers is None for ens in ensembles)
 
 
 class TestFitEnsemble:
