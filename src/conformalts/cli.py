@@ -83,8 +83,8 @@ class ExperimentConfig:
             raise ConfigError("epochs must be >= 1")
         if not self.hidden or any(w < 1 for w in self.hidden):
             raise ConfigError("hidden must be positive widths like 64,64")
-        if self.learning_rate <= 0:
-            raise ConfigError("lr must be positive")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ConfigError(f"lr must be a positive finite number, got {self.learning_rate}")
         if not 0.0 < self.cal_fraction <= 1.0:
             raise ConfigError("cal-fraction must be in (0, 1]")
         if self.workers < 1:

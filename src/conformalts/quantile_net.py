@@ -8,11 +8,30 @@ gradients can be checked against finite differences.
 
 Everything is float64 and seeded: two trainings with the same data, config
 and seed produce bitwise identical parameters.
+
+Training runs on one private kernel (``_Kernel``) built once per fit for
+the layer sizes and row count. It owns flat parameter, gradient and Adam
+moment vectors with per-layer views, and preallocated output, delta and
+mask arrays, so an epoch allocates nothing: every product is a
+``np.matmul(..., out=)`` on the same operands a plain ``a @ W`` would use,
+biases, ReLU and masks are applied in place, and one elementwise Adam
+update covers every parameter. ``loss_and_gradients`` runs the same kernel
+once, so the gradient check tests the code training runs.
+
+Exactness rule: the kernel keeps every element's sequence of float64
+operations, so its results equal a straightforward per-array
+implementation bit for bit (``tests/oracles.py::ref_fit``). Rewrites that
+change bits, and so change every downstream interval, include training
+several members in one multi-member gemm, folding the bias into the gemm
+as an extra input column, float32 arithmetic, a different reduction shape
+(for example summing bias gradients in another order or layout), and
+reassociating the Adam step (``lr * m / c1`` instead of ``lr * (m / c1)``).
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,8 +71,10 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(
+                f"learning_rate must be positive and finite, got {self.learning_rate}"
+            )
         if len(self.hidden) == 0 or any(w < 1 for w in self.hidden):
             raise ValueError("hidden widths must be positive")
 
@@ -117,18 +138,118 @@ def init_net(
     return QuantileNet(weights, biases, tau)
 
 
-def _forward_trace(net: QuantileNet, X: np.ndarray):
-    # activations[0] is the input; preacts[k] feeds layer k's nonlinearity
-    activations = [X]
-    preacts = []
-    a = X
-    for W, b in zip(net.weights[:-1], net.biases[:-1]):
-        z = a @ W + b
-        preacts.append(z)
-        a = np.maximum(z, 0.0)
-        activations.append(a)
-    out = a @ net.weights[-1] + net.biases[-1]
-    return activations, preacts, out
+class _Kernel:
+    """Full-batch training buffers for one layer shape on ``n_rows`` rows.
+
+    Parameters and gradients live in flat vectors (every weight matrix, then
+    every bias) exposed as per-layer C-ordered views, so the Adam update is
+    one pass over each vector. Each layer owns a preallocated output, delta
+    and mask array; ``loss`` and ``backward`` write into them and allocate
+    nothing per call. ``tau`` None means squared error, else pinball at tau.
+    """
+
+    def __init__(self, layer_sizes: tuple[int, ...], n_rows: int):
+        shapes = list(zip(layer_sizes[:-1], layer_sizes[1:]))
+        size = sum(i * o + o for i, o in shapes)
+        self.params = np.zeros(size)
+        self.grads = np.zeros(size)
+        self.weights, self.biases = _layer_views(self.params, shapes)
+        self.grad_w, self.grad_b = _layer_views(self.grads, shapes)
+        self._m = np.zeros(size)
+        self._v = np.zeros(size)
+        self._step_num = np.empty(size)
+        self._step_den = np.empty(size)
+        # _outs[k] is layer k's output (ReLU applied in place on hidden layers)
+        self._outs = [np.empty((n_rows, o)) for _, o in shapes]
+        self._deltas = [np.empty((n_rows, o)) for _, o in shapes]
+        self._masks = [np.empty((n_rows, o), dtype=bool) for _, o in shapes]
+        self._resid = np.empty((n_rows, layer_sizes[-1]))
+        self._terms = np.empty((n_rows, layer_sizes[-1]))
+
+    def load(self, weights, biases) -> None:
+        for dst, src in zip(self.weights + self.biases, [*weights, *biases]):
+            dst[...] = src
+
+    def loss(self, X: np.ndarray, Y: np.ndarray, tau: float | None) -> float:
+        """Forward pass over X and the mean loss against Y."""
+        a = X
+        last = len(self.weights) - 1
+        for k, (W, b, z) in enumerate(zip(self.weights, self.biases, self._outs)):
+            np.matmul(a, W, out=z)
+            z += b
+            if k < last:
+                np.maximum(z, 0.0, out=z)
+            a = z
+        u, terms = self._resid, self._terms
+        np.subtract(Y, a, out=u)
+        if tau is None:
+            np.multiply(u, u, out=terms)
+        else:
+            other = self._deltas[-1]  # scratch until backward overwrites it
+            np.multiply(u, tau, out=terms)
+            np.multiply(u, tau - 1.0, out=other)
+            np.maximum(terms, other, out=terms)
+        return float(np.mean(terms))
+
+    def backward(self, X: np.ndarray, Y: np.ndarray, tau: float | None) -> None:
+        """Gradients of the loss of the last ``loss`` call, into ``grads``.
+
+        At a zero pinball residual the subgradient takes the tau branch.
+        """
+        d = self._deltas[-1]
+        if tau is None:
+            np.subtract(self._outs[-1], Y, out=d)
+            d *= 2.0
+        else:
+            below = self._masks[-1]
+            np.less(self._resid, 0.0, out=below)
+            np.subtract(below, tau, out=d)
+        d /= d.size
+        for k in range(len(self.weights) - 1, -1, -1):
+            a = X if k == 0 else self._outs[k - 1]
+            np.matmul(a.T, d, out=self.grad_w[k])
+            np.sum(d, axis=0, out=self.grad_b[k])
+            if k > 0:
+                prev, active = self._deltas[k - 1], self._masks[k - 1]
+                np.matmul(d, self.weights[k].T, out=prev)
+                # a = max(z, 0) is > 0 exactly where the pre-activation z is
+                np.greater(a, 0.0, out=active)
+                prev *= active
+                d = prev
+
+    def adam_step(self, step: int, lr: float) -> None:
+        """One Adam update of every parameter from ``grads`` (step counts from 1)."""
+        c1 = 1.0 - ADAM_BETA1**step
+        c2 = 1.0 - ADAM_BETA2**step
+        g, m, v = self.grads, self._m, self._v
+        num, den = self._step_num, self._step_den
+        np.subtract(g, m, out=num)
+        num *= 1.0 - ADAM_BETA1
+        m += num
+        np.multiply(g, g, out=num)
+        num -= v
+        num *= 1.0 - ADAM_BETA2
+        v += num
+        np.divide(m, c1, out=num)
+        num *= lr
+        np.divide(v, c2, out=den)
+        np.sqrt(den, out=den)
+        den += ADAM_EPS
+        num /= den
+        self.params -= num
+
+
+def _layer_views(flat: np.ndarray, shapes):
+    """Per-layer (weights, biases) views of a flat vector: all weight
+    matrices first, then all bias vectors."""
+    weights, biases, start = [], [], 0
+    for fan_in, fan_out in shapes:
+        weights.append(flat[start:start + fan_in * fan_out].reshape(fan_in, fan_out))
+        start += fan_in * fan_out
+    for _, fan_out in shapes:
+        biases.append(flat[start:start + fan_out])
+        start += fan_out
+    return weights, biases
 
 
 def loss_and_gradients(net: QuantileNet, X: np.ndarray, Y: np.ndarray, objective: str):
@@ -136,37 +257,28 @@ def loss_and_gradients(net: QuantileNet, X: np.ndarray, Y: np.ndarray, objective
     every weight matrix and bias vector.
 
     ``objective`` is "pinball" (uses net.tau; at a zero residual the
-    subgradient takes the tau branch) or "squared".
+    subgradient takes the tau branch) or "squared". Runs the training
+    kernel once on copies of the net's parameters and returns copies of its
+    gradients.
     """
-    X = np.asarray(X, dtype=float)
-    Y = np.asarray(Y, dtype=float)
-    activations, preacts, out = _forward_trace(net, X)
-    u = Y - out
-    n_terms = u.size
     if objective == "pinball":
         tau = net.tau
         if tau is None:
             raise InvalidTau("net has no tau; it was trained for squared error")
-        loss = float(np.mean(np.maximum(tau * u, (tau - 1.0) * u)))
-        dloss_dout = np.where(u >= 0.0, -tau, 1.0 - tau) / n_terms
     elif objective == "squared":
-        loss = float(np.mean(u * u))
-        dloss_dout = (2.0 * (out - Y)) / n_terms
+        tau = None
     else:
         raise ValueError(f"unknown objective {objective!r}")
-
-    grad_w = [np.empty_like(w) for w in net.weights]
-    grad_b = [np.empty_like(b) for b in net.biases]
-    delta = dloss_dout
-    for k in range(len(net.weights) - 1, -1, -1):
-        grad_w[k] = activations[k].T @ delta
-        grad_b[k] = delta.sum(axis=0)
-        if k > 0:
-            delta = (delta @ net.weights[k].T) * (preacts[k - 1] > 0.0)
-    return loss, grad_w, grad_b
+    X = np.asarray(X, dtype=float)
+    Y = np.asarray(Y, dtype=float)
+    kernel = _Kernel(net.layer_sizes, X.shape[0])
+    kernel.load(net.weights, net.biases)
+    loss = kernel.loss(X, Y, tau)
+    kernel.backward(X, Y, tau)
+    return loss, [g.copy() for g in kernel.grad_w], [g.copy() for g in kernel.grad_b]
 
 
-def _fit(frame: SupervisedFrame, tau: float | None, objective: str, config: TrainConfig) -> QuantileNet:
+def _fit(frame: SupervisedFrame, tau: float | None, config: TrainConfig) -> QuantileNet:
     # Optimize in standardized units (series values can sit far from the
     # origin, which starves full-batch Adam at a fixed step size), then fold
     # the affine maps into the first and last layers so the returned net
@@ -177,33 +289,28 @@ def _fit(frame: SupervisedFrame, tau: float | None, objective: str, config: Trai
         scale = 1.0
     X = (frame.covariates - loc) / scale
     Y = (frame.targets - loc) / scale
-    net = init_net(frame.n_lags, frame.horizon, tuple(config.hidden), tau, config.seed)
-    params = net.weights + net.biases
-    m = [np.zeros_like(p) for p in params]
-    v = [np.zeros_like(p) for p in params]
-    lr = config.learning_rate
+    init = init_net(frame.n_lags, frame.horizon, tuple(config.hidden), tau, config.seed)
+    kernel = _Kernel(init.layer_sizes, X.shape[0])
+    kernel.load(init.weights, init.biases)
     history = []
     for step in range(1, config.epochs + 1):
-        loss, grad_w, grad_b = loss_and_gradients(net, X, Y, objective)
+        loss = kernel.loss(X, Y, tau)
         if not np.isfinite(loss):
             raise NonFiniteLoss(f"loss became {loss} at epoch {step}")
         history.append(loss)
-        grads = grad_w + grad_b
-        c1 = 1.0 - ADAM_BETA1**step
-        c2 = 1.0 - ADAM_BETA2**step
-        for p, g, mi, vi in zip(params, grads, m, v):
-            mi += (1.0 - ADAM_BETA1) * (g - mi)
-            vi += (1.0 - ADAM_BETA2) * (g * g - vi)
-            p -= lr * (mi / c1) / (np.sqrt(vi / c2) + ADAM_EPS)
-    final_loss, _, _ = loss_and_gradients(net, X, Y, objective)
+        kernel.backward(X, Y, tau)
+        kernel.adam_step(step, config.learning_rate)
+    final_loss = kernel.loss(X, Y, tau)
     if not np.isfinite(final_loss):
         raise NonFiniteLoss("loss became non-finite after the last epoch")
     history.append(final_loss)
-    w0, b0 = net.weights[0], net.biases[0]
-    net.weights[0] = w0 / scale
-    net.biases[0] = b0 - (loc / scale) * w0.sum(axis=0)
-    net.weights[-1] = net.weights[-1] * scale
-    net.biases[-1] = net.biases[-1] * scale + loc
+    w, b = kernel.weights, kernel.biases
+    net = QuantileNet(
+        [w[0] / scale, *(wk.copy() for wk in w[1:-1]), w[-1] * scale],
+        [b[0] - (loc / scale) * w[0].sum(axis=0), *(bk.copy() for bk in b[1:-1]),
+         b[-1] * scale + loc],
+        tau,
+    )
     net.loss_history = history
     return net
 
@@ -212,12 +319,12 @@ def train(frame: SupervisedFrame, tau: float, config: TrainConfig) -> QuantileNe
     """Fit a quantile network at level tau on the frame (full-batch Adam)."""
     if not 0.0 < tau < 1.0:
         raise InvalidTau(f"tau must be in (0, 1), got {tau}")
-    return _fit(frame, tau, "pinball", config)
+    return _fit(frame, tau, config)
 
 
 def mse_train(frame: SupervisedFrame, config: TrainConfig) -> QuantileNet:
     """Fit a point-forecast network on squared error (tau is None)."""
-    return _fit(frame, None, "squared", config)
+    return _fit(frame, None, config)
 
 
 def save_net(net: QuantileNet, path) -> None:

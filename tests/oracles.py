@@ -7,9 +7,15 @@ injected predictors (plain callables from a lag window to a list of step
 predictions). Score windows are kept as Python lists; the adaptive
 simulation requires the window capacity to cover the whole initial score
 set so that no random subsampling is involved.
+
+``ref_fit`` is the one numpy routine: training is compared bit for bit, so
+it must run the same float64 products, but it builds a fresh array for
+every intermediate and updates each parameter array on its own.
 """
 
 import math
+
+import numpy as np
 
 
 def kth_smallest(values, level):
@@ -261,3 +267,79 @@ def sim_enbcqr(train_values, test_values, p, H, alpha,
             "intervals": intervals,
         })
     return blocks
+
+
+def ref_fit(covariates, targets, tau, epochs, lr, seed, hidden):
+    """Train a ReLU network the straightforward way; tau None means squared
+    error, else pinball loss at tau.
+
+    Inputs and targets are standardized by the covariates' mean and
+    standard deviation, weights start fan-in uniform from
+    ``default_rng(seed)`` with zero biases, every epoch takes one full-batch
+    Adam step (beta1 0.9, beta2 0.999, eps 1e-8), and the affine map is
+    folded back into the first and last layers. Returns (weights, biases,
+    losses) with one loss per epoch plus the loss after the last step.
+    """
+    X = np.asarray(covariates, dtype=float)
+    Y = np.asarray(targets, dtype=float)
+    loc = float(np.mean(X))
+    scale = float(np.std(X))
+    if not scale > 0.0:
+        scale = 1.0
+    X = (X - loc) / scale
+    Y = (Y - loc) / scale
+    rng = np.random.default_rng(seed)
+    sizes = [X.shape[1]] + list(hidden) + [Y.shape[1]]
+    weights, biases = [], []
+    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
+        bound = 1.0 / np.sqrt(fan_in)
+        weights.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
+        biases.append(np.zeros(fan_out))
+
+    def forward():
+        inputs, preacts = [X], []
+        a = X
+        for W, b in zip(weights[:-1], biases[:-1]):
+            z = a @ W + b
+            preacts.append(z)
+            a = np.maximum(z, 0.0)
+            inputs.append(a)
+        return inputs, preacts, a @ weights[-1] + biases[-1]
+
+    def mean_loss(u):
+        if tau is None:
+            return float(np.mean(u * u))
+        return float(np.mean(np.maximum(tau * u, (tau - 1.0) * u)))
+
+    m = [np.zeros_like(p) for p in weights + biases]
+    v = [np.zeros_like(p) for p in weights + biases]
+    losses = []
+    for step in range(1, epochs + 1):
+        inputs, preacts, out = forward()
+        u = Y - out
+        losses.append(mean_loss(u))
+        if tau is None:
+            delta = (2.0 * (out - Y)) / u.size
+        else:
+            delta = np.where(u >= 0.0, -tau, 1.0 - tau) / u.size
+        grad_w = [None] * len(weights)
+        grad_b = [None] * len(weights)
+        for k in range(len(weights) - 1, -1, -1):
+            grad_w[k] = inputs[k].T @ delta
+            grad_b[k] = delta.sum(axis=0)
+            if k > 0:
+                delta = (delta @ weights[k].T) * (preacts[k - 1] > 0.0)
+        c1 = 1.0 - 0.9**step
+        c2 = 1.0 - 0.999**step
+        for p, g, mi, vi in zip(weights + biases, grad_w + grad_b, m, v):
+            mi += (1.0 - 0.9) * (g - mi)
+            vi += (1.0 - 0.999) * (g * g - vi)
+            p -= lr * (mi / c1) / (np.sqrt(vi / c2) + 1e-8)
+    _, _, out = forward()
+    losses.append(mean_loss(Y - out))
+    w0 = weights[0]
+    weights[0] = w0 / scale
+    biases[0] = biases[0] - (loc / scale) * w0.sum(axis=0)
+    weights[-1] = weights[-1] * scale
+    biases[-1] = biases[-1] * scale + loc
+    return weights, biases, losses

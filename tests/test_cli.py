@@ -61,6 +61,21 @@ class TestExperimentConfig:
     def test_fast_config_is_valid(self):
         fast_config().validate()
 
+    @pytest.mark.parametrize("lr", ["nan", "inf", "-inf"])
+    def test_non_finite_lr_rejected_before_training(self, tmp_path, capsys, lr):
+        with pytest.raises(ConfigError, match=f"lr .*got {lr}"):
+            fast_config(learning_rate=float(lr)).validate()
+        out = tmp_path / "run"
+        assert main(["run", "--synthetic", "--method", "mimocqr", "--epochs", "3",
+                     f"--lr={lr}", "--out", str(out)]) == 2
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(f"lr = {lr}\n")
+        assert main(["run", "--config", str(cfg_file), "--synthetic", "--method", "mimocqr",
+                     "--epochs", "3", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count(f"lr must be a positive finite number, got {lr}") == 2
+        assert not out.exists()
+
 
 class TestCmdRun:
     def test_results_schema(self, tmp_path):

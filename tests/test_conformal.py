@@ -1,6 +1,8 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conformalts.conformal import (
@@ -82,6 +84,19 @@ class TestConformalQuantile:
     )
     def test_matches_sorted_order_statistic(self, scores, alpha):
         assert conformal_quantile(scores, alpha) == kth_smallest(scores, 1.0 - alpha)
+
+    @given(
+        scores=st.lists(st.integers(-3, 3), min_size=1, max_size=40),
+        alpha=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+    )
+    @example(scores=[2, 2, 2], alpha=0.0)
+    @example(scores=[-1, 0, 0, 3], alpha=1.0)
+    def test_heavy_ties_match_counting_rule(self, scores, alpha):
+        # smallest observed s with #{scores <= s} >= k, counted, not sorted
+        n = len(scores)
+        k = min(max(math.ceil((n + 1) * (1.0 - alpha)), 1), n)
+        expected = min(s for s in set(scores) if sum(x <= s for x in scores) >= k)
+        assert conformal_quantile(scores, alpha) == float(expected)
 
     @given(
         scores=st.lists(st.floats(-100, 100, allow_nan=False), min_size=1, max_size=40),

@@ -5,6 +5,8 @@ from hypothesis import strategies as st
 
 import oracles
 from conformalts import pipelines
+from conformalts.adaptive import AciState, aci_update, init_gamma
+from conformalts.data import SyntheticConfig, gen_synthetic, split_train_test
 from conformalts.errors import AllRowsInBag, DimensionMismatch
 from conformalts.framing import (
     HorizonIntervals,
@@ -793,3 +795,26 @@ class TestTrainedRunners:
                 assert y.shape == (2,)
                 for iv in block:
                     assert iv.lower <= iv.upper
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_alpha_traces_replay_aci_update_and_stay_off_the_clamp(self, seed):
+        # the miss-rate bound that criterion 3 checks on aci_update alone
+        # assumes the runner applies exactly that update to each block's
+        # coverage and never clamps a level into 0 or 1
+        alpha, p, H, T = 0.1, 40, 30, 100
+        series, _ = gen_synthetic(SyntheticConfig(length=2151, seed=seed))
+        train, test = split_train_test(series, 1500)
+        result = run_aenbmimocqr(
+            train, FeedbackStream(test), n_lags=p, horizon=H, alpha=alpha,
+            n_models=10, window_size=T, seed=seed, config=TrainConfig(epochs=5, seed=seed),
+        )
+        n_scored = frame_mimo(train, p, H).n_rows - result.skipped_oob_rows
+        state = AciState.fresh(alpha, init_gamma(T, n_scored), H)
+        rows = [state.alphas.copy()]
+        for block, y in result.per_origin:
+            for h, hit in enumerate(block.covers(y), start=1):
+                aci_update(state, h, bool(hit))
+            rows.append(state.alphas.copy())
+        assert np.array_equal(np.asarray(rows).T, result.alpha_traces)
+        assert result.alpha_traces.shape == (H, 1500 // H + 1)
+        assert np.all((result.alpha_traces > 0.0) & (result.alpha_traces < 1.0))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import oracles
 from conformalts.errors import DimensionMismatch, InvalidTau, NonFiniteLoss
 from conformalts.framing import SupervisedFrame, TimeSeries, frame_mimo, frame_recursive
 from conformalts.quantile_net import (
@@ -62,6 +63,11 @@ class TestTrainConfig:
             TrainConfig(hidden=())
         with pytest.raises(ValueError):
             TrainConfig(hidden=(64, 0))
+
+    @pytest.mark.parametrize("lr", ["nan", "inf", "-inf"])
+    def test_non_finite_learning_rate_rejected(self, lr):
+        with pytest.raises(ValueError, match=f"learning_rate .*got {lr}"):
+            TrainConfig(learning_rate=float(lr))
 
 
 class TestQuantileNet:
@@ -246,6 +252,37 @@ class TestTraining:
         hi_pred = hi.predict_batch(frame.covariates)[:, 0]
         crossing = float(np.mean(lo_pred > hi_pred))
         assert crossing < 0.05
+
+
+def _kernel_frames():
+    t = np.arange(160, dtype=float)
+    noise = np.random.default_rng(606).normal(size=t.size)
+    series = TimeSeries(20.0 + 3.0 * np.sin(t / 6.0) + noise)
+    return {"mimo": frame_mimo(series, n_lags=12, horizon=6),
+            "recursive": frame_recursive(series, n_lags=12)}
+
+
+class TestKernelMatchesReference:
+    """``train``/``mse_train`` against the slow reference in ``oracles.ref_fit``:
+    every parameter and every loss must agree bit for bit."""
+
+    FRAMES = _kernel_frames()
+
+    @pytest.mark.parametrize("kind", ["mimo", "recursive"])
+    @pytest.mark.parametrize("hidden", [(4,), (16, 8, 4), (64, 64)])
+    @pytest.mark.parametrize("tau", [0.05, 0.5, 0.95, None])
+    def test_bitwise_equal(self, kind, hidden, tau):
+        frame = self.FRAMES[kind]
+        cfg = TrainConfig(epochs=300, learning_rate=3e-3, seed=11, hidden=hidden)
+        net = mse_train(frame, cfg) if tau is None else train(frame, tau, cfg)
+        weights, biases, losses = oracles.ref_fit(
+            frame.covariates, frame.targets, tau, cfg.epochs, cfg.learning_rate, cfg.seed, hidden
+        )
+        assert len(net.loss_history) == cfg.epochs + 1
+        assert net.loss_history == losses
+        for got, want in zip(net.weights + net.biases, weights + biases):
+            assert np.array_equal(got, want)
+            assert got.flags.owndata and got.flags.c_contiguous
 
 
 class TestSaveLoad:
