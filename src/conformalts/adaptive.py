@@ -1,17 +1,19 @@
-"""Online adaptation machinery: per-horizon miscoverage tracking and fixed
-capacity score windows.
+"""Online adaptation machinery: per-horizon miscoverage tracking and
+fixed-width score windows.
 
 The miscoverage update is the standard online correction: each observed
 block nudges the working level alpha_h by gamma toward the target, down
 after a miss, up after a cover. Clamping keeps the level a valid quantile
-argument. The score windows are FIFO: each new score evicts the oldest, so
-the conformity evidence ages out at a fixed rate.
+argument. The score windows are one store, a (rows, width) array with one
+row per window. Its width is fixed for life: each block slides its new
+scores in and evicts as many of the oldest (the ensemble-batch update of
+EnbPI, Xu & Xie 2021, arXiv 2010.09107), so the conformity evidence ages
+out at a fixed rate.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -67,57 +69,51 @@ def init_gamma(window_size: int, n_scores: int) -> float:
     return 1.0 / float(max(window_size, n_scores))
 
 
-@dataclass
 class SlidingScoreWindow:
-    """Fixed-capacity FIFO multiset of conformity scores."""
+    """Fixed-width FIFO windows of conformity scores, one per row.
 
-    capacity: int
-    _scores: deque = field(repr=False, default_factory=deque)
+    Built from its initial scores, a (rows, width) array; a 1-D set gives
+    one row. The width never changes.
+    """
 
-    def __post_init__(self):
-        if self.capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        self._scores = deque(self._scores, maxlen=self.capacity)
-
-    def push(self, score: float) -> None:
-        """Insert one score, evicting the oldest when at capacity."""
-        s = float(score)
-        if not np.isfinite(s):
-            raise ValueError("scores must be finite")
-        self._scores.append(s)
-
-    def extend(self, scores) -> None:
-        """Insert scores in order, as one push each."""
-        s = np.asarray(scores, dtype=float).reshape(-1)
+    def __init__(self, scores):
+        s = np.array(scores, dtype=float, ndmin=2)
+        if s.ndim != 2 or s.shape[1] == 0:
+            raise ValueError(f"initial scores must be (rows, width) with width >= 1, got {s.shape}")
         if not np.all(np.isfinite(s)):
             raise ValueError("scores must be finite")
-        self._scores.extend(s.tolist())
+        self._scores = s
+
+    def push(self, scores) -> None:
+        """Slide a (rows, k) batch in: k FIFO inserts per row, oldest evicted
+        first. Nothing is inserted when a score is not finite."""
+        s = np.array(scores, dtype=float, ndmin=2)
+        rows, width = self._scores.shape
+        if s.ndim != 2 or s.shape[0] != rows:
+            raise ValueError(f"expected a batch of {rows} rows, got shape {s.shape}")
+        if not np.all(np.isfinite(s)):
+            raise ValueError("scores must be finite")
+        self._scores = np.concatenate([self._scores, s], axis=1)[:, -width:]
 
     def values(self) -> np.ndarray:
-        """Current contents, oldest first."""
-        return np.asarray(self._scores, dtype=float)
+        """Current contents, (rows, width), oldest first, read-only."""
+        view = self._scores.view()
+        view.flags.writeable = False
+        return view
 
-    def __len__(self) -> int:
-        return len(self._scores)
 
+def sample_without_replacement(scores, capacity: int, seed: int) -> np.ndarray:
+    """Thin a score set to at most ``capacity`` entries.
 
-def sample_without_replacement(scores, capacity: int, seed: int) -> SlidingScoreWindow:
-    """Thin a score set into a window of at most ``capacity`` entries.
-
-    When the set already fits, everything is kept and the window capacity
-    shrinks to the set size. Otherwise a uniform subset of ``capacity``
-    scores is drawn without replacement; the kept scores stay in their
-    original insertion order so later FIFO eviction remains well defined.
+    When the set already fits, everything is kept. Otherwise a uniform
+    subset of ``capacity`` scores is drawn without replacement; the kept
+    scores stay in their original insertion order so later FIFO eviction
+    remains well defined.
     """
     s = np.asarray(scores, dtype=float).reshape(-1)
     if capacity < 1:
         raise ValueError("capacity must be >= 1")
     if s.size <= capacity:
-        window = SlidingScoreWindow(capacity=max(s.size, 1))
-        window.extend(s)
-        return window
+        return s.copy()
     rng = spawn_rng(seed, "window-sample")
-    keep = np.sort(rng.choice(s.size, size=capacity, replace=False))
-    window = SlidingScoreWindow(capacity=capacity)
-    window.extend(s[keep])
-    return window
+    return s[np.sort(rng.choice(s.size, size=capacity, replace=False))]

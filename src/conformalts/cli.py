@@ -95,6 +95,8 @@ class ExperimentConfig:
             raise ConfigError("give exactly one data source: --data PATH or --synthetic")
         if self.synthetic and self.length <= 40:
             raise ConfigError("length must exceed the 40-step warmup")
+        if self.synthetic and self.seed < 0:
+            raise ConfigError(f"seed must be >= 0 for a synthetic series, got {self.seed}")
 
     def to_json_dict(self) -> dict:
         """The settings under their config-file keys, "-" written as "_"."""
@@ -409,12 +411,16 @@ def _read_intervals_csv(path):
         sid = row[sid_col].strip() if sid_col is not None else "series"
         entry = grouped.setdefault(sid, {"origin": [], "h": [], "lower": [], "upper": [], "y": []})
         try:
-            entry["origin"].append(int(row[idx["origin"]]))
-            entry["h"].append(int(row[idx["h"]]))
-            for name in ("lower", "upper", "y"):
-                entry[name].append(float(row[idx[name]]))
+            origin, h = int(row[idx["origin"]]), int(row[idx["h"]])
+            lower, upper, y = (float(row[idx[name]]) for name in ("lower", "upper", "y"))
         except ValueError:
             raise ParseError("cannot parse interval row", row=r) from None
+        if h < 1:
+            raise ParseError(f"horizon step h must be >= 1, got {h}", row=r)
+        if not math.isfinite(y):
+            raise ParseError(f"realized y must be finite, got {y}", row=r)
+        for name, value in zip(required, (origin, h, lower, upper, y)):
+            entry[name].append(value)
     return grouped, sid_col is not None
 
 

@@ -9,8 +9,6 @@ minimum, the two extremes an adaptive level can reach.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .errors import EmptyScoreSet, InvalidInterval
@@ -35,19 +33,26 @@ def score_cqr(lo: np.ndarray | float, hi: np.ndarray | float, y: np.ndarray | fl
     return np.maximum(lo - y, y - hi)[()]
 
 
-def conformal_quantile(scores, alpha: float) -> float:
-    """The ceil((n+1)(1-alpha))-th smallest score, index clamped to [1, n]."""
-    s = np.asarray(scores, dtype=float).reshape(-1)
-    if s.size == 0:
+def conformal_quantile(scores, alpha: float | np.ndarray) -> float | np.ndarray:
+    """The ceil((n+1)(1-alpha))-th smallest score, index clamped to [1, n].
+
+    Works along the last axis, one level per row: ``alpha`` broadcasts
+    against the leading axes of ``scores`` and the result has their shape.
+    A 1-D score set with a scalar level gives a float.
+    """
+    s = np.atleast_1d(np.asarray(scores, dtype=float))
+    a = np.asarray(alpha, dtype=float)
+    if s.shape[-1] == 0:
         raise EmptyScoreSet("cannot take a quantile of an empty score set")
     if not np.all(np.isfinite(s)):
         raise ValueError("scores must be finite")
-    if not 0.0 <= alpha <= 1.0:
+    if not np.all((a >= 0.0) & (a <= 1.0)):
         raise ValueError(f"alpha must be in [0, 1], got {alpha}")
-    n = s.size
-    k = math.ceil((n + 1) * (1.0 - alpha))
-    k = min(max(k, 1), n)
-    return float(np.sort(s, kind="stable")[k - 1])
+    n = s.shape[-1]
+    k = np.clip(np.ceil((n + 1) * (1.0 - a)), 1, n).astype(np.intp)
+    k = np.broadcast_to(k, s.shape[:-1])[..., None]
+    q = np.take_along_axis(np.sort(s, axis=-1, kind="stable"), k - 1, axis=-1)[..., 0]
+    return float(q) if q.ndim == 0 else q
 
 
 def cqr_interval(lo, hi, qhat):

@@ -76,6 +76,8 @@ class SyntheticConfig:
     c_slope: float = 0.001
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.warmup < 1:
             raise ValueError("warmup must be >= 1")
         if self.length <= self.warmup:

@@ -16,6 +16,10 @@ origins, the block's CQR bound arrays (one ``cqr_interval`` call),
 ``submit``/``reveal`` and ``per_origin``. Scores are the package's CQR
 score (``score_cqr``) and absolute residual (``score_absolute``).
 
+The sliding runners keep their scores in one fixed-width
+``SlidingScoreWindow`` (one row, or one per step for aenbmimocqr): a block
+pushes one batch and the corrections are one row-wise quantile call.
+
 An ensemble of QuantileNets of one shape answers single-window predicts
 (``predict_mean``, and ``predict_mean_rows`` for enbcqr's H lag windows)
 with one forward pass over its members' stacked (B, in, out) weights,
@@ -284,7 +288,8 @@ class RunResult:
     values for its steps. ``alpha_traces`` (adaptive method only) holds the
     working miscoverage level per horizon step, recorded before the first
     block and after each one, shape (horizon, n_blocks + 1).
-    ``window_size_traces`` records score-window sizes on the same schedule.
+    ``window_size_traces`` records score-window sizes on the same schedule,
+    one column per window; the widths are fixed, so each column is constant.
     """
 
     method: str
@@ -428,13 +433,11 @@ def run_aenbmimocqr(
     scores, skipped = _oob_band_scores(lo_ens, hi_ens, frame)
     gamma = init_gamma(window_size, len(scores)) if gamma_override is None else gamma_override
     state = AciState.fresh(alpha, gamma, horizon)
-    qhat = np.array(
-        [conformal_quantile(scores[:, h], state.alphas[h]) for h in range(horizon)]
-    )
-    windows = [
+    qhat = conformal_quantile(scores.T, state.alphas)
+    windows = SlidingScoreWindow([
         sample_without_replacement(scores[:, h], window_size, derive_seed(seed, "window", h + 1))
         for h in range(horizon)
-    ]
+    ])
 
     # bands at the last `horizon` forecast origins; the newest one is the
     # origin of the block about to be emitted
@@ -444,7 +447,6 @@ def run_aenbmimocqr(
     # origin whose step h + 1 forecast targets the block's j-th value
     score_rows = horizon - 1 + steps[None, :] - steps[:, None]
     alpha_rows = [state.alphas.copy()]
-    window_rows = [[len(w) for w in windows]]
 
     def emit(history):
         return lo_band[-1], hi_band[-1], qhat
@@ -454,24 +456,20 @@ def run_aenbmimocqr(
         new_lo, new_hi = _trailing_bands(lo_ens, hi_ens, history, n_lags, horizon)
         lo_t = np.vstack([lo_band, new_lo])[score_rows, steps[:, None]]
         hi_t = np.vstack([hi_band, new_hi])[score_rows, steps[:, None]]
-        new_scores = score_cqr(lo_t, hi_t, y)  # (step, target)
-        covers = block.covers(y)
-        for h in range(horizon):
-            windows[h].extend(new_scores[h])
-            aci_update(state, h + 1, bool(covers[h]))
-        qhat = np.array(
-            [conformal_quantile(windows[h].values(), state.alphas[h]) for h in range(horizon)]
-        )
+        windows.push(score_cqr(lo_t, hi_t, y))  # (step, target)
+        for h, covered in enumerate(block.covers(y), start=1):
+            aci_update(state, h, bool(covered))
+        qhat = conformal_quantile(windows.values(), state.alphas)
         lo_band, hi_band = new_lo, new_hi
         alpha_rows.append(state.alphas.copy())
-        window_rows.append([len(w) for w in windows])
 
     return RunResult(
         method="aenbmimocqr",
         horizon=horizon,
         per_origin=_walk(train_series, stream, horizon, emit, observe),
         alpha_traces=np.asarray(alpha_rows).T,
-        window_size_traces=np.asarray(window_rows, dtype=int),
+        window_size_traces=np.full(
+            (len(stream) // horizon + 1, horizon), windows.values().shape[1]),
         skipped_oob_rows=skipped,
     )
 
@@ -520,9 +518,7 @@ def run_mimocqr(
         _member_predict_batch(f_lo, cal_X), _member_predict_batch(f_hi, cal_X)
     )
     scores = score_cqr(lo_cal, hi_cal, frame.targets[n_fit:])
-    qhat = np.array(
-        [conformal_quantile(scores[:, h], alpha) for h in range(horizon)]
-    )
+    qhat = conformal_quantile(scores.T, alpha)
 
     def emit(history):
         x = np.asarray(history[-n_lags:], dtype=float)
@@ -561,11 +557,9 @@ def run_enbpi(
     oob, kept = oob_predict(ensemble, frame)
     skipped = int(frame.n_rows - kept.sum())
     residuals = score_absolute(oob[kept, 0], frame.targets[kept, 0])
-    window = SlidingScoreWindow(capacity=residuals.size)
-    window.extend(residuals)
-    qhat = conformal_quantile(window.values(), alpha)
+    window = SlidingScoreWindow(residuals)
+    qhat = conformal_quantile(window.values()[0], alpha)
     points = None
-    window_rows = [[len(window)]]
 
     def emit(history):
         nonlocal points
@@ -579,15 +573,14 @@ def run_enbpi(
 
     def observe(block, y, history):
         nonlocal qhat
-        window.extend(score_absolute(points, y))
-        qhat = conformal_quantile(window.values(), alpha)
-        window_rows.append([len(window)])
+        window.push(score_absolute(points, y))
+        qhat = conformal_quantile(window.values()[0], alpha)
 
     return RunResult(
         method="enbpi",
         horizon=horizon,
         per_origin=_walk(train_series, stream, horizon, emit, observe),
-        window_size_traces=np.asarray(window_rows, dtype=int),
+        window_size_traces=np.full((len(stream) // horizon + 1, 1), window.values().shape[1]),
         skipped_oob_rows=skipped,
     )
 
@@ -623,11 +616,9 @@ def run_enbcqr(
     _require_shared_index_sets(lo_ens, med_ens, hi_ens)
 
     scores, skipped = _oob_band_scores(lo_ens, hi_ens, frame)
-    window = SlidingScoreWindow(capacity=scores.shape[0])
-    window.extend(scores[:, 0])
-    qhat = conformal_quantile(window.values(), alpha)
+    window = SlidingScoreWindow(scores[:, 0])
+    qhat = conformal_quantile(window.values()[0], alpha)
     lo_steps = hi_steps = None
-    window_rows = [[len(window)]]
 
     def emit(history):
         nonlocal lo_steps, hi_steps
@@ -643,14 +634,13 @@ def run_enbcqr(
 
     def observe(block, y, history):
         nonlocal qhat
-        window.extend(score_cqr(lo_steps, hi_steps, y))
-        qhat = conformal_quantile(window.values(), alpha)
-        window_rows.append([len(window)])
+        window.push(score_cqr(lo_steps, hi_steps, y))
+        qhat = conformal_quantile(window.values()[0], alpha)
 
     return RunResult(
         method="enbcqr",
         horizon=horizon,
         per_origin=_walk(train_series, stream, horizon, emit, observe),
-        window_size_traces=np.asarray(window_rows, dtype=int),
+        window_size_traces=np.full((len(stream) // horizon + 1, 1), window.values().shape[1]),
         skipped_oob_rows=skipped,
     )

@@ -100,104 +100,131 @@ class TestInitGamma:
             init_gamma(5, 0)
 
 
+def fifo_reference(rows, batches, width):
+    """Plain-list FIFO windows: one append and, past ``width``, one pop from
+    the front per score."""
+    windows = [list(r) for r in rows]
+    for batch in batches:
+        for window, scores in zip(windows, batch):
+            for v in scores:
+                window.append(v)
+                if len(window) > width:
+                    window.pop(0)
+    return windows
+
+
+finite = st.floats(-100, 100, allow_nan=False)
+
+
 class TestSlidingScoreWindow:
     def test_fifo_eviction(self):
-        w = SlidingScoreWindow(capacity=3)
-        for v in (1.0, 2.0, 3.0, 4.0, 5.0):
-            w.push(v)
-        np.testing.assert_array_equal(w.values(), [3.0, 4.0, 5.0])
+        w = SlidingScoreWindow([1.0, 2.0, 3.0])
+        for v in (4.0, 5.0):
+            w.push([v])
+        np.testing.assert_array_equal(w.values(), [[3.0, 4.0, 5.0]])
 
-    def test_len_grows_to_capacity(self):
-        w = SlidingScoreWindow(capacity=3)
-        assert len(w) == 0
-        w.push(1.0)
-        assert len(w) == 1
-        for v in range(10):
-            w.push(float(v))
-        assert len(w) == 3
+    def test_width_is_fixed_for_life(self):
+        w = SlidingScoreWindow([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
+        assert w.values().shape == (2, 3)
+        w.push([[7.0], [8.0]])
+        assert w.values().shape == (2, 3)
+        w.push(np.arange(20.0).reshape(2, 10))
+        assert w.values().shape == (2, 3)
 
     def test_values_keep_insertion_order(self):
-        w = SlidingScoreWindow(capacity=4)
-        for v in (4.0, 1.0, 3.0):
-            w.push(v)
-        np.testing.assert_array_equal(w.values(), [4.0, 1.0, 3.0])
+        w = SlidingScoreWindow([4.0, 1.0, 3.0])
+        np.testing.assert_array_equal(w.values(), [[4.0, 1.0, 3.0]])
+        w.push([2.0, 0.5])
+        np.testing.assert_array_equal(w.values(), [[3.0, 2.0, 0.5]])
+
+    def test_values_are_read_only(self):
+        w = SlidingScoreWindow([4.0, 1.0])
+        with pytest.raises(ValueError):
+            w.values()[0, 0] = 9.0
 
     def test_rejects_nonfinite(self):
-        w = SlidingScoreWindow(capacity=2)
+        w = SlidingScoreWindow([1.0, 2.0])
         with pytest.raises(ValueError):
-            w.push(np.nan)
+            w.push([np.nan])
         with pytest.raises(ValueError):
-            w.push(np.inf)
+            w.push([np.inf])
+        with pytest.raises(ValueError):
+            SlidingScoreWindow([1.0, np.nan])
 
     def test_rejects_bad_capacity(self):
+        # the width is the initial score count, so it must be at least 1
         with pytest.raises(ValueError):
-            SlidingScoreWindow(capacity=0)
+            SlidingScoreWindow([])
+        with pytest.raises(ValueError):
+            SlidingScoreWindow(np.empty((3, 0)))
 
-    @given(st.lists(st.floats(-100, 100, allow_nan=False), max_size=30), st.integers(1, 8))
-    def test_contents_are_last_capacity_pushes(self, values, capacity):
-        w = SlidingScoreWindow(capacity=capacity)
+    def test_rejects_batch_of_other_row_count(self):
+        w = SlidingScoreWindow([[1.0, 2.0], [3.0, 4.0]])
+        with pytest.raises(ValueError):
+            w.push([5.0, 6.0])
+        with pytest.raises(ValueError):
+            w.push(np.ones((3, 1)))
+
+    @given(st.lists(finite, min_size=1, max_size=8), st.lists(finite, max_size=30))
+    def test_contents_are_last_capacity_pushes(self, start, values):
+        w = SlidingScoreWindow(start)
         for v in values:
-            w.push(v)
-        np.testing.assert_array_equal(w.values(), values[-capacity:])
+            w.push([v])
+        np.testing.assert_array_equal(w.values()[0], (start + values)[-len(start):])
 
-    @given(st.lists(st.floats(-100, 100, allow_nan=False), max_size=30),
-           st.lists(st.floats(-100, 100, allow_nan=False), max_size=12),
-           st.integers(1, 8))
-    def test_extend_equals_pushes_in_order(self, first, batch, capacity):
-        pushed = SlidingScoreWindow(capacity=capacity)
-        extended = SlidingScoreWindow(capacity=capacity)
-        for v in first:
-            pushed.push(v)
-            extended.push(v)
-        for v in batch:
-            pushed.push(v)
-        extended.extend(np.asarray(batch))
-        np.testing.assert_array_equal(extended.values(), pushed.values())
+    @given(st.data(), st.integers(1, 4), st.integers(1, 8))
+    def test_push_equals_fifo_reference(self, data, rows, width):
+        start = [data.draw(st.lists(finite, min_size=width, max_size=width))
+                 for _ in range(rows)]
+        ks = data.draw(st.lists(st.integers(0, 2 * width + 2), max_size=6))
+        batches = [[data.draw(st.lists(finite, min_size=k, max_size=k)) for _ in range(rows)]
+                   for k in ks]
+        w = SlidingScoreWindow(start)
+        for batch in batches:
+            w.push(np.array(batch, dtype=float).reshape(rows, -1))
+        np.testing.assert_array_equal(w.values(), fifo_reference(start, batches, width))
 
-    def test_extend_rejects_nonfinite_without_inserting(self):
-        w = SlidingScoreWindow(capacity=3)
-        w.push(1.0)
+    def test_push_rejects_nonfinite_without_inserting(self):
+        w = SlidingScoreWindow([[1.0, 2.0], [3.0, 4.0]])
         with pytest.raises(ValueError):
-            w.extend([2.0, np.nan])
-        np.testing.assert_array_equal(w.values(), [1.0])
+            w.push([[5.0, 6.0], [7.0, np.nan]])
+        np.testing.assert_array_equal(w.values(), [[1.0, 2.0], [3.0, 4.0]])
 
 
 class TestSampleWithoutReplacement:
     def test_small_set_kept_whole(self):
-        w = sample_without_replacement([3.0, 1.0, 2.0], 10, seed=0)
-        np.testing.assert_array_equal(w.values(), [3.0, 1.0, 2.0])
+        vals = sample_without_replacement([3.0, 1.0, 2.0], 10, seed=0)
+        np.testing.assert_array_equal(vals, [3.0, 1.0, 2.0])
 
     def test_small_set_capacity_shrinks_to_fit(self):
         # the window must stay at its starting size: one push, one eviction
-        w = sample_without_replacement([3.0, 1.0, 2.0], 10, seed=0)
-        w.push(9.0)
-        np.testing.assert_array_equal(w.values(), [1.0, 2.0, 9.0])
-        assert len(w) == 3
+        w = SlidingScoreWindow(sample_without_replacement([3.0, 1.0, 2.0], 10, seed=0))
+        w.push([9.0])
+        np.testing.assert_array_equal(w.values(), [[1.0, 2.0, 9.0]])
+        assert w.values().shape == (1, 3)
 
     def test_large_set_thinned_to_capacity(self):
         scores = np.arange(100.0)
-        w = sample_without_replacement(scores, 10, seed=1)
-        vals = w.values()
+        vals = sample_without_replacement(scores, 10, seed=1)
         assert vals.size == 10
         assert set(vals) <= set(scores)
 
     def test_kept_scores_preserve_relative_order(self):
         scores = np.arange(50.0)
-        w = sample_without_replacement(scores, 20, seed=3)
-        vals = w.values()
+        vals = sample_without_replacement(scores, 20, seed=3)
         assert np.all(np.diff(vals) > 0)
 
     def test_deterministic_per_seed(self):
         scores = np.random.default_rng(8).normal(size=200)
-        a = sample_without_replacement(scores, 30, seed=11).values()
-        b = sample_without_replacement(scores, 30, seed=11).values()
-        c = sample_without_replacement(scores, 30, seed=12).values()
+        a = sample_without_replacement(scores, 30, seed=11)
+        b = sample_without_replacement(scores, 30, seed=11)
+        c = sample_without_replacement(scores, 30, seed=12)
         np.testing.assert_array_equal(a, b)
         assert not np.array_equal(a, c)
 
     def test_no_duplicates_drawn(self):
         scores = np.arange(1000.0)
-        vals = sample_without_replacement(scores, 500, seed=2).values()
+        vals = sample_without_replacement(scores, 500, seed=2)
         assert np.unique(vals).size == 500
 
     def test_inclusion_frequency_uniform(self, rng):
@@ -206,7 +233,7 @@ class TestSampleWithoutReplacement:
         scores = np.arange(float(n))
         counts = np.zeros(n)
         for t in range(trials):
-            kept = sample_without_replacement(scores, capacity, seed=t).values()
+            kept = sample_without_replacement(scores, capacity, seed=t)
             counts[kept.astype(int)] += 1
         freq = counts / trials
         expected = capacity / n

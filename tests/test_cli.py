@@ -1,5 +1,6 @@
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from conformalts.cli import (
     sidecar_path_for,
 )
 from conformalts.data import SyntheticConfig, gen_synthetic, load_csv, save_wide_csv
-from conformalts.errors import ConfigError, InvalidInterval
+from conformalts.errors import ConfigError, InvalidInterval, ParseError
 from conformalts.framing import TimeSeries
 
 FAST = dict(
@@ -54,12 +55,17 @@ class TestExperimentConfig:
             dict(data="x.csv"),      # two data sources
             dict(length=40),
             dict(layout="tall"),
+            dict(seed=-1),           # numpy cannot seed a synthetic series with it
         ):
             with pytest.raises(ConfigError):
                 fast_config(**overrides).validate()
 
     def test_fast_config_is_valid(self):
         fast_config().validate()
+
+    def test_negative_seed_allowed_for_csv_data(self):
+        # a CSV run only hashes the seed into derived seeds
+        fast_config(seed=-1, synthetic=False, data="x.csv").validate()
 
     @pytest.mark.parametrize("lr", ["nan", "inf", "-inf"])
     def test_non_finite_lr_rejected_before_training(self, tmp_path, capsys, lr):
@@ -261,17 +267,30 @@ class TestIntervalsCsvAndEval:
         assert main(["eval", "--intervals", on_warmup, "--oracle", oracle]) == 0
         assert json.loads(capsys.readouterr().out)["aggregates"]["miou_star"] is None
 
-    @pytest.mark.parametrize(
-        "bounds, message", [("2.0,1.0", "lower 2.0 exceeds upper 1.0"), ("nan,1.0", "finite")]
-    )
-    def test_eval_rejects_a_bad_interval(self, tmp_path, capsys, bounds, message):
+    @pytest.mark.parametrize("cells, error, message", [
+        pytest.param("1,2.0,1.0,1.5", InvalidInterval, "lower 2.0 exceeds upper 1.0",
+                     id="2.0,1.0-lower 2.0 exceeds upper 1.0"),
+        pytest.param("1,nan,1.0,1.5", InvalidInterval, "finite", id="nan,1.0-finite"),
+        # a bad realized value or step fails as a parse error naming the row
+        pytest.param("1,0.0,2.0,nan", ParseError, "realized y must be finite, got nan (row 3)",
+                     id="y-nan"),
+        pytest.param("1,0.0,2.0,inf", ParseError, "realized y must be finite, got inf (row 3)",
+                     id="y-inf"),
+        pytest.param("1,0.0,2.0,-inf", ParseError, "realized y must be finite, got -inf (row 3)",
+                     id="y-minus-inf"),
+        pytest.param("0,0.0,2.0,1.5", ParseError, "horizon step h must be >= 1, got 0 (row 3)",
+                     id="h-zero"),
+        pytest.param("-1,0.0,2.0,1.5", ParseError, "horizon step h must be >= 1, got -1 (row 3)",
+                     id="h-negative"),
+    ])
+    def test_eval_rejects_a_bad_interval(self, tmp_path, capsys, cells, error, message):
         path = tmp_path / "intervals.csv"
         path.write_text(
             "series,origin,h,lower,upper,y,covered\n"
             "s,1,1,0.0,2.0,1.0,1\n"
-            f"s,2,1,{bounds},1.5,0\n"
+            f"s,2,{cells},0\n"
         )
-        with pytest.raises(InvalidInterval, match=message):
+        with pytest.raises(error, match=re.escape(message)):
             cmd_eval(str(path))
         assert main(["eval", "--intervals", str(path)]) == 1
         captured = capsys.readouterr()
@@ -382,6 +401,13 @@ class TestMainExitCodes:
             "run", "--synthetic", "--data", "x.csv", "--out", str(tmp_path / "run"),
         ])
         assert code == 2
+
+    def test_negative_synthetic_seed_is_two(self, tmp_path, capsys):
+        assert main(["run", "--synthetic", "--seed", "-1", "--out", str(tmp_path / "run")]) == 2
+        assert main(["synth", "--seed", "-1", "--out", str(tmp_path / "s.csv")]) == 2
+        assert capsys.readouterr().err.count("seed must be >= 0") == 2
+        assert not os.path.exists(tmp_path / "run")
+        assert not os.path.exists(tmp_path / "s.csv")
 
     def test_missing_out_is_two(self):
         assert main(["run", "--synthetic"]) == 2

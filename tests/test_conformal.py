@@ -112,6 +112,43 @@ class TestConformalQuantile:
         scores = rng.normal(size=17)
         q = conformal_quantile(scores, 0.23)
         assert q in scores
+        assert type(q) is float
+
+    @given(
+        data=st.data(),
+        rows=st.integers(1, 6),
+        n=st.integers(1, 30),
+        ties=st.booleans(),
+    )
+    def test_rowwise_equals_scalar_call_per_row(self, data, rows, n, ties):
+        element = (st.integers(-2, 2).map(float) if ties
+                   else st.floats(-1e6, 1e6, allow_nan=False))
+        scores = np.array(
+            [data.draw(st.lists(element, min_size=n, max_size=n)) for _ in range(rows)]
+        ).reshape(rows, n)
+        level = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+        alphas = np.array([data.draw(level) for _ in range(rows)])
+        got = conformal_quantile(scores, alphas)
+        expected = np.array([conformal_quantile(row, a) for row, a in zip(scores, alphas)])
+        assert got.shape == (rows,)
+        assert got.tobytes() == expected.tobytes()
+
+    def test_rowwise_scalar_level_applies_to_every_row(self):
+        scores = np.array([[3.0, 1.0, 2.0], [9.0, 7.0, 8.0], [0.0, -0.0, 0.0]])
+        assert conformal_quantile(scores, 0.0).tobytes() == np.array([3.0, 9.0, 0.0]).tobytes()
+        assert conformal_quantile(scores, 1.0).tobytes() == np.array([1.0, 7.0, 0.0]).tobytes()
+
+    @pytest.mark.parametrize("scores, alphas, error", [
+        (np.empty((2, 0)), [0.1, 0.1], EmptyScoreSet),
+        ([[1.0, 2.0], [3.0, np.inf]], [0.1, 0.1], ValueError),
+        ([[1.0, 2.0], [3.0, 4.0]], [0.1, 1.01], ValueError),
+        ([[1.0, 2.0], [3.0, 4.0]], [-0.01, 0.1], ValueError),
+        ([[1.0, 2.0], [3.0, 4.0]], [0.1, np.nan], ValueError),
+        ([1.0, 2.0], np.nan, ValueError),
+    ])
+    def test_rowwise_checks_every_element(self, scores, alphas, error):
+        with pytest.raises(error):
+            conformal_quantile(scores, alphas)
 
 
 class TestCqrInterval:

@@ -601,6 +601,37 @@ class TestSplitRunner:
         for block, y in result.per_origin:
             assert block.lower[0] == block.upper[0] == 5.0
 
+    def test_split_coverage_on_exchangeable_scores(self):
+        # i.i.d. N(0, 1) values and a band that ignores the lag window make
+        # each step's calibration scores exchangeable with its test scores,
+        # so every test point is covered with probability in
+        # [1 - alpha, 1 - alpha + 1 / (n_cal + 1)]. The slack is three
+        # standard errors of the seed-averaged coverage: per seed, the
+        # conditional coverage of the calibrated quantile varies by about
+        # alpha (1 - alpha) / n_cal and the test count adds the binomial
+        # alpha (1 - alpha) / n_test.
+        p, H, alpha, cal_fraction = 2, 5, 0.1, 0.5
+        n_train, n_blocks, seeds = 400, 100, range(20)
+        n_cal = int((n_train - p - H + 1) * cal_fraction)
+        n_test = n_blocks * H
+        lo = make_constant_member([-0.5] * H)
+        hi = make_constant_member([0.5] * H)
+        coverage = []
+        for seed in seeds:
+            values = np.random.default_rng(seed).normal(size=n_train + n_test)
+            result = run_mimocqr(
+                TimeSeries(values[:n_train]), FeedbackStream(values[n_train:]),
+                n_lags=p, horizon=H, alpha=alpha, cal_fraction=cal_fraction,
+                models=(lo, hi),
+            )
+            lower, upper = result.bounds_flat()
+            y = result.realized_flat()
+            coverage.append(np.mean((lower <= y) & (y <= upper)))
+        slack = 3.0 * np.sqrt(alpha * (1.0 - alpha) * (1.0 / n_cal + 1.0 / n_test) / len(seeds))
+        mean = float(np.mean(coverage))
+        assert mean >= 1.0 - alpha - slack
+        assert mean <= 1.0 - alpha + 1.0 / (n_cal + 1) + slack
+
     def test_cal_fraction_bounds(self, rng):
         train = TimeSeries(rng.uniform(size=20))
         members = make_affine_members(2, 2, 1, 5)
