@@ -22,7 +22,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from time import perf_counter
@@ -297,6 +296,9 @@ def cmd_run(cfg: ExperimentConfig, out_dir) -> dict:
                 for s in series_list]
 
     if cfg.workers > 1 and len(jobs) > 1:
+        # imported here: a single-series run never loads the pool machinery
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
             outcomes = list(pool.map(_series_job, jobs))
     else:
@@ -343,9 +345,8 @@ def cmd_run(cfg: ExperimentConfig, out_dir) -> dict:
     with open(intervals_path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["series", "origin", "h", "lower", "upper", "y", "covered"])
-        for sid, origin, h, lower, upper, y, covered in all_rows:
-            writer.writerow([sid, origin, h, repr(float(lower)), repr(float(upper)),
-                             repr(float(y)), covered])
+        # the bounds and y are Python floats, which csv writes with repr
+        writer.writerows(all_rows)
     return results
 
 

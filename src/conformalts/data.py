@@ -103,11 +103,6 @@ class OracleIntervalSet:
     upper: np.ndarray
 
 
-def _uniform_open(rng: np.random.Generator) -> float:
-    # uniform on (0, 1), both endpoints excluded
-    return float(rng.integers(1, 2**53)) / 2**53
-
-
 def gen_synthetic(config: SyntheticConfig) -> tuple[TimeSeries, OracleIntervalSet]:
     """Generate one benchmark series and its oracle intervals.
 
@@ -121,10 +116,13 @@ def gen_synthetic(config: SyntheticConfig) -> tuple[TimeSeries, OracleIntervalSe
     n, w = config.length, config.warmup
     y = np.empty(n, dtype=float)
     y[:w] = rng.random(w)
+    # uniforms on (0, 1), both endpoints excluded, one per generated step
+    uniforms = [] if config.zero_noise else (rng.integers(1, 2**53, size=n - w) / 2**53).tolist()
+    squares = [v * v for v in y[:w].tolist()]
     mu = np.full(n, np.nan)
     sigma = np.full(n, np.nan)
     for t in range(w, n):
-        m = math.log(math.fsum(v * v for v in y[t - w:t]))
+        m = math.log(math.fsum(squares[t - w:t]))
         if m <= 0.0:
             raise NonPositiveMean(f"mu_{t + 1} = {m} <= 0; cannot scale noise")
         c = config.c0 + config.c_slope * (t + 1)
@@ -132,10 +130,9 @@ def gen_synthetic(config: SyntheticConfig) -> tuple[TimeSeries, OracleIntervalSe
         sd = scale if config.noise_scale == "stdev" else math.sqrt(scale)
         mu[t] = m
         sigma[t] = sd
-        if config.zero_noise:
-            y[t] = m
-        else:
-            y[t] = m + sd * norm_quantile(_uniform_open(rng))
+        yt = m if config.zero_noise else m + sd * norm_quantile(uniforms[t - w])
+        y[t] = yt
+        squares.append(yt * yt)
     z = norm_quantile(1.0 - config.oracle_alpha / 2.0)
     oracle = OracleIntervalSet(
         alpha=config.oracle_alpha,
@@ -166,9 +163,12 @@ def _parse_float(cell: str, row: int, col: int) -> float:
     if text == "":
         raise MissingValue("blank cell", row=row, col=col)
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise ParseError(f"cannot parse {cell!r} as a number", row=row, col=col) from None
+    if not math.isfinite(value):
+        raise ParseError(f"{cell!r} is not a finite number", row=row, col=col)
+    return value
 
 
 def load_csv(path, layout: str) -> list[TimeSeries]:

@@ -194,11 +194,9 @@ def recursive_forecast(
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     n_lags = window.size
-    buffer = list(window)
-    out = np.empty(horizon, dtype=float)
+    buffer = np.empty(n_lags + horizon, dtype=float)
+    buffer[:n_lags] = window
     for h in range(horizon):
-        x = np.asarray(buffer[-n_lags:], dtype=float)
-        yhat = float(predict(x))
-        out[h] = yhat
-        buffer.append(yhat)
-    return out
+        # a copy, so a predict that keeps or edits its window leaves the buffer alone
+        buffer[n_lags + h] = float(predict(buffer[h:h + n_lags].copy()))
+    return buffer[n_lags:]

@@ -20,12 +20,11 @@ The sliding runners keep their scores in one fixed-width
 ``SlidingScoreWindow`` (one row, or one per step for aenbmimocqr): a block
 pushes one batch and the corrections are one row-wise quantile call.
 
-An ensemble of QuantileNets of one shape answers single-window predicts
-(``predict_mean``, and ``predict_mean_rows`` for enbcqr's H lag windows)
-with one forward pass over its members' stacked (B, in, out) weights,
-bit for bit equal to the per-member loop (``_stacked_predict`` says why).
-The stack is built on the first single-window call, so aenbmimocqr, which
-predicts in batches only, never copies its weights.
+An ensemble of QuantileNets of one shape stacks their weights once, when
+it is built, and answers single windows and batches in the walk with one
+forward pass over the stack, bit for bit equal to the per-member loop
+(``BootstrapEnsemble`` says why). Out-of-bag scoring calls each member: a
+stacked pass over the training frame would hold B frames of activations.
 
 Methods
 -------
@@ -42,7 +41,7 @@ run_enbcqr       three bagged one-step quantile models (lower, median,
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -142,13 +141,19 @@ class BootstrapEnsemble:
     ``members`` map a lag window (n_lags,) to a (horizon,) prediction; any
     callable or object with ``predict`` works, which is how tests inject
     deterministic stand-ins for trained networks.
+
+    QuantileNet members of one shape are stacked once, here: ``_layers``
+    holds per layer their (B, in, out) weights and (B, 1, out) biases, or
+    is () when the members do not stack, and other members are called one
+    by one. A stacked prediction runs, per member, the product the member's
+    own method runs: (1, in) @ (in, out) per window for ``predict``,
+    (n, in) @ (in, out) for ``predict_batch``. So it matches the member loop
+    bit for bit; a multi-row product in place of the single-window ones
+    would not, because BLAS sums its rows in another order.
     """
 
     members: list
     index_sets: list[np.ndarray]
-    # per layer, (B, in, out) weights and (B, 1, out) biases of all members;
-    # None until the first single-row predict, () if the members do not stack
-    _layers: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.members) < 2:
@@ -156,6 +161,7 @@ class BootstrapEnsemble:
         if len(self.members) != len(self.index_sets):
             raise ValueError("one index set per member required")
         self.index_sets = [np.asarray(s, dtype=int) for s in self.index_sets]
+        self._layers = _stack_layers(self.members)
 
     @property
     def n_members(self) -> int:
@@ -163,44 +169,35 @@ class BootstrapEnsemble:
 
     def predict_mean(self, x: np.ndarray) -> np.ndarray:
         """Mean prediction of all members at one lag window."""
-        preds = self._stacked_predict(np.asarray(x, dtype=float).reshape(1, -1))
-        if preds is None:
-            return np.mean([_member_predict(m, x) for m in self.members], axis=0)
-        return np.mean(preds[0], axis=0)
+        return self.predict_mean_rows(np.asarray(x, dtype=float).reshape(1, -1))[0]
 
     def predict_mean_rows(self, X: np.ndarray) -> np.ndarray:
-        """``predict_mean`` at each row of X, (n_rows, n_out), bit for bit."""
-        X = np.asarray(X, dtype=float)
-        preds = self._stacked_predict(X)
-        if preds is None:
-            return np.array([self.predict_mean(x) for x in X])
-        return np.array([np.mean(p, axis=0) for p in preds])
+        """Mean prediction of all members at each row of X, (n_rows, n_out)."""
+        if not self._layers:
+            return np.array([np.mean([_member_predict(m, x) for m in self.members], axis=0)
+                             for x in np.asarray(X, dtype=float)])
+        preds = self._forward(self._rows(X)[:, None, None, :])[:, :, 0]
+        return np.add.reduce(preds, axis=1) / self.n_members
 
     def predict_mean_batch(self, X: np.ndarray) -> np.ndarray:
-        vals = [_member_predict_batch(m, X) for m in self.members]
-        return np.mean(vals, axis=0)
-
-    def _stacked_predict(self, X: np.ndarray) -> np.ndarray | None:
-        """Every member's prediction at each row of X, (n_rows, B, n_out), or
-        None unless the members are QuantileNets of one shape.
-
-        Each (row, member) pair runs one (1, in) @ (in, out) product per
-        layer, the product ``QuantileNet.predict`` runs, so the results match
-        it bit for bit. A multi-row product would not: BLAS sums its rows in
-        another order.
-        """
-        if self._layers is None:
-            self._layers = _stack_layers(self.members)
+        """Mean of the members' ``predict_batch`` over the rows of X."""
         if not self._layers:
-            return None
+            return np.mean([_member_predict_batch(m, X) for m in self.members], axis=0)
+        return np.add.reduce(self._forward(self._rows(X)), axis=0) / self.n_members
+
+    def _rows(self, X) -> np.ndarray:
+        X = np.asarray(X, dtype=float)
         width = self._layers[0][0].shape[1]
         if X.ndim != 2 or X.shape[1] != width:
             raise DimensionMismatch(f"expected rows of {width} covariates, got shape {X.shape}")
-        a = X[:, None, None, :]
+        return X
+
+    def _forward(self, a: np.ndarray) -> np.ndarray:
+        """The stacked layers applied to ``a``, whose last axis is the input."""
         for W, b in self._layers[:-1]:
             a = np.maximum(a @ W + b, 0.0)
         W, b = self._layers[-1]
-        return (a @ W + b)[:, :, 0]
+        return a @ W + b
 
 
 def _stack_layers(members) -> tuple:

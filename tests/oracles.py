@@ -11,6 +11,8 @@ set so that no random subsampling is involved.
 ``ref_fit`` is the one numpy routine: training is compared bit for bit, so
 it must run the same float64 products, but it builds a fresh array for
 every intermediate and updates each parameter array on its own.
+``ref_gen_synthetic`` likewise draws from numpy's generator, one scalar
+uniform per generated step.
 """
 
 import math
@@ -343,3 +345,31 @@ def ref_fit(covariates, targets, tau, epochs, lr, seed, hidden):
     weights[-1] = weights[-1] * scale
     biases[-1] = biases[-1] * scale + loc
     return weights, biases, losses
+
+
+def ref_gen_synthetic(seed, length, warmup, noise_scale, zero_noise, oracle_alpha,
+                      c0, c_slope, quantile):
+    """The synthetic series the slow way: one scalar uniform per step from
+    ``default_rng(seed)`` (after ``warmup`` uniforms for the warmup values),
+    a fresh fsum over the window for every mean. ``quantile`` is the
+    standard normal quantile to transform draws with. Returns (values, mu,
+    sigma, lower, upper), NaN over the warmup for all but the values.
+    """
+    rng = np.random.default_rng(seed)
+    y = np.empty(length)
+    y[:warmup] = rng.random(warmup)
+    mu = np.full(length, np.nan)
+    sigma = np.full(length, np.nan)
+    for t in range(warmup, length):
+        m = math.log(math.fsum(v * v for v in y[t - warmup:t]))
+        scale = (c0 + c_slope * (t + 1)) * m
+        sd = scale if noise_scale == "stdev" else math.sqrt(scale)
+        mu[t] = m
+        sigma[t] = sd
+        if zero_noise:
+            y[t] = m
+        else:
+            u = float(rng.integers(1, 2**53)) / 2**53
+            y[t] = m + sd * quantile(u)
+    z = quantile(1.0 - oracle_alpha / 2.0)
+    return y, mu, sigma, mu - z * sigma, mu + z * sigma

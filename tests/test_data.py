@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from conformalts.data import (
     OracleIntervalSet,
     SyntheticConfig,
@@ -146,6 +147,22 @@ class TestGenSynthetic:
         assert total > 50_000
         assert abs(inside / total - 0.9) < 0.01
 
+    @pytest.mark.parametrize("seed", [1, 2, 12345, 1331523251])
+    def test_bitwise_equal_to_scalar_draw_reference(self, seed):
+        for length in (41, 300, 1041):
+            for noise_scale in ("stdev", "variance"):
+                for zero_noise in (False, True):
+                    cfg = SyntheticConfig(seed=seed, length=length, noise_scale=noise_scale,
+                                          zero_noise=zero_noise)
+                    series, oracle = gen_synthetic(cfg)
+                    expected = oracles.ref_gen_synthetic(
+                        seed, length, cfg.warmup, noise_scale, zero_noise, cfg.oracle_alpha,
+                        cfg.c0, cfg.c_slope, norm_quantile)
+                    got = (series.values, oracle.mu, oracle.sigma, oracle.lower, oracle.upper)
+                    for a, b in zip(got, expected):
+                        assert np.array_equal(a, b, equal_nan=True), (length, noise_scale,
+                                                                      zero_noise)
+
     def test_nonpositive_mean_raises(self):
         # a single warmup draw in (0, 1) has log(y^2) < 0
         with pytest.raises(NonPositiveMean):
@@ -233,12 +250,17 @@ class TestCsv:
         assert excinfo.value.col == 2
 
     def test_parse_error_location(self, tmp_path):
+        # (layout, text, row, col); a non-finite number is no value either
+        cases = [("wide", "a,b\n1.0,2.0\noops,4.0\n", 3, 1)]
+        for cell in ("nan", "inf", "-inf"):
+            cases.append(("wide", f"a,b\n1.0,2.0\n3.0,{cell}\n", 3, 2))
+            cases.append(("long", f"id,t,value\na,1,1.0\na,2,{cell}\n", 3, 3))
         path = tmp_path / "bad.csv"
-        path.write_text("a,b\n1.0,2.0\noops,4.0\n")
-        with pytest.raises(ParseError) as excinfo:
-            load_csv(path, "wide")
-        assert excinfo.value.row == 3
-        assert excinfo.value.col == 1
+        for layout, text, row, col in cases:
+            path.write_text(text)
+            with pytest.raises(ParseError) as excinfo:
+                load_csv(path, layout)
+            assert (excinfo.value.row, excinfo.value.col) == (row, col), text
 
     def test_ragged_wide_row_rejected(self, tmp_path):
         path = tmp_path / "ragged.csv"

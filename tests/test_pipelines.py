@@ -143,6 +143,17 @@ def member_loop(ens):
     return BootstrapEnsemble([m.predict for m in ens.members], ens.index_sets)
 
 
+class BatchOnly:
+    """A member seen through its ``predict_batch`` alone, which does not stack."""
+
+    def __init__(self, net):
+        self.predict_batch = net.predict_batch
+
+
+def batch_loop(ens):
+    return BootstrapEnsemble([BatchOnly(m) for m in ens.members], ens.index_sets)
+
+
 class TestStackedMembers:
     """QuantileNet members of one shape predict through one stacked pass,
     bit for bit equal to the per-member loop."""
@@ -160,12 +171,27 @@ class TestStackedMembers:
             assert np.array_equal(row, expected)
         assert ens._layers
 
+    @pytest.mark.parametrize("hidden", [(4,), (64, 64)])
+    @pytest.mark.parametrize("horizon", [1, 5])
+    @pytest.mark.parametrize("n_rows", [1, 7, 30])
+    def test_batch_bitwise_equal_to_member_batches(self, rng, hidden, horizon, n_rows):
+        ens = trained_ensemble(horizon, hidden)
+        X = rng.normal(size=(n_rows, 6)).cumsum(axis=1)
+        expected = np.mean([m.predict_batch(X) for m in ens.members], axis=0)
+        got = ens.predict_mean_batch(X)
+        assert got.shape == (n_rows, horizon)
+        assert np.array_equal(got, expected)
+
     def test_wrong_width_window_rejected(self):
         ens = trained_ensemble(2, (4,))
         with pytest.raises(DimensionMismatch):
             ens.predict_mean(np.zeros(7))
         with pytest.raises(DimensionMismatch):
             ens.predict_mean_rows(np.zeros((3, 5)))
+        with pytest.raises(DimensionMismatch):
+            ens.predict_mean_batch(np.zeros((3, 5)))
+        with pytest.raises(DimensionMismatch):
+            ens.predict_mean_batch(np.zeros(6))
 
     def test_members_that_do_not_stack_use_member_loop(self, rng):
         net = trained_ensemble(2, (4,)).members[0]
@@ -187,6 +213,8 @@ class TestStackedMembers:
         cfg = TrainConfig(epochs=3, hidden=(32, 32))
         point = fit_ensemble(frame, None, 10, 4, cfg)
         bands = tuple(fit_ensemble(frame, tau, 10, 4, cfg) for tau in (0.05, 0.5, 0.95))
+        mimo = frame_mimo(train, 6, 5)
+        mimo_bands = tuple(fit_ensemble(mimo, tau, 10, 4, cfg) for tau in (0.05, 0.95))
         common = dict(n_lags=6, horizon=5, alpha=0.1)
         pairs = [
             (run_enbpi(train, FeedbackStream(test), ensemble=point, **common),
@@ -194,23 +222,17 @@ class TestStackedMembers:
             (run_enbcqr(train, FeedbackStream(test), ensembles=bands, **common),
              run_enbcqr(train, FeedbackStream(test),
                         ensembles=tuple(map(member_loop, bands)), **common)),
+            (run_aenbmimocqr(train, FeedbackStream(test), ensembles=mimo_bands,
+                             window_size=20, **common),
+             run_aenbmimocqr(train, FeedbackStream(test),
+                             ensembles=tuple(map(batch_loop, mimo_bands)),
+                             window_size=20, **common)),
         ]
         for stacked, generic in pairs:
             for a, b in zip(stacked.bounds_flat(), generic.bounds_flat()):
                 assert a.size == 10 and np.array_equal(a, b)
-        assert point._layers and all(ens._layers for ens in bands)
-
-    def test_adaptive_runner_builds_no_stack(self):
-        values = np.random.default_rng(9).normal(size=70).cumsum()
-        train, test = TimeSeries(values[:60]), values[60:]
-        frame = frame_mimo(train, 6, 5)
-        cfg = TrainConfig(epochs=3, hidden=(8,))
-        ensembles = tuple(fit_ensemble(frame, tau, 3, 4, cfg) for tau in (0.05, 0.95))
-        run_aenbmimocqr(
-            train, FeedbackStream(test), n_lags=6, horizon=5, alpha=0.1, window_size=20,
-            ensembles=ensembles,
-        )
-        assert all(ens._layers is None for ens in ensembles)
+        assert point._layers and all(ens._layers for ens in bands + mimo_bands)
+        assert not any(batch_loop(ens)._layers for ens in mimo_bands)
 
 
 class TestFitEnsemble:
