@@ -22,7 +22,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from time import perf_counter
 
@@ -31,7 +31,7 @@ import numpy as np
 from .data import SyntheticConfig, gen_synthetic, load_csv, save_wide_csv, split_train_test
 from .errors import ConfigError, ConformalTSError, ParseError
 from .framing import TimeSeries, covered
-from .metrics import EvalReport, aggregate_star, evaluate
+from .metrics import aggregate_star, evaluate
 from .pipelines import FeedbackStream, run_aenbmimocqr, run_enbcqr, run_enbpi, run_mimocqr
 from .quantile_net import TrainConfig
 from .seeding import derive_seed
@@ -99,7 +99,8 @@ class ExperimentConfig:
 
     def to_json_dict(self) -> dict:
         """The settings under their config-file keys, "-" written as "_"."""
-        body = {key.replace("-", "_"): getattr(self, attr) for key, (attr, _) in _RUN_KEYS.items()}
+        body = {key.replace("-", "_"): getattr(self, attr)
+                for key, (attr, *_) in _RUN_KEYS.items()}
         return {**body, "hidden": list(self.hidden)}
 
 
@@ -139,25 +140,28 @@ def _to_hidden(text: str) -> tuple[int, ...]:
         raise ConfigError(f"hidden expects comma-separated widths, got {text!r}") from None
 
 
-# config-file key -> (ExperimentConfig attribute, converter from string)
+# config-file key (flag --key) -> (ExperimentConfig attribute, converter
+# from string, flag help)
 _RUN_KEYS = {
-    "method": ("method", str),
-    "alpha": ("alpha", _to_float("alpha")),
-    "p": ("n_lags", _to_int("p")),
-    "H": ("horizon", _to_int("H")),
-    "B": ("n_models", _to_int("B")),
-    "T": ("window_size", _to_int("T")),
-    "n-test": ("n_test", _to_int("n-test")),
-    "epochs": ("epochs", _to_int("epochs")),
-    "hidden": ("hidden", _to_hidden),
-    "lr": ("learning_rate", _to_float("lr")),
-    "cal-fraction": ("cal_fraction", _to_float("cal-fraction")),
-    "seed": ("seed", _to_int("seed")),
-    "workers": ("workers", _to_int("workers")),
-    "data": ("data", str),
-    "layout": ("layout", str),
-    "synthetic": ("synthetic", _to_bool("synthetic")),
-    "length": ("length", _to_int("length")),
+    "method": ("method", str, f"one of {', '.join(METHODS)}"),
+    "alpha": ("alpha", _to_float("alpha"), "miscoverage level in (0, 1)"),
+    "p": ("n_lags", _to_int("p"), "lag window length"),
+    "H": ("horizon", _to_int("H"), "forecast horizon"),
+    "B": ("n_models", _to_int("B"), "bootstrap ensemble size"),
+    "T": ("window_size", _to_int("T"), "score window capacity"),
+    "n-test": ("n_test", _to_int("n-test"), "test segment length, a multiple of H"),
+    "epochs": ("epochs", _to_int("epochs"), "training epochs per network"),
+    "hidden": ("hidden", _to_hidden, "hidden widths, e.g. 64,64"),
+    "lr": ("learning_rate", _to_float("lr"), "learning rate"),
+    "cal-fraction": ("cal_fraction", _to_float("cal-fraction"),
+                     "mimocqr's calibration share of the rows"),
+    "seed": ("seed", _to_int("seed"), "run seed, also the synthetic series seed"),
+    "workers": ("workers", _to_int("workers"), "worker processes for multi-series data"),
+    "data": ("data", str, "CSV dataset path"),
+    "layout": ("layout", str, f"CSV layout, one of {', '.join(LAYOUTS)}"),
+    "synthetic": ("synthetic", _to_bool("synthetic"),
+                  "use the built-in synthetic benchmark series"),
+    "length": ("length", _to_int("length"), "synthetic series length"),
 }
 
 
@@ -187,13 +191,13 @@ def parse_config_file(path) -> dict[str, str]:
 def _resolve_run_config(args) -> tuple[ExperimentConfig, str]:
     file_values = parse_config_file(args.config) if args.config else {}
     cfg = ExperimentConfig()
-    for key, (attr, conv) in _RUN_KEYS.items():
+    for key, (attr, conv, _) in _RUN_KEYS.items():
         if key in file_values:
             setattr(cfg, attr, conv(file_values[key]))
         # an explicit flag (key "n-test" is flag dest "n_test") wins over the file
         value = getattr(args, key.replace("-", "_"))
         if value is not None:
-            setattr(cfg, attr, conv(value) if isinstance(value, str) else value)
+            setattr(cfg, attr, conv(value))
     out = args.out if args.out is not None else file_values.get("out")
     if not out:
         raise ConfigError("an output directory is required (--out)")
@@ -267,17 +271,15 @@ def _series_job(payload: dict) -> dict:
     }
 
 
-def _report_dict(report: EvalReport, extra: dict) -> dict:
-    body = {
-        "picp": report.picp,
-        "pinaw": report.pinaw,
-        "miou": report.miou,
-        "picp_per_horizon": report.picp_per_horizon,
-        "pinaw_per_horizon": report.pinaw_per_horizon,
-        "miou_per_horizon": report.miou_per_horizon,
+def _summary(entries) -> dict:
+    """``schema_version``, ``per_series`` and ``aggregates`` of the
+    (series id, EvalReport, extra fields) entries."""
+    picp_star, pinaw_star, miou_star = aggregate_star([report for _, report, _ in entries])
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "per_series": {sid: {**asdict(report), **extra} for sid, report, extra in entries},
+        "aggregates": {"picp_star": picp_star, "pinaw_star": pinaw_star, "miou_star": miou_star},
     }
-    body.update(extra)
-    return body
 
 
 def cmd_run(cfg: ExperimentConfig, out_dir) -> dict:
@@ -304,33 +306,15 @@ def cmd_run(cfg: ExperimentConfig, out_dir) -> dict:
     else:
         outcomes = [_series_job(job) for job in jobs]
 
-    per_series = {}
-    traces = {}
-    reports = []
-    all_rows = []
-    for outcome in outcomes:
-        sid = outcome["id"]
-        report = outcome["report"]
-        reports.append(report)
-        per_series[sid] = _report_dict(report, {
-            "skipped_oob_rows": outcome["skipped_oob_rows"],
-            "n_blocks": outcome["n_blocks"],
-            "n_test": cfg.n_test,
-        })
-        traces[sid] = outcome["alpha_traces"]
-        all_rows.extend(outcome["rows"])
-    picp_star, pinaw_star, miou_star = aggregate_star(reports)
-
+    summary = _summary([
+        (o["id"], o["report"], {"skipped_oob_rows": o["skipped_oob_rows"],
+                                "n_blocks": o["n_blocks"], "n_test": cfg.n_test})
+        for o in outcomes
+    ])
     results = {
-        "schema_version": SCHEMA_VERSION,
+        **summary,
         "config": cfg.to_json_dict(),
-        "per_series": per_series,
-        "aggregates": {
-            "picp_star": picp_star,
-            "pinaw_star": pinaw_star,
-            "miou_star": miou_star,
-        },
-        "traces": traces,
+        "traces": {o["id"]: o["alpha_traces"] for o in outcomes},
         "timestamp": {
             "run_at": started,
             "wall_time_sec": perf_counter() - t0,
@@ -346,7 +330,7 @@ def cmd_run(cfg: ExperimentConfig, out_dir) -> dict:
         writer = csv.writer(fh)
         writer.writerow(["series", "origin", "h", "lower", "upper", "y", "covered"])
         # the bounds and y are Python floats, which csv writes with repr
-        writer.writerows(all_rows)
+        writer.writerows(row for o in outcomes for row in o["rows"])
     return results
 
 
@@ -406,6 +390,7 @@ def _read_intervals_csv(path):
     idx = {name: header.index(name) for name in required}
     sid_col = header.index("series") if "series" in header else None
     grouped: dict[str, dict[str, list]] = {}
+    first_row: dict[tuple[str, int, int], int] = {}  # (series, origin, h) -> row
     for r, row in enumerate(rows[1:], start=2):
         if len(row) != len(header):
             raise ParseError(f"expected {len(header)} cells, found {len(row)}", row=r)
@@ -420,6 +405,10 @@ def _read_intervals_csv(path):
             raise ParseError(f"horizon step h must be >= 1, got {h}", row=r)
         if not math.isfinite(y):
             raise ParseError(f"realized y must be finite, got {y}", row=r)
+        earlier = first_row.setdefault((sid, origin, h), r)
+        if earlier != r:
+            raise ParseError(
+                f"series {sid!r}, origin {origin}, step {h} repeats row {earlier}", row=r)
         for name, value in zip(required, (origin, h, lower, upper, y)):
             entry[name].append(value)
     return grouped, sid_col is not None
@@ -448,26 +437,15 @@ def cmd_eval(intervals_path, oracle_path=None, out_path=None) -> dict:
                 f"sidecar {oracle_path} is for series {oracle.get('id')!r}, but "
                 f"{intervals_path} holds series {', '.join(map(repr, grouped))}"
             )
-    per_series = {}
-    reports = []
+    entries = []
     for sid, cols in grouped.items():
         reference = None
         if oracle is not None and (not keyed or oracle.get("id") == sid):
             reference = _oracle_reference(
                 oracle["lower"], oracle["upper"], cols["origin"], cols["h"])
         report = evaluate(cols["lower"], cols["upper"], cols["y"], cols["h"], reference)
-        reports.append(report)
-        per_series[sid] = _report_dict(report, {})
-    picp_star, pinaw_star, miou_star = aggregate_star(reports)
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "per_series": per_series,
-        "aggregates": {
-            "picp_star": picp_star,
-            "pinaw_star": pinaw_star,
-            "miou_star": miou_star,
-        },
-    }
+        entries.append((sid, report, {}))
+    payload = _summary(entries)
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if out_path is not None:
         with open(out_path, "w", encoding="utf-8") as fh:
@@ -486,24 +464,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="backtest a method and write results")
     run.add_argument("--config", help="flat key = value config file")
-    run.add_argument("--method", choices=METHODS)
-    run.add_argument("--data", help="CSV dataset path")
-    run.add_argument("--layout", choices=LAYOUTS)
-    run.add_argument("--synthetic", action="store_const", const=True, default=None,
-                     help="use the built-in synthetic benchmark series")
-    run.add_argument("--alpha", type=float)
-    run.add_argument("--p", type=int, help="lag window length")
-    run.add_argument("--H", type=int, help="forecast horizon")
-    run.add_argument("--B", type=int, help="bootstrap ensemble size")
-    run.add_argument("--T", type=int, help="score window capacity")
-    run.add_argument("--n-test", dest="n_test", type=int)
-    run.add_argument("--epochs", type=int)
-    run.add_argument("--hidden", help="hidden widths, e.g. 64,64")
-    run.add_argument("--lr", type=float)
-    run.add_argument("--cal-fraction", dest="cal_fraction", type=float)
-    run.add_argument("--seed", type=int)
-    run.add_argument("--workers", type=int)
-    run.add_argument("--length", type=int, help="synthetic series length")
+    # every flag is a string, converted and checked with the config file's values
+    for key, (_, _, help_text) in _RUN_KEYS.items():
+        if key == "synthetic":
+            run.add_argument("--synthetic", action="store_const", const="true", help=help_text)
+        else:
+            run.add_argument(f"--{key}", help=help_text)
     run.add_argument("--out", help="output directory")
 
     synth = sub.add_parser("synth", help="generate the synthetic benchmark")

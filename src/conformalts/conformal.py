@@ -30,7 +30,9 @@ def score_cqr(lo: np.ndarray | float, hi: np.ndarray | float, y: np.ndarray | fl
     y = np.asarray(y, dtype=float)
     if np.any(lo > hi):
         raise InvalidInterval("lower quantile exceeds upper quantile")
-    return np.maximum(lo - y, y - hi)[()]
+    # np.maximum may return either zero on a +0.0/-0.0 tie; adding +0.0 makes
+    # every zero score +0.0, so the band [p, p] scores |p - y| bit for bit
+    return (np.maximum(lo - y, y - hi) + 0.0)[()]
 
 
 def conformal_quantile(scores, alpha: float | np.ndarray) -> float | np.ndarray:

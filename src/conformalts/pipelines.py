@@ -13,8 +13,13 @@ A runner supplies two callbacks: ``emit(history)`` returns the next block's
 ``observe(block, y, history)`` updates the runner's state once the block's
 values ``y`` are revealed. ``_walk`` owns the rest: the history, the block
 origins, the block's CQR bound arrays (one ``cqr_interval`` call),
-``submit``/``reveal`` and ``per_origin``. Scores are the package's CQR
-score (``score_cqr``) and absolute residual (``score_absolute``).
+``submit``/``reveal`` and ``per_origin``. Every score is the package's CQR
+score (``score_cqr``).
+
+The recursive runners share one walk, ``_recursive_walk``: enbpi is enbcqr
+with the path as a zero-width band. That is exact: the CQR score of the
+band [p, p], max(p - y, y - p), is the absolute residual |p - y| bit for
+bit, because IEEE subtraction is sign-symmetric.
 
 The sliding runners keep their scores in one fixed-width
 ``SlidingScoreWindow`` (one row, or one per step for aenbmimocqr): a block
@@ -33,8 +38,8 @@ run_aenbmimocqr  bagged multi-output quantile pair, per-step score windows,
 run_mimocqr      single multi-output quantile pair, split calibration,
                  corrections frozen before the test segment
 run_enbpi        bagged point forecaster rolled forward recursively,
-                 symmetric absolute-residual intervals (a zero-width band
-                 widened by the correction), sliding scores
+                 symmetric absolute-residual intervals: enbcqr's walk with
+                 the path as its band, sliding scores
 run_enbcqr       three bagged one-step quantile models (lower, median,
                  upper), recursion through the median, sliding scores
 """
@@ -52,7 +57,7 @@ from .adaptive import (
     init_gamma,
     sample_without_replacement,
 )
-from .conformal import conformal_quantile, cqr_interval, score_absolute, score_cqr
+from .conformal import conformal_quantile, cqr_interval, score_cqr
 from .errors import AllRowsInBag, DimensionMismatch, SeriesTooShort
 from .framing import (
     HorizonIntervals,
@@ -363,7 +368,8 @@ def _oob_band_scores(lo_ens, hi_ens, frame: SupervisedFrame):
     """CQR scores of the ordered out-of-bag band, (n_kept, horizon), over
     the rows that have one, and the count of rows that have none."""
     lo_oob, kept = oob_predict(lo_ens, frame)
-    hi_oob, _ = oob_predict(hi_ens, frame)
+    # an ensemble paired with itself (enbpi's zero-width band) is predicted once
+    hi_oob = lo_oob if hi_ens is lo_ens else oob_predict(hi_ens, frame)[0]
     lo_cal, hi_cal = _ordered_bounds(lo_oob[kept], hi_oob[kept])
     return score_cqr(lo_cal, hi_cal, frame.targets[kept]), int(frame.n_rows - kept.sum())
 
@@ -544,42 +550,17 @@ def run_enbpi(
     block; every step gets the same correction, the conformal quantile of a
     sliding window of absolute residuals that advances by ``horizon`` scores
     per block.
+
+    It is ``run_enbcqr``'s walk with the path as a zero-width band, bit for
+    bit: IEEE subtraction is sign-symmetric, so the band's CQR score
+    max(p - y, y - p) is |p - y| exactly.
     """
     _check_run(stream, horizon, alpha)
     config = config or TrainConfig()
     frame = frame_recursive(train_series, n_lags)
     if ensemble is None:
         ensemble = fit_ensemble(frame, None, n_models, seed, config)
-
-    oob, kept = oob_predict(ensemble, frame)
-    skipped = int(frame.n_rows - kept.sum())
-    residuals = score_absolute(oob[kept, 0], frame.targets[kept, 0])
-    window = SlidingScoreWindow(residuals)
-    qhat = conformal_quantile(window.values()[0], alpha)
-    points = None
-
-    def emit(history):
-        nonlocal points
-        points = recursive_forecast(
-            lambda x: float(ensemble.predict_mean(x)[0]),
-            np.asarray(history[-n_lags:], dtype=float),
-            horizon,
-        )
-        # qhat >= 0, so the CQR interval of the point band is points -/+ qhat
-        return points, points, qhat
-
-    def observe(block, y, history):
-        nonlocal qhat
-        window.push(score_absolute(points, y))
-        qhat = conformal_quantile(window.values()[0], alpha)
-
-    return RunResult(
-        method="enbpi",
-        horizon=horizon,
-        per_origin=_walk(train_series, stream, horizon, emit, observe),
-        window_size_traces=np.full((len(stream) // horizon + 1, 1), window.values().shape[1]),
-        skipped_oob_rows=skipped,
-    )
+    return _recursive_walk("enbpi", train_series, stream, frame, horizon, alpha, ensemble)
 
 
 def run_enbcqr(
@@ -611,22 +592,36 @@ def run_enbcqr(
     else:
         lo_ens, med_ens, hi_ens = ensembles
     _require_shared_index_sets(lo_ens, med_ens, hi_ens)
+    return _recursive_walk("enbcqr", train_series, stream, frame, horizon, alpha,
+                           med_ens, (lo_ens, hi_ens))
 
-    scores, skipped = _oob_band_scores(lo_ens, hi_ens, frame)
+
+def _recursive_walk(method, train_series, stream, frame, horizon, alpha, med_ens, band=None):
+    """The walk of the recursive runners.
+
+    Each block's path is the median ensemble rolled forward ``horizon``
+    steps. The band is the ``(lower, upper)`` ensembles' mean at the path's
+    lag windows, or the path itself when ``band`` is None. One sliding
+    window of CQR band scores, out-of-bag first and then ``horizon`` per
+    block, sets the one correction of every step.
+    """
+    scores, skipped = _oob_band_scores(*(band or (med_ens, med_ens)), frame)
     window = SlidingScoreWindow(scores[:, 0])
     qhat = conformal_quantile(window.values()[0], alpha)
+    n_lags = frame.n_lags
     lo_steps = hi_steps = None
 
     def emit(history):
         nonlocal lo_steps, hi_steps
         last = np.asarray(history[-n_lags:], dtype=float)
         path = recursive_forecast(lambda x: float(med_ens.predict_mean(x)[0]), last, horizon)
-        # the lag window of step h + 1: the last observations, then path[:h]
-        lags = np.concatenate([last, path[:-1]])
-        windows = np.lib.stride_tricks.sliding_window_view(lags, n_lags)
-        lo_steps, hi_steps = _ordered_bounds(
-            lo_ens.predict_mean_rows(windows)[:, 0], hi_ens.predict_mean_rows(windows)[:, 0]
-        )
+        lo_steps = hi_steps = path
+        if band is not None:
+            # the lag window of step h + 1: the last observations, then path[:h]
+            windows = np.lib.stride_tricks.sliding_window_view(
+                np.concatenate([last, path[:-1]]), n_lags)
+            lo_steps, hi_steps = _ordered_bounds(
+                *(ens.predict_mean_rows(windows)[:, 0] for ens in band))
         return lo_steps, hi_steps, qhat
 
     def observe(block, y, history):
@@ -635,7 +630,7 @@ def run_enbcqr(
         qhat = conformal_quantile(window.values()[0], alpha)
 
     return RunResult(
-        method="enbcqr",
+        method=method,
         horizon=horizon,
         per_origin=_walk(train_series, stream, horizon, emit, observe),
         window_size_traces=np.full((len(stream) // horizon + 1, 1), window.values().shape[1]),

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conformalts.cli import (
+    _RUN_KEYS,
     ExperimentConfig,
     build_parser,
     cmd_eval,
@@ -297,6 +298,23 @@ class TestIntervalsCsvAndEval:
         assert captured.out == ""
         assert message in captured.err
 
+    def test_eval_rejects_a_repeated_row(self, tmp_path, capsys):
+        out = str(tmp_path / "run")
+        cmd_run(fast_config(method="enbcqr"), out)
+        path = os.path.join(out, "intervals.csv")
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(lines[1] + "\n")
+        sid, origin, h = lines[1].split(",")[:3]
+        message = f"series {sid!r}, origin {origin}, step {h} repeats row 2 (row {len(lines) + 1})"
+        with pytest.raises(ParseError, match=re.escape(message)):
+            cmd_eval(path)
+        assert main(["eval", "--intervals", path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+
     def test_intervals_csv_round_trips_floats(self, tmp_path):
         out = str(tmp_path / "run")
         cmd_run(fast_config(), out)
@@ -424,6 +442,25 @@ class TestMainExitCodes:
     def test_unknown_flag_exits_via_argparse(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "--frobnicate"])
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--p", "x", "p expects an integer, got 'x'"),
+        ("--lr", "fast", "lr expects a number, got 'fast'"),
+        ("--method", "bogus", "method must be one of"),
+        ("--layout", "tall", "layout must be one of"),
+    ], ids=["p", "lr", "method", "layout"])
+    def test_bad_flag_value_is_two_and_names_the_key(self, tmp_path, capsys, flag, value,
+                                                     message):
+        out = tmp_path / "run"
+        assert main(["run", "--synthetic", flag, value, "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_run_flags_are_the_config_keys(self):
+        (sub,) = [a for a in build_parser()._actions if a.dest == "command"]
+        flags = {opt for action in sub.choices["run"]._actions for opt in action.option_strings}
+        expected = {f"--{key}" for key in _RUN_KEYS} | {"--config", "--out"}
+        assert flags - {"-h", "--help"} == expected
 
     def test_synth_writes_files(self, tmp_path):
         out = tmp_path / "series.csv"

@@ -15,6 +15,13 @@ from conformalts.errors import EmptyScoreSet, InvalidInterval
 
 from oracles import kth_smallest
 
+# finite floats: signed zeros, subnormals and magnitudes up to 1e300, whose
+# differences stay finite
+FINITE = st.one_of(
+    st.floats(-1e300, 1e300),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300]),
+)
+
 
 class TestScores:
     def test_absolute(self):
@@ -39,6 +46,19 @@ class TestScores:
     def test_cqr_rejects_inverted_band(self):
         with pytest.raises(InvalidInterval):
             score_cqr(4.0, 2.0, 3.0)
+
+    @given(st.lists(st.tuples(FINITE, FINITE, st.booleans()), min_size=1, max_size=8))
+    @example([(0.0, -0.0, False)])
+    @example([(-0.0, 0.0, False), (5e-324, -5e-324, False), (1e300, -1e300, False),
+              (-0.0, 1.0, True), (2.5e-310, 0.0, True)])
+    def test_zero_width_band_scores_absolute_residual_bit_for_bit(self, cases):
+        # enbpi runs as enbcqr with its point path p as the band [p, p]; a
+        # true third field draws the pair y = p
+        p = np.array([pv for pv, _, _ in cases])
+        y = np.array([pv if equal else yv for pv, yv, equal in cases])
+        cqr, absolute = score_cqr(p, p, y), score_absolute(p, y)
+        assert np.array_equal(cqr, absolute)
+        assert np.array_equal(np.signbit(cqr), np.signbit(absolute))
 
 
 class TestConformalQuantile:

@@ -730,6 +730,31 @@ class TestEnbpiRunner:
         # one shared correction per block: all widths in a block equal
         assert widths[0] == pytest.approx(widths[1], rel=1e-12)
 
+    def test_bounds_equal_enbcqr_with_its_ensemble_as_the_band(self, monkeypatch, rng):
+        # enbpi skips the band prediction; enbcqr with one ensemble in all
+        # three places takes the general branch and must give the same bounds
+        values = np.random.default_rng(8).normal(size=70).cumsum()
+        train, test = TimeSeries(values[:60]), values[60:]
+        frame = frame_recursive(train, 6)
+        trained = fit_ensemble(frame, None, 4, 4, TrainConfig(epochs=5, hidden=(4,)))
+        stand_in = BootstrapEnsemble(make_affine_members(3, 6, 1, 5),
+                                     random_index_sets(3, frame.n_rows, rng))
+        oob_calls = []
+
+        def counted_oob(ens, fr):
+            oob_calls.append(ens)
+            return oob_predict(ens, fr)
+
+        monkeypatch.setattr(pipelines, "oob_predict", counted_oob)
+        common = dict(n_lags=6, horizon=5, alpha=0.1)
+        for e in (trained, stand_in):
+            enbpi = run_enbpi(train, FeedbackStream(test), ensemble=e, **common)
+            assert oob_calls == [e]
+            enbcqr = run_enbcqr(train, FeedbackStream(test), ensembles=(e, e, e), **common)
+            oob_calls.clear()
+            for a, b in zip(enbpi.bounds_flat(), enbcqr.bounds_flat()):
+                assert a.size == 10 and np.array_equal(a, b)
+
 
 class TestEnbcqrRunner:
     def test_matches_plain_resimulation(self, rng):
