@@ -42,11 +42,9 @@ from .pipelines import (
 from .quantile_net import (
     QuantileNet,
     TrainConfig,
-    load_net,
     loss_and_gradients,
     mse_train,
     pinball_loss,
-    save_net,
     train,
 )
 

@@ -28,7 +28,14 @@ from time import perf_counter
 
 import numpy as np
 
-from .data import SyntheticConfig, gen_synthetic, load_csv, save_wide_csv, split_train_test
+from .data import (
+    SyntheticConfig,
+    gen_synthetic,
+    load_csv,
+    numbered_rows,
+    save_wide_csv,
+    split_train_test,
+)
 from .errors import ConfigError, ConformalTSError, ParseError
 from .framing import TimeSeries, covered
 from .metrics import aggregate_star, evaluate
@@ -378,11 +385,10 @@ def _read_intervals_csv(path):
     """Interval columns grouped by series id, and whether the file names its
     series (a file without a ``series`` column is one series)."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = list(csv.reader(fh))
-    rows = [r for r in rows if any(c.strip() for c in r)]
+        rows = list(numbered_rows(fh))
     if len(rows) < 2:
         raise ParseError(f"{path} has no interval rows")
-    header = [c.strip().lower() for c in rows[0]]
+    header = [c.strip().lower() for c in rows[0][1]]
     required = ["origin", "h", "lower", "upper", "y"]
     missing = [c for c in required if c not in header]
     if missing:
@@ -391,7 +397,7 @@ def _read_intervals_csv(path):
     sid_col = header.index("series") if "series" in header else None
     grouped: dict[str, dict[str, list]] = {}
     first_row: dict[tuple[str, int, int], int] = {}  # (series, origin, h) -> row
-    for r, row in enumerate(rows[1:], start=2):
+    for r, row in rows[1:]:
         if len(row) != len(header):
             raise ParseError(f"expected {len(header)} cells, found {len(row)}", row=r)
         sid = row[sid_col].strip() if sid_col is not None else "series"

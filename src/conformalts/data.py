@@ -171,6 +171,15 @@ def _parse_float(cell: str, row: int, col: int) -> float:
     return value
 
 
+def numbered_rows(fh):
+    """Yield (line, cells) for each non-blank row of an open CSV file, where
+    ``line`` is the reader's 1-based file line, so blank lines count."""
+    reader = csv.reader(fh)
+    for row in reader:
+        if any(cell.strip() for cell in row):
+            yield reader.line_num, row
+
+
 def load_csv(path, layout: str) -> list[TimeSeries]:
     """Read series from a CSV file.
 
@@ -181,20 +190,19 @@ def load_csv(path, layout: str) -> list[TimeSeries]:
     if layout not in ("wide", "long"):
         raise ValueError('layout must be "wide" or "long"')
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = [r for r in csv.reader(fh)]
-    rows = [r for r in rows if any(cell.strip() != "" for cell in r)]
+        rows = list(numbered_rows(fh))
     if len(rows) < 2:
         raise EmptyFile(f"{path} has no data rows")
-    header, body = rows[0], rows[1:]
+    (header_line, header), body = rows[0], rows[1:]
 
     if layout == "wide":
         ids = [c.strip() for c in header]
         if any(i == "" for i in ids):
-            raise ParseError("blank series id in header", row=1)
+            raise ParseError("blank series id in header", row=header_line)
         if len(set(ids)) != len(ids):
-            raise ParseError("duplicate series ids in header", row=1)
+            raise ParseError("duplicate series ids in header", row=header_line)
         columns: list[list[float]] = [[] for _ in ids]
-        for r, row in enumerate(body, start=2):
+        for r, row in body:
             if len(row) != len(ids):
                 raise ParseError(
                     f"expected {len(ids)} cells, found {len(row)}", row=r
@@ -205,9 +213,10 @@ def load_csv(path, layout: str) -> list[TimeSeries]:
 
     names = [c.strip().lower() for c in header]
     if names != ["id", "t", "value"]:
-        raise ParseError('long layout needs header "id,t,value"', row=1)
+        raise ParseError('long layout needs header "id,t,value"', row=header_line)
     by_id: dict[str, list[tuple[int, float]]] = {}
-    for r, row in enumerate(body, start=2):
+    first_line: dict[tuple[str, int], int] = {}  # (series, t) -> line
+    for r, row in body:
         if len(row) != 3:
             raise ParseError(f"expected 3 cells, found {len(row)}", row=r)
         sid = row[0].strip()
@@ -221,12 +230,13 @@ def load_csv(path, layout: str) -> list[TimeSeries]:
         except ValueError:
             raise ParseError(f"cannot parse {row[1]!r} as an integer", row=r, col=2) from None
         value = _parse_float(row[2], r, 3)
+        earlier = first_line.setdefault((sid, t), r)
+        if earlier != r:
+            raise ParseError(
+                f"duplicate time index {t} for series {sid!r} repeats row {earlier}", row=r)
         by_id.setdefault(sid, []).append((t, value))
     out = []
     for sid, pairs in by_id.items():
-        times = [t for t, _ in pairs]
-        if len(set(times)) != len(times):
-            raise ParseError(f"duplicate time index for series {sid!r}")
         pairs.sort(key=lambda tv: tv[0])
         out.append(TimeSeries(np.asarray([v for _, v in pairs]), id=sid))
     return out

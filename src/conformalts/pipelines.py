@@ -25,10 +25,11 @@ The sliding runners keep their scores in one fixed-width
 ``SlidingScoreWindow`` (one row, or one per step for aenbmimocqr): a block
 pushes one batch and the corrections are one row-wise quantile call.
 
-An ensemble of QuantileNets of one shape stacks their weights once, when
-it is built, and answers single windows and batches in the walk with one
-forward pass over the stack, bit for bit equal to the per-member loop
-(``BootstrapEnsemble`` says why). Out-of-bag scoring calls each member: a
+An ensemble of QuantileNets of one shape stacks their layers once, when it
+is built (``quantile_net.stack_layers``), and answers single windows and
+batches in the walk with one ``quantile_net.forward`` pass over the stack,
+bit for bit equal to the per-member loop under the inference exactness rule
+of the ``quantile_net`` docstring. Out-of-bag scoring calls each member: a
 stacked pass over the training frame would hold B frames of activations.
 
 Methods
@@ -67,7 +68,7 @@ from .framing import (
     frame_recursive,
     recursive_forecast,
 )
-from .quantile_net import QuantileNet, TrainConfig, mse_train, train
+from .quantile_net import TrainConfig, forward, mse_train, stack_layers, train
 from .seeding import derive_seed, spawn_rng
 
 
@@ -147,14 +148,10 @@ class BootstrapEnsemble:
     callable or object with ``predict`` works, which is how tests inject
     deterministic stand-ins for trained networks.
 
-    QuantileNet members of one shape are stacked once, here: ``_layers``
-    holds per layer their (B, in, out) weights and (B, 1, out) biases, or
-    is () when the members do not stack, and other members are called one
-    by one. A stacked prediction runs, per member, the product the member's
-    own method runs: (1, in) @ (in, out) per window for ``predict``,
-    (n, in) @ (in, out) for ``predict_batch``. So it matches the member loop
-    bit for bit; a multi-row product in place of the single-window ones
-    would not, because BLAS sums its rows in another order.
+    QuantileNet members of one shape are stacked once, here: ``_layers`` is
+    their ``stack_layers``, or () when the members do not stack, and other
+    members are called one by one. A stacked prediction matches the member
+    loop bit for bit (see the ``quantile_net`` docstring).
     """
 
     members: list
@@ -166,7 +163,7 @@ class BootstrapEnsemble:
         if len(self.members) != len(self.index_sets):
             raise ValueError("one index set per member required")
         self.index_sets = [np.asarray(s, dtype=int) for s in self.index_sets]
-        self._layers = _stack_layers(self.members)
+        self._layers = stack_layers(self.members)
 
     @property
     def n_members(self) -> int:
@@ -181,14 +178,14 @@ class BootstrapEnsemble:
         if not self._layers:
             return np.array([np.mean([_member_predict(m, x) for m in self.members], axis=0)
                              for x in np.asarray(X, dtype=float)])
-        preds = self._forward(self._rows(X)[:, None, None, :])[:, :, 0]
+        preds = forward(self._layers, self._rows(X)[:, None, None, :])[:, :, 0]
         return np.add.reduce(preds, axis=1) / self.n_members
 
     def predict_mean_batch(self, X: np.ndarray) -> np.ndarray:
         """Mean of the members' ``predict_batch`` over the rows of X."""
         if not self._layers:
             return np.mean([_member_predict_batch(m, X) for m in self.members], axis=0)
-        return np.add.reduce(self._forward(self._rows(X)), axis=0) / self.n_members
+        return np.add.reduce(forward(self._layers, self._rows(X)), axis=0) / self.n_members
 
     def _rows(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=float)
@@ -196,28 +193,6 @@ class BootstrapEnsemble:
         if X.ndim != 2 or X.shape[1] != width:
             raise DimensionMismatch(f"expected rows of {width} covariates, got shape {X.shape}")
         return X
-
-    def _forward(self, a: np.ndarray) -> np.ndarray:
-        """The stacked layers applied to ``a``, whose last axis is the input."""
-        for W, b in self._layers[:-1]:
-            a = np.maximum(a @ W + b, 0.0)
-        W, b = self._layers[-1]
-        return a @ W + b
-
-
-def _stack_layers(members) -> tuple:
-    """Per layer, the members' weights as (B, in, out) and biases as
-    (B, 1, out); () unless every member is a QuantileNet with C-ordered
-    weights and all share one ``layer_sizes``."""
-    if not (all(type(m) is QuantileNet for m in members)
-            and len({m.layer_sizes for m in members}) == 1
-            and all(w.flags.c_contiguous for m in members for w in m.weights)):
-        return ()
-    return tuple(
-        (np.stack([m.weights[k] for m in members]),
-         np.stack([m.biases[k] for m in members])[:, None, :])
-        for k in range(len(members[0].weights))
-    )
 
 
 def fit_ensemble(

@@ -26,11 +26,19 @@ several members in one multi-member gemm, folding the bias into the gemm
 as an extra input column, float32 arithmetic, a different reduction shape
 (for example summing bias gradients in another order or layout), and
 reassociating the Adam step (``lr * m / c1`` instead of ``lr * (m / c1)``).
+
+Inference is one pass, ``forward``, over (weights, biases) layers along the
+last axis of its input: a net's own (in, out) layers in ``predict_batch``,
+or the (B, in, out) stack that ``stack_layers`` builds from B nets of one
+shape. Inference exactness rule: a stacked pass runs, per net, the product
+the net's own method runs, one (1, in) @ (in, out) per window for
+``predict`` and (n, in) @ (in, out) for ``predict_batch``, so it equals the
+per-net loop bit for bit; a multi-row gemm in place of the single-window
+products does not, because BLAS sums its rows in another order.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -42,9 +50,6 @@ from .framing import SupervisedFrame
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
-
-_FORMAT_NAME = "conformalts-quantile-net"
-_FORMAT_VERSION = 1
 
 
 def pinball_loss(y, y_hat, tau: float):
@@ -108,10 +113,7 @@ class QuantileNet:
             raise DimensionMismatch(
                 f"expected (n, {self.layer_sizes[0]}) covariates, got {X.shape}"
             )
-        a = X
-        for W, b in zip(self.weights[:-1], self.biases[:-1]):
-            a = np.maximum(a @ W + b, 0.0)
-        return a @ self.weights[-1] + self.biases[-1]
+        return forward(list(zip(self.weights, self.biases)), X)
 
     def predict(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float).reshape(-1)
@@ -122,6 +124,30 @@ class QuantileNet:
         return self.predict_batch(x[None, :])[0]
 
     __call__ = predict
+
+
+def forward(layers, a: np.ndarray) -> np.ndarray:
+    """``layers``, a sequence of (weights, biases), applied to ``a`` along its
+    last axis: ReLU after every layer but the last."""
+    for W, b in layers[:-1]:
+        a = np.maximum(a @ W + b, 0.0)
+    W, b = layers[-1]
+    return a @ W + b
+
+
+def stack_layers(nets) -> tuple:
+    """Per layer, the nets' weights as (B, in, out) and biases as (B, 1, out),
+    for one ``forward`` pass over every net; () unless every net is a
+    QuantileNet with C-ordered weights and all share one ``layer_sizes``."""
+    if not (all(type(net) is QuantileNet for net in nets)
+            and len({net.layer_sizes for net in nets}) == 1
+            and all(w.flags.c_contiguous for net in nets for w in net.weights)):
+        return ()
+    return tuple(
+        (np.stack([net.weights[k] for net in nets]),
+         np.stack([net.biases[k] for net in nets])[:, None, :])
+        for k in range(len(nets[0].weights))
+    )
 
 
 def init_net(
@@ -326,29 +352,3 @@ def mse_train(frame: SupervisedFrame, config: TrainConfig) -> QuantileNet:
     """Fit a point-forecast network on squared error (tau is None)."""
     return _fit(frame, None, config)
 
-
-def save_net(net: QuantileNet, path) -> None:
-    """Dump parameters to a versioned JSON file (row-major weight lists)."""
-    payload = {
-        "format": _FORMAT_NAME,
-        "format_version": _FORMAT_VERSION,
-        "tau": net.tau,
-        "layer_sizes": list(net.layer_sizes),
-        "weights": [w.tolist() for w in net.weights],
-        "biases": [b.tolist() for b in net.biases],
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh)
-
-
-def load_net(path) -> QuantileNet:
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    if payload.get("format") != _FORMAT_NAME:
-        raise ValueError(f"{path} is not a saved quantile net")
-    if payload.get("format_version") != _FORMAT_VERSION:
-        raise ValueError(f"unsupported format_version {payload.get('format_version')}")
-    net = QuantileNet(payload["weights"], payload["biases"], payload["tau"])
-    if list(net.layer_sizes) != list(payload["layer_sizes"]):
-        raise ValueError("layer_sizes header disagrees with stored weights")
-    return net

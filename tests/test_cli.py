@@ -283,6 +283,9 @@ class TestIntervalsCsvAndEval:
                      id="h-zero"),
         pytest.param("-1,0.0,2.0,1.5", ParseError, "horizon step h must be >= 1, got -1 (row 3)",
                      id="h-negative"),
+        # a good row, a blank line, then the bad row: blank lines count
+        pytest.param("1,0.0,2.0,1.5,0\n\ns,3,1,0.0,2.0,nan", ParseError,
+                     "realized y must be finite, got nan (row 5)", id="y-nan-after-blank-line"),
     ])
     def test_eval_rejects_a_bad_interval(self, tmp_path, capsys, cells, error, message):
         path = tmp_path / "intervals.csv"

@@ -232,8 +232,9 @@ class TestCsv:
     def test_long_duplicate_time_rejected(self, tmp_path):
         path = tmp_path / "dup.csv"
         path.write_text("id,t,value\na,1,10.0\na,1,11.0\n")
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError, match="repeats row 2") as excinfo:
             load_csv(path, "long")
+        assert excinfo.value.row == 3
 
     def test_long_bad_header(self, tmp_path):
         path = tmp_path / "hdr.csv"
@@ -255,6 +256,9 @@ class TestCsv:
         for cell in ("nan", "inf", "-inf"):
             cases.append(("wide", f"a,b\n1.0,2.0\n3.0,{cell}\n", 3, 2))
             cases.append(("long", f"id,t,value\na,1,1.0\na,2,{cell}\n", 3, 3))
+        # blank lines are skipped but still count as file lines
+        cases.append(("wide", "a,b\n\n1.0,2.0\n\noops,4.0\n", 5, 1))
+        cases.append(("long", "id,t,value\n\na,1,1.0\n\na,2,nan\n", 5, 3))
         path = tmp_path / "bad.csv"
         for layout, text, row, col in cases:
             path.write_text(text)

@@ -158,8 +158,10 @@ class TestStackedMembers:
     """QuantileNet members of one shape predict through one stacked pass,
     bit for bit equal to the per-member loop."""
 
-    @pytest.mark.parametrize("hidden", [(4,), (64, 64)])
-    @pytest.mark.parametrize("horizon", [1, 5])
+    # (16, 8, 4) runs forward through three ReLU layers; horizon 30 is the
+    # benchmark's MIMO output width
+    @pytest.mark.parametrize("hidden", [(4,), (64, 64), (16, 8, 4)])
+    @pytest.mark.parametrize("horizon", [1, 5, 30])
     def test_bitwise_equal_to_member_loop(self, rng, hidden, horizon):
         ens = trained_ensemble(horizon, hidden)
         X = rng.normal(size=(7, 6)).cumsum(axis=1)
@@ -171,9 +173,9 @@ class TestStackedMembers:
             assert np.array_equal(row, expected)
         assert ens._layers
 
-    @pytest.mark.parametrize("hidden", [(4,), (64, 64)])
-    @pytest.mark.parametrize("horizon", [1, 5])
-    @pytest.mark.parametrize("n_rows", [1, 7, 30])
+    @pytest.mark.parametrize("hidden", [(4,), (64, 64), (16, 8, 4)])
+    @pytest.mark.parametrize("horizon", [1, 5, 30])
+    @pytest.mark.parametrize("n_rows", [1, 7, 30, 582])  # 582: the benchmark's MIMO frame
     def test_batch_bitwise_equal_to_member_batches(self, rng, hidden, horizon, n_rows):
         ens = trained_ensemble(horizon, hidden)
         X = rng.normal(size=(n_rows, 6)).cumsum(axis=1)

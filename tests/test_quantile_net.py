@@ -8,11 +8,9 @@ from conformalts.quantile_net import (
     QuantileNet,
     TrainConfig,
     init_net,
-    load_net,
     loss_and_gradients,
     mse_train,
     pinball_loss,
-    save_net,
     train,
 )
 
@@ -284,32 +282,3 @@ class TestKernelMatchesReference:
             assert np.array_equal(got, want)
             assert got.flags.owndata and got.flags.c_contiguous
 
-
-class TestSaveLoad:
-    def test_round_trip(self, rng, tmp_path):
-        net = train(small_frame(rng), 0.3, TrainConfig(epochs=10, hidden=(6,)))
-        path = tmp_path / "net.json"
-        save_net(net, path)
-        loaded = load_net(path)
-        assert loaded.tau == net.tau
-        assert loaded.layer_sizes == net.layer_sizes
-        X = rng.normal(size=(7, net.layer_sizes[0]))
-        np.testing.assert_array_equal(loaded.predict_batch(X), net.predict_batch(X))
-
-    def test_rejects_foreign_file(self, tmp_path):
-        path = tmp_path / "other.json"
-        path.write_text('{"format": "something-else"}')
-        with pytest.raises(ValueError):
-            load_net(path)
-
-    def test_rejects_unknown_version(self, tmp_path, rng):
-        net = init_net(2, 1, (3,), 0.5, seed=0)
-        path = tmp_path / "net.json"
-        save_net(net, path)
-        import json
-
-        payload = json.loads(path.read_text())
-        payload["format_version"] = 99
-        path.write_text(json.dumps(payload))
-        with pytest.raises(ValueError):
-            load_net(path)
