@@ -99,16 +99,23 @@ class ExperimentConfig:
             raise ConfigError(f"layout must be one of {', '.join(LAYOUTS)}")
         if self.synthetic == (self.data is not None):
             raise ConfigError("give exactly one data source: --data PATH or --synthetic")
-        if self.synthetic and self.length <= 40:
-            raise ConfigError("length must exceed the 40-step warmup")
-        if self.synthetic and self.seed < 0:
-            raise ConfigError(f"seed must be >= 0 for a synthetic series, got {self.seed}")
+        if self.synthetic:
+            _synthetic_config(self.seed, self.length, self.alpha)
 
     def to_json_dict(self) -> dict:
         """The settings under their config-file keys, "-" written as "_"."""
         body = {key.replace("-", "_"): getattr(self, attr)
                 for key, (attr, *_) in _RUN_KEYS.items()}
         return {**body, "hidden": list(self.hidden)}
+
+
+def _synthetic_config(seed: int, length: int, alpha: float) -> SyntheticConfig:
+    """The synthetic series of a seed and length, its oracle at level alpha;
+    a bad value is a ConfigError."""
+    try:
+        return SyntheticConfig(seed=seed, length=length, oracle_alpha=alpha)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _to_int(key):
@@ -294,7 +301,7 @@ def cmd_run(cfg: ExperimentConfig, out_dir) -> dict:
     started = datetime.now(timezone.utc).isoformat()
     t0 = perf_counter()
     if cfg.synthetic:
-        series_obj, oracle = gen_synthetic(SyntheticConfig(seed=cfg.seed, length=cfg.length))
+        series_obj, oracle = gen_synthetic(_synthetic_config(cfg.seed, cfg.length, cfg.alpha))
         jobs = [{
             "cfg": cfg, "values": series_obj.values, "id": series_obj.id,
             "oracle": (oracle.lower, oracle.upper),
@@ -348,10 +355,7 @@ def _json_array(values: np.ndarray) -> list:
 
 def cmd_synth(seed: int, out_path, length: int = 1041, alpha: float = 0.1) -> dict:
     """Generate the benchmark series; write a wide CSV and a sidecar JSON."""
-    try:
-        config = SyntheticConfig(seed=seed, length=length, oracle_alpha=alpha)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    config = _synthetic_config(seed, length, alpha)
     series, oracle = gen_synthetic(config)
     save_wide_csv([series], out_path)
     sidecar = {

@@ -49,12 +49,18 @@ class SupervisedFrame:
 
     covariates: np.ndarray
     targets: np.ndarray
-    n_lags: int
-    horizon: int
 
     @property
     def n_rows(self) -> int:
         return self.covariates.shape[0]
+
+    @property
+    def n_lags(self) -> int:
+        return self.covariates.shape[1]
+
+    @property
+    def horizon(self) -> int:
+        return self.targets.shape[1]
 
 
 def check_bounds(lower, upper) -> None:
@@ -130,22 +136,8 @@ def _window_view(values: np.ndarray, width: int) -> np.ndarray:
 
 
 def frame_recursive(series: TimeSeries, n_lags: int) -> SupervisedFrame:
-    """Frame for one-step-ahead models: windows of ``n_lags`` values, scalar
-    next-value targets (kept as a (n_rows, 1) column).
-
-    A series of n observations yields n - n_lags rows.
-    """
-    if n_lags < 1:
-        raise ValueError("n_lags must be >= 1")
-    n = len(series)
-    if n < n_lags + 1:
-        raise SeriesTooShort(
-            f"series {series.id!r} has {n} values, needs > {n_lags} for lag framing"
-        )
-    windows = _window_view(series.values, n_lags)
-    covariates = windows[: n - n_lags].copy()
-    targets = series.values[n_lags:].reshape(-1, 1).copy()
-    return SupervisedFrame(covariates, targets, n_lags, 1)
+    """Frame for one-step-ahead models: ``frame_mimo`` at horizon 1."""
+    return frame_mimo(series, n_lags, 1)
 
 
 def frame_mimo(series: TimeSeries, n_lags: int, horizon: int) -> SupervisedFrame:
@@ -169,7 +161,7 @@ def frame_mimo(series: TimeSeries, n_lags: int, horizon: int) -> SupervisedFrame
     covariates = windows[:n_rows].copy()
     target_windows = _window_view(series.values[n_lags:], horizon)
     targets = target_windows[:n_rows].copy()
-    return SupervisedFrame(covariates, targets, n_lags, horizon)
+    return SupervisedFrame(covariates, targets)
 
 
 def recursive_forecast(

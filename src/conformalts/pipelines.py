@@ -6,8 +6,9 @@ for a block of ``horizon`` steps only after the intervals for that block
 have been submitted. All state updates (score windows, working miscoverage
 levels, conformal corrections) therefore happen strictly between blocks.
 
-Every runner checks its inputs, fits (or takes) its models, calibrates on
-held-out scores and hands the test segment to ``_walk``, the one block loop.
+Every runner checks its inputs, fits (or takes) its models, each net by
+``_train_net`` on rows of the runner's frame, calibrates on held-out scores
+and hands the test segment to ``_walk``, the one block loop.
 A runner supplies two callbacks: ``emit(history)`` returns the next block's
 (lower band, upper band, correction) from the values seen so far, and
 ``observe(block, y, history)`` updates the runner's state once the block's
@@ -195,6 +196,15 @@ class BootstrapEnsemble:
         return X
 
 
+def _train_net(frame: SupervisedFrame, rows, tau: float | None, seed: int,
+               config: TrainConfig):
+    """Train one net at ``seed`` on the frame's ``rows`` (an index array or a
+    slice): a pinball net at level ``tau``, or a squared-error net if None."""
+    sub = SupervisedFrame(frame.covariates[rows], frame.targets[rows])
+    config = replace(config, seed=seed)
+    return mse_train(sub, config) if tau is None else train(sub, tau, config)
+
+
 def fit_ensemble(
     frame: SupervisedFrame,
     tau: float | None,
@@ -214,18 +224,9 @@ def fit_ensemble(
     n = frame.n_rows
     rng = spawn_rng(seed, "bootstrap")
     index_sets = [rng.integers(0, n, size=n) for _ in range(n_models)]
-    members = []
-    for b, idx in enumerate(index_sets):
-        sub = SupervisedFrame(
-            frame.covariates[idx], frame.targets[idx], frame.n_lags, frame.horizon
-        )
-        member_cfg = replace(
-            config, seed=derive_seed(seed, "member", b, "mse" if tau is None else str(tau))
-        )
-        if tau is None:
-            members.append(mse_train(sub, member_cfg))
-        else:
-            members.append(train(sub, tau, member_cfg))
+    objective = "mse" if tau is None else str(tau)
+    members = [_train_net(frame, idx, tau, derive_seed(seed, "member", b, objective), config)
+               for b, idx in enumerate(index_sets)]
     return BootstrapEnsemble(members, index_sets)
 
 
@@ -483,11 +484,9 @@ def run_mimocqr(
     if models is None:
         if n_fit < 1:
             raise SeriesTooShort("training split is empty")
-        sub = SupervisedFrame(
-            frame.covariates[:n_fit], frame.targets[:n_fit], n_lags, horizon
-        )
-        f_lo = train(sub, alpha / 2.0, replace(config, seed=derive_seed(seed, "mimocqr", "lo")))
-        f_hi = train(sub, 1.0 - alpha / 2.0, replace(config, seed=derive_seed(seed, "mimocqr", "hi")))
+        f_lo, f_hi = (
+            _train_net(frame, slice(n_fit), tau, derive_seed(seed, "mimocqr", side), config)
+            for tau, side in ((alpha / 2.0, "lo"), (1.0 - alpha / 2.0, "hi")))
     else:
         f_lo, f_hi = models
 

@@ -1,4 +1,4 @@
-"""Ten acceptance checks with pinned thresholds.
+"""Eleven acceptance checks with pinned thresholds.
 
 Every test prints one line, ``criterion N: PASS (...)`` or ``criterion N:
 FAIL (...)``, before asserting, so the captured output names each
@@ -529,3 +529,51 @@ def test_criterion_10_window_and_cadence_invariants():
                   "interval, submit and reveal alternating per block"
                   + ("" if ok else f", {len(problems)} problems"))
     assert not problems, problems[:5]
+
+
+@pytest.fixture(scope="module")
+def long_walks():
+    """Seeds 1 and 2 walked 150 blocks (p=40, H=30, alpha=0.1, 5 epochs)
+    by aenbmimocqr and mimocqr, each trained once: {seed: {method: result}}."""
+    walks = {}
+    for seed in (1, 2):
+        series, _ = gen_synthetic(SyntheticConfig(seed=seed, length=5151))
+        train, test = split_train_test(series, 4500)
+        common = dict(n_lags=40, horizon=30, alpha=0.1, seed=seed,
+                      config=TrainConfig(epochs=5))
+        walks[seed] = {
+            "aenbmimocqr": run_aenbmimocqr(train, FeedbackStream(test), n_models=10,
+                                           window_size=100, **common),
+            "mimocqr": run_mimocqr(train, FeedbackStream(test), cal_fraction=0.5, **common),
+        }
+    return walks
+
+
+def _coverage_by_third(result) -> np.ndarray:
+    hits = np.array([block.covers(y) for block, y in result.per_origin])
+    return hits.reshape(3, -1).mean(axis=1)
+
+
+def test_criterion_11_long_walk_validity(long_walks):
+    """The adaptive method stays valid over a long walk without retraining.
+
+    The band is binomial in blocks, not intervals: the H intervals of one
+    origin are correlated, so each third counts as its 50 blocks.
+    """
+    alpha, blocks_per_third = 0.1, 50
+    half_width = 3.0 * math.sqrt(alpha * (1.0 - alpha) / blocks_per_third)
+    low, high = 1.0 - alpha - half_width, min(1.0, 1.0 - alpha + half_width)
+    details, ok = [], True
+    for seed, runs in long_walks.items():
+        aenb = _coverage_by_third(runs["aenbmimocqr"])
+        mimo = _coverage_by_third(runs["mimocqr"])
+        assert runs["aenbmimocqr"].n_blocks == 3 * blocks_per_third
+        in_band = bool(np.all((low <= aenb) & (aenb <= high)))
+        closer = abs(aenb[-1] - (1.0 - alpha)) < abs(mimo[-1] - (1.0 - alpha))
+        ok = ok and in_band and closer
+        details.append(f"seed {seed}: aenbmimocqr thirds "
+                       f"{'/'.join(f'{c:.3f}' for c in aenb)} vs mimocqr "
+                       f"{'/'.join(f'{c:.3f}' for c in mimo)}")
+    _line(11, ok, f"{'; '.join(details)}; every aenbmimocqr third in "
+                  f"[{low:.3f}, {high:.3f}], its last third closer to 0.90")
+    assert ok, details

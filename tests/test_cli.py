@@ -166,11 +166,13 @@ class TestIntervalsCsvAndEval:
         assert evaluated["picp_per_horizon"] == series_report["picp_per_horizon"]
         assert payload["aggregates"]["picp_star"] == results["aggregates"]["picp_star"]
 
-    def test_eval_with_oracle_recovers_miou(self, tmp_path):
+    @pytest.mark.parametrize("alpha", [0.1, 0.3])
+    def test_eval_with_oracle_recovers_miou(self, tmp_path, alpha):
+        # a synthetic run scores overlap against the oracle at its own alpha
         csv_path = tmp_path / "bench.csv"
-        cmd_synth(3, csv_path, length=120)
+        cmd_synth(3, csv_path, length=120, alpha=alpha)
         out = str(tmp_path / "run")
-        results = cmd_run(fast_config(), out)
+        results = cmd_run(fast_config(alpha=alpha), out)
         payload = cmd_eval(
             os.path.join(out, "intervals.csv"),
             oracle_path=sidecar_path_for(csv_path),

@@ -1,10 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
-from conformalts import pipelines
+from conformalts import pipelines, quantile_net
 from conformalts.adaptive import AciState, aci_update, init_gamma
 from conformalts.data import SyntheticConfig, gen_synthetic, split_train_test
 from conformalts.errors import AllRowsInBag, DimensionMismatch
@@ -26,6 +28,7 @@ from conformalts.pipelines import (
     run_mimocqr,
 )
 from conformalts.quantile_net import QuantileNet, TrainConfig
+from conformalts.seeding import derive_seed
 from support import (
     make_affine_member,
     make_affine_members,
@@ -239,12 +242,12 @@ class TestStackedMembers:
 
 class TestFitEnsemble:
     def test_rejects_single_model(self, rng):
-        frame = SupervisedFrame(rng.normal(size=(20, 2)), rng.normal(size=(20, 1)), 2, 1)
+        frame = SupervisedFrame(rng.normal(size=(20, 2)), rng.normal(size=(20, 1)))
         with pytest.raises(ValueError):
             fit_ensemble(frame, 0.5, 1, seed=0, config=TrainConfig(epochs=1, hidden=(1,)))
 
     def test_resamples_are_with_replacement_size_n(self, rng):
-        frame = SupervisedFrame(rng.normal(size=(150, 1)), rng.normal(size=(150, 1)), 1, 1)
+        frame = SupervisedFrame(rng.normal(size=(150, 1)), rng.normal(size=(150, 1)))
         ens = fit_ensemble(frame, None, 30, seed=4, config=TrainConfig(epochs=1, hidden=(1,)))
         assert all(idx.size == 150 for idx in ens.index_sets)
         assert all(0 <= idx.min() and idx.max() < 150 for idx in ens.index_sets)
@@ -254,11 +257,43 @@ class TestFitEnsemble:
         assert abs(float(np.mean(out_fracs)) - np.exp(-1)) < 0.03
 
     def test_same_seed_same_resamples_across_tau(self, rng):
-        frame = SupervisedFrame(rng.normal(size=(30, 2)), rng.normal(size=(30, 2)), 2, 2)
+        frame = SupervisedFrame(rng.normal(size=(30, 2)), rng.normal(size=(30, 2)))
         cfg = TrainConfig(epochs=1, hidden=(1,))
         lo = fit_ensemble(frame, 0.05, 2, seed=9, config=cfg)
         hi = fit_ensemble(frame, 0.95, 2, seed=9, config=cfg)
         for a, b in zip(lo.index_sets, hi.index_sets):
+            np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("tau", [0.05, None])
+    def test_member_is_a_net_trained_on_its_rows_at_its_seed(self, rng, tau):
+        # the member seed scheme, derive_seed(seed, "member", b, "mse" or
+        # str(tau)), over the member's bootstrap rows of the frame
+        frame = SupervisedFrame(rng.normal(size=(25, 3)), rng.normal(size=(25, 2)))
+        cfg = TrainConfig(epochs=3, hidden=(4,), seed=99)
+        ens = fit_ensemble(frame, tau, 3, seed=13, config=cfg)
+        for b, (member, idx) in enumerate(zip(ens.members, ens.index_sets)):
+            sub = SupervisedFrame(frame.covariates[idx], frame.targets[idx])
+            member_cfg = replace(
+                cfg, seed=derive_seed(13, "member", b, "mse" if tau is None else str(tau)))
+            direct = (quantile_net.mse_train(sub, member_cfg) if tau is None
+                      else quantile_net.train(sub, tau, member_cfg))
+            for got, want in zip(member.weights + member.biases, direct.weights + direct.biases):
+                np.testing.assert_array_equal(got, want)
+
+    def test_mimocqr_nets_are_trained_on_the_fit_rows_at_their_seeds(self, rng):
+        series = TimeSeries(rng.normal(size=44).cumsum())
+        train_ts, test = TimeSeries(series.values[:38]), series.values[38:]
+        cfg, alpha = TrainConfig(epochs=3, hidden=(4,), seed=0), 0.1
+        common = dict(n_lags=3, horizon=2, alpha=alpha, cal_fraction=0.5, seed=7)
+        frame = frame_mimo(train_ts, 3, 2)
+        n_fit = frame.n_rows - int(frame.n_rows * 0.5)
+        sub = SupervisedFrame(frame.covariates[:n_fit], frame.targets[:n_fit])
+        models = tuple(
+            quantile_net.train(sub, tau, replace(cfg, seed=derive_seed(7, "mimocqr", side)))
+            for tau, side in ((alpha / 2.0, "lo"), (1.0 - alpha / 2.0, "hi")))
+        trained = run_mimocqr(train_ts, FeedbackStream(test), config=cfg, **common)
+        injected = run_mimocqr(train_ts, FeedbackStream(test), models=models, **common)
+        for a, b in zip(trained.bounds_flat(), injected.bounds_flat()):
             np.testing.assert_array_equal(a, b)
 
 
@@ -267,7 +302,7 @@ class TestOobPredict:
         # three rows; bag 1 saw rows {1, 2}, bag 2 saw rows {2, 3} (1-based).
         # Row 1 is out of bag only for member 2, row 3 only for member 1,
         # row 2 is in both bags and has no out-of-bag prediction.
-        frame = SupervisedFrame(np.zeros((3, 2)), np.zeros((3, 1)), 2, 1)
+        frame = SupervisedFrame(np.zeros((3, 2)), np.zeros((3, 1)))
         ens = BootstrapEnsemble(
             [make_constant_member([10.0]), make_constant_member([20.0])],
             [np.array([0, 1]), np.array([1, 2])],
@@ -279,7 +314,7 @@ class TestOobPredict:
         assert np.isnan(preds[1, 0])
 
     def test_mean_over_excluding_members(self):
-        frame = SupervisedFrame(np.zeros((2, 1)), np.zeros((2, 1)), 1, 1)
+        frame = SupervisedFrame(np.zeros((2, 1)), np.zeros((2, 1)))
         ens = BootstrapEnsemble(
             [make_constant_member([4.0]), make_constant_member([8.0])],
             [np.array([1]), np.array([1])],
@@ -289,7 +324,7 @@ class TestOobPredict:
         assert not kept[1]
 
     def test_all_rows_in_every_bag(self):
-        frame = SupervisedFrame(np.zeros((3, 1)), np.zeros((3, 1)), 1, 1)
+        frame = SupervisedFrame(np.zeros((3, 1)), np.zeros((3, 1)))
         ens = BootstrapEnsemble(
             [make_constant_member([1.0]), make_constant_member([2.0])],
             [np.arange(3), np.arange(3)],
@@ -298,7 +333,7 @@ class TestOobPredict:
             oob_predict(ens, frame)
 
     def test_index_out_of_range(self):
-        frame = SupervisedFrame(np.zeros((3, 1)), np.zeros((3, 1)), 1, 1)
+        frame = SupervisedFrame(np.zeros((3, 1)), np.zeros((3, 1)))
         ens = BootstrapEnsemble(
             [make_constant_member([1.0]), make_constant_member([2.0])],
             [np.array([0, 5]), np.array([1])],

@@ -18,7 +18,7 @@ from conformalts.quantile_net import (
 def small_frame(rng, n_rows=60, n_lags=3, horizon=2):
     X = rng.normal(size=(n_rows, n_lags))
     Y = rng.normal(size=(n_rows, horizon))
-    return SupervisedFrame(X, Y, n_lags, horizon)
+    return SupervisedFrame(X, Y)
 
 
 class TestPinballLoss:
@@ -191,7 +191,7 @@ class TestTraining:
     def test_constant_targets_learned(self, rng):
         X = rng.normal(size=(80, 2))
         Y = np.full((80, 1), 7.0)
-        frame = SupervisedFrame(X, Y, 2, 1)
+        frame = SupervisedFrame(X, Y)
         net = mse_train(frame, TrainConfig(epochs=1000, learning_rate=0.02, hidden=(8,), seed=0))
         preds = net.predict_batch(X)
         assert np.max(np.abs(preds - 7.0)) < 0.2
@@ -200,7 +200,7 @@ class TestTraining:
         # y = 2x is easy; the fit should soak up almost all target variance
         x = rng.uniform(-1.0, 1.0, size=(200, 1))
         y = 2.0 * x
-        frame = SupervisedFrame(x, y, 1, 1)
+        frame = SupervisedFrame(x, y)
         net = mse_train(frame, TrainConfig(epochs=1000, hidden=(16,), seed=0))
         resid = net.predict_batch(x) - y
         assert np.mean(resid**2) < 1e-2 * np.var(y)
@@ -209,7 +209,7 @@ class TestTraining:
         # tau=0.9 on pure U(0,1) noise: predictions should settle near 0.9
         X = rng.normal(size=(400, 2))
         Y = rng.uniform(0.0, 1.0, size=(400, 1))
-        frame = SupervisedFrame(X, Y, 2, 1)
+        frame = SupervisedFrame(X, Y)
         net = train(frame, 0.9, TrainConfig(epochs=1000, hidden=(8,), seed=0))
         assert 0.85 < float(np.mean(net.predict_batch(X))) < 0.95
 
@@ -222,7 +222,7 @@ class TestTraining:
     def test_absurd_learning_rate_diverges(self, rng):
         # one Adam step of size ~1e200 overflows the next forward pass
         x = rng.normal(size=(30, 1))
-        frame = SupervisedFrame(x, x.copy(), 1, 1)
+        frame = SupervisedFrame(x, x.copy())
         with pytest.raises(NonFiniteLoss):
             mse_train(frame, TrainConfig(epochs=50, learning_rate=1e200, hidden=(8,)))
 
