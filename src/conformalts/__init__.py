@@ -19,7 +19,6 @@ from .data import (
     split_train_test,
 )
 from .framing import (
-    HorizonIntervals,
     PredictionInterval,
     SupervisedFrame,
     TimeSeries,

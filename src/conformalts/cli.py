@@ -91,8 +91,8 @@ class ExperimentConfig:
             raise ConfigError("hidden must be positive widths like 64,64")
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ConfigError(f"lr must be a positive finite number, got {self.learning_rate}")
-        if not 0.0 < self.cal_fraction <= 1.0:
-            raise ConfigError("cal-fraction must be in (0, 1]")
+        if not 0.0 < self.cal_fraction < 1.0:
+            raise ConfigError("cal-fraction must be in (0, 1)")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
         if self.layout not in LAYOUTS:
@@ -263,10 +263,9 @@ def _series_job(payload: dict) -> dict:
     else:
         result = run_enbcqr(train_ts, stream, n_models=cfg.n_models, **common)
 
-    lower, upper = result.bounds_flat()
-    y = result.realized_flat()
-    horizons = result.horizons_flat()
-    origins = result.origins_flat()
+    lower, upper, y = result.lower.ravel(), result.upper.ravel(), result.y.ravel()
+    horizons = np.tile(np.arange(1, result.horizon + 1), result.n_blocks)
+    origins = np.repeat(result.origins, result.horizon)
     oracle = payload.get("oracle")
     reference = None if oracle is None else _oracle_reference(*oracle, origins, horizons)
     report = evaluate(lower, upper, y, horizons, reference)

@@ -185,7 +185,8 @@ def load_csv(path, layout: str) -> list[TimeSeries]:
 
     layout "wide": header row of series ids, one series per column, all the
     same length. layout "long": header (id, t, value); rows may arrive in
-    any order and are sorted by t within each id.
+    any order and are sorted by t within each id, whose time indices must
+    be consecutive.
     """
     if layout not in ("wide", "long"):
         raise ValueError('layout must be "wide" or "long"')
@@ -214,7 +215,7 @@ def load_csv(path, layout: str) -> list[TimeSeries]:
     names = [c.strip().lower() for c in header]
     if names != ["id", "t", "value"]:
         raise ParseError('long layout needs header "id,t,value"', row=header_line)
-    by_id: dict[str, list[tuple[int, float]]] = {}
+    by_id: dict[str, list[tuple[int, float, int]]] = {}  # id -> (t, value, line)
     first_line: dict[tuple[str, int], int] = {}  # (series, t) -> line
     for r, row in body:
         if len(row) != 3:
@@ -234,11 +235,14 @@ def load_csv(path, layout: str) -> list[TimeSeries]:
         if earlier != r:
             raise ParseError(
                 f"duplicate time index {t} for series {sid!r} repeats row {earlier}", row=r)
-        by_id.setdefault(sid, []).append((t, value))
+        by_id.setdefault(sid, []).append((t, value, r))
     out = []
-    for sid, pairs in by_id.items():
-        pairs.sort(key=lambda tv: tv[0])
-        out.append(TimeSeries(np.asarray([v for _, v in pairs]), id=sid))
+    for sid, entries in by_id.items():
+        entries.sort()  # by t, which is unique within a series
+        for (t_prev, _, _), (t, _, r) in zip(entries, entries[1:]):
+            if t != t_prev + 1:
+                raise MissingValue(f"series {sid!r} has no value at t {t_prev + 1}", row=r)
+        out.append(TimeSeries(np.asarray([v for _, v, _ in entries]), id=sid))
     return out
 
 

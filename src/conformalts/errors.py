@@ -73,7 +73,7 @@ class ParseError(ConformalTSError, ValueError):
 
 
 class MissingValue(ParseError):
-    """A required CSV cell is blank."""
+    """A required CSV cell is blank, or a long-layout time index is skipped."""
 
 
 class EmptyFile(ConformalTSError, ValueError):

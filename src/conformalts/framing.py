@@ -6,8 +6,8 @@ each window of ``n_lags`` consecutive values with the single next value; the
 multi-output framing pairs it with the next ``horizon`` values, so one model
 call yields a whole forecast path with no error feedback between steps.
 
-Intervals travel as ``lower``/``upper`` bound arrays, from a HorizonIntervals
-block to the metrics; ``check_bounds`` and ``covered`` hold the rules.
+Intervals travel as ``lower``/``upper`` bound arrays, from the walk to the
+metrics; ``check_bounds`` and ``covered`` hold the rules.
 """
 
 from __future__ import annotations
@@ -94,40 +94,6 @@ class PredictionInterval:
     @property
     def width(self) -> float:
         return self.upper - self.lower
-
-
-@dataclass(frozen=True, eq=False)
-class HorizonIntervals:
-    """The block of intervals emitted from one forecast origin, as two
-    read-only bound arrays of one length.
-
-    ``origin`` is the 1-based time index of the first forecast step, so the
-    interval for step h (1-based) refers to time ``origin + h - 1``.
-    """
-
-    origin: int
-    lower: np.ndarray
-    upper: np.ndarray
-
-    def __post_init__(self):
-        lower = np.array(self.lower, dtype=float).reshape(-1)
-        upper = np.array(self.upper, dtype=float).reshape(-1)
-        if lower.size != upper.size:
-            raise ValueError(f"{lower.size} lower vs {upper.size} upper bounds")
-        check_bounds(lower, upper)
-        lower.flags.writeable = upper.flags.writeable = False
-        object.__setattr__(self, "lower", lower)
-        object.__setattr__(self, "upper", upper)
-
-    def __len__(self) -> int:
-        return self.lower.size
-
-    def __iter__(self):
-        return map(PredictionInterval, self.lower.tolist(), self.upper.tolist())
-
-    def covers(self, y) -> np.ndarray:
-        """Closed-interval membership of each step's realized value."""
-        return covered(self.lower, self.upper, np.asarray(y, dtype=float))
 
 
 def _window_view(values: np.ndarray, width: int) -> np.ndarray:

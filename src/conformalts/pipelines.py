@@ -11,11 +11,11 @@ Every runner checks its inputs, fits (or takes) its models, each net by
 and hands the test segment to ``_walk``, the one block loop.
 A runner supplies two callbacks: ``emit(history)`` returns the next block's
 (lower band, upper band, correction) from the values seen so far, and
-``observe(block, y, history)`` updates the runner's state once the block's
-values ``y`` are revealed. ``_walk`` owns the rest: the history, the block
-origins, the block's CQR bound arrays (one ``cqr_interval`` call),
-``submit``/``reveal`` and ``per_origin``. Every score is the package's CQR
-score (``score_cqr``).
+``observe(lower, upper, y, history)`` updates the runner's state once the
+block's values ``y`` are revealed. ``_walk`` owns the rest: the history, the
+block's CQR bounds (one ``cqr_interval`` call) and their check,
+``submit``/``reveal``, and the run's ``(n_blocks, horizon)`` bound and value
+arrays. Every score is the package's CQR score (``score_cqr``).
 
 The recursive runners share one walk, ``_recursive_walk``: enbpi is enbcqr
 with the path as a zero-width band. That is exact: the CQR score of the
@@ -62,9 +62,10 @@ from .adaptive import (
 from .conformal import conformal_quantile, cqr_interval, score_cqr
 from .errors import AllRowsInBag, DimensionMismatch, SeriesTooShort
 from .framing import (
-    HorizonIntervals,
     SupervisedFrame,
     TimeSeries,
+    check_bounds,
+    covered,
     frame_mimo,
     frame_recursive,
     recursive_forecast,
@@ -104,11 +105,10 @@ class FeedbackStream:
     def n_revealed(self) -> int:
         return self._revealed
 
-    def submit(self, block: HorizonIntervals) -> None:
-        """Commit intervals for the next len(block) steps."""
-        k = len(block)
-        if k == 0:
-            raise ValueError("cannot submit an empty block")
+    def submit(self, k: int) -> None:
+        """Commit intervals for the next k steps."""
+        if k < 1:
+            raise ValueError("k must be >= 1")
         if self._submitted + k > self._values.size:
             raise ValueError("submitted intervals overrun the test segment")
         self.events.append(("submit", self._submitted, k))
@@ -260,43 +260,35 @@ def oob_predict(ensemble: BootstrapEnsemble, frame: SupervisedFrame):
 
 @dataclass
 class RunResult:
-    """Everything a backtest produced, block by block.
+    """Everything a backtest produced, one row per block.
 
-    ``per_origin`` pairs each emitted block of intervals with the realized
-    values for its steps. ``alpha_traces`` (adaptive method only) holds the
-    working miscoverage level per horizon step, recorded before the first
-    block and after each one, shape (horizon, n_blocks + 1).
-    ``window_size_traces`` records score-window sizes on the same schedule,
-    one column per window; the widths are fixed, so each column is constant.
+    ``lower``, ``upper`` and ``y`` are read-only (n_blocks, horizon) arrays:
+    row b holds the bounds block b emitted and the values revealed for them.
+    ``origins[b]`` is the 1-based time index of block b's first step, so
+    step h (1-based) targets time ``origins[b] + h - 1``. ``alpha_traces``
+    (adaptive method only) holds the working miscoverage level per horizon
+    step, recorded before the first block and after each one, shape
+    (horizon, n_blocks + 1). ``window_size_traces`` records score-window
+    sizes on the same schedule, one column per window; the widths are fixed,
+    so each column is constant.
     """
 
     method: str
-    horizon: int
-    per_origin: list[tuple[HorizonIntervals, np.ndarray]]
+    origins: np.ndarray
+    lower: np.ndarray
+    upper: np.ndarray
+    y: np.ndarray
     alpha_traces: np.ndarray | None = None
     window_size_traces: np.ndarray | None = None
     skipped_oob_rows: int = 0
 
     @property
     def n_blocks(self) -> int:
-        return len(self.per_origin)
+        return self.lower.shape[0]
 
-    def bounds_flat(self) -> tuple[np.ndarray, np.ndarray]:
-        if not self.per_origin:
-            return np.empty(0), np.empty(0)
-        return (np.concatenate([block.lower for block, _ in self.per_origin]),
-                np.concatenate([block.upper for block, _ in self.per_origin]))
-
-    def realized_flat(self) -> np.ndarray:
-        if not self.per_origin:
-            return np.empty(0)
-        return np.concatenate([y for _, y in self.per_origin])
-
-    def horizons_flat(self) -> np.ndarray:
-        return np.tile(np.arange(1, self.horizon + 1), self.n_blocks)
-
-    def origins_flat(self) -> np.ndarray:
-        return np.repeat([block.origin for block, _ in self.per_origin], self.horizon)
+    @property
+    def horizon(self) -> int:
+        return self.lower.shape[1]
 
 
 def _check_run(stream: FeedbackStream, horizon: int, alpha: float) -> None:
@@ -313,18 +305,22 @@ def _check_run(stream: FeedbackStream, horizon: int, alpha: float) -> None:
 
 def _walk(train_series: TimeSeries, stream: FeedbackStream, horizon: int, emit, observe):
     """The block loop of every runner (see the module docstring); returns
-    ``per_origin``. ``emit`` may give one correction or one per step."""
+    the read-only ``origins, lower, upper, y`` of a RunResult. ``emit`` may
+    give one correction or one per step."""
     history = list(train_series.values)
-    per_origin: list[tuple[HorizonIntervals, np.ndarray]] = []
-    for b in range(len(stream) // horizon):
-        lo, hi, qhat = emit(history)
-        block = HorizonIntervals(len(train_series) + b * horizon + 1, *cqr_interval(lo, hi, qhat))
-        stream.submit(block)
-        y = stream.reveal(horizon)
-        per_origin.append((block, y))
-        history.extend(y)
-        observe(block, y, history)
-    return per_origin
+    n_blocks = len(stream) // horizon
+    lower, upper, y = (np.empty((n_blocks, horizon)) for _ in range(3))
+    for b in range(n_blocks):
+        lower[b], upper[b] = cqr_interval(*emit(history))
+        check_bounds(lower[b], upper[b])
+        stream.submit(horizon)
+        y[b] = stream.reveal(horizon)
+        history.extend(y[b])
+        observe(lower[b], upper[b], y[b], history)
+    origins = len(train_series) + 1 + horizon * np.arange(n_blocks)
+    for a in (origins, lower, upper, y):
+        a.flags.writeable = False
+    return origins, lower, upper, y
 
 
 def _ordered_bounds(lo, hi):
@@ -430,22 +426,21 @@ def run_aenbmimocqr(
     def emit(history):
         return lo_band[-1], hi_band[-1], qhat
 
-    def observe(block, y, history):
+    def observe(lower, upper, y, history):
         nonlocal lo_band, hi_band, qhat
         new_lo, new_hi = _trailing_bands(lo_ens, hi_ens, history, n_lags, horizon)
         lo_t = np.vstack([lo_band, new_lo])[score_rows, steps[:, None]]
         hi_t = np.vstack([hi_band, new_hi])[score_rows, steps[:, None]]
         windows.push(score_cqr(lo_t, hi_t, y))  # (step, target)
-        for h, covered in enumerate(block.covers(y), start=1):
-            aci_update(state, h, bool(covered))
+        for h, hit in enumerate(covered(lower, upper, y), start=1):
+            aci_update(state, h, bool(hit))
         qhat = conformal_quantile(windows.values(), state.alphas)
         lo_band, hi_band = new_lo, new_hi
         alpha_rows.append(state.alphas.copy())
 
     return RunResult(
-        method="aenbmimocqr",
-        horizon=horizon,
-        per_origin=_walk(train_series, stream, horizon, emit, observe),
+        "aenbmimocqr",
+        *_walk(train_series, stream, horizon, emit, observe),
         alpha_traces=np.asarray(alpha_rows).T,
         window_size_traces=np.full(
             (len(stream) // horizon + 1, horizon), windows.values().shape[1]),
@@ -502,8 +497,8 @@ def run_mimocqr(
         lo, hi = _ordered_bounds(_member_predict(f_lo, x), _member_predict(f_hi, x))
         return lo, hi, qhat
 
-    per_origin = _walk(train_series, stream, horizon, emit, lambda block, y, history: None)
-    return RunResult(method="mimocqr", horizon=horizon, per_origin=per_origin)
+    return RunResult("mimocqr", *_walk(train_series, stream, horizon, emit,
+                                       lambda lower, upper, y, history: None))
 
 
 def run_enbpi(
@@ -598,15 +593,14 @@ def _recursive_walk(method, train_series, stream, frame, horizon, alpha, med_ens
                 *(ens.predict_mean_rows(windows)[:, 0] for ens in band))
         return lo_steps, hi_steps, qhat
 
-    def observe(block, y, history):
+    def observe(lower, upper, y, history):
         nonlocal qhat
         window.push(score_cqr(lo_steps, hi_steps, y))
         qhat = conformal_quantile(window.values()[0], alpha)
 
     return RunResult(
-        method=method,
-        horizon=horizon,
-        per_origin=_walk(train_series, stream, horizon, emit, observe),
+        method,
+        *_walk(train_series, stream, horizon, emit, observe),
         window_size_traces=np.full((len(stream) // horizon + 1, 1), window.values().shape[1]),
         skipped_oob_rows=skipped,
     )

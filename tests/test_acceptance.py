@@ -24,7 +24,7 @@ from conformalts.adaptive import AciState, aci_update
 from conformalts.cli import ExperimentConfig, cmd_run
 from conformalts.conformal import conformal_quantile, score_absolute
 from conformalts.data import SyntheticConfig, gen_synthetic, split_train_test
-from conformalts.framing import TimeSeries
+from conformalts.framing import TimeSeries, covered
 from conformalts.metrics import evaluate, miou, picp, pinaw
 from conformalts.pipelines import (
     BootstrapEnsemble,
@@ -199,11 +199,11 @@ def _compare_blocks(result, blocks, structural, method, case):
         structural.append(
             f"{method} case {case}: {result.n_blocks} blocks vs {len(blocks)}")
         return worst
-    for (emitted, _), expected in zip(result.per_origin, blocks):
-        if emitted.origin != expected["origin"]:
+    for origin, lower, upper, expected in zip(result.origins, result.lower, result.upper, blocks):
+        if origin != expected["origin"]:
             structural.append(
-                f"{method} case {case}: origin {emitted.origin} vs {expected['origin']}")
-        for got_lo, got_hi, (lo, hi) in zip(emitted.lower, emitted.upper, expected["intervals"]):
+                f"{method} case {case}: origin {origin} vs {expected['origin']}")
+        for got_lo, got_hi, (lo, hi) in zip(lower, upper, expected["intervals"]):
             worst = max(worst, abs(got_lo - lo), abs(got_hi - hi))
     return worst
 
@@ -348,10 +348,11 @@ def _benchmark(seed: int, method: str) -> tuple[float, float]:
             result = run_mimocqr(train, stream, cal_fraction=0.5, **common)
         else:
             result = run_enbpi(train, stream, n_models=10, **common)
-        positions = result.origins_flat() + result.horizons_flat() - 2
+        horizons = np.tile(np.arange(1, result.horizon + 1), result.n_blocks)
+        positions = np.repeat(result.origins, result.horizon) + horizons - 2
         reference = (oracle.lower[positions], oracle.upper[positions])
-        report = evaluate(*result.bounds_flat(), result.realized_flat(),
-                          result.horizons_flat(), reference)
+        report = evaluate(result.lower.ravel(), result.upper.ravel(), result.y.ravel(),
+                          horizons, reference)
         _BENCH[key] = (report.picp, report.miou)
     return _BENCH[key]
 
@@ -501,8 +502,7 @@ def test_criterion_10_window_and_cadence_invariants():
                                BootstrapEnsemble(make_affine_members(2, p, 1, seed=base + 2, scale=0.4), sets)))
             expected_size = rows - result.skipped_oob_rows
 
-        lower, upper = result.bounds_flat()
-        if np.any(lower > upper):
+        if np.any(result.lower > result.upper):
             problems.append(f"trial {trial}: {method} emitted an inverted interval")
 
         expected_events = []
@@ -550,7 +550,7 @@ def long_walks():
 
 
 def _coverage_by_third(result) -> np.ndarray:
-    hits = np.array([block.covers(y) for block, y in result.per_origin])
+    hits = covered(result.lower, result.upper, result.y)
     return hits.reshape(3, -1).mean(axis=1)
 
 

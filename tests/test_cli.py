@@ -51,6 +51,7 @@ class TestExperimentConfig:
             dict(n_models=1),
             dict(n_test=7),          # not a multiple of horizon=2
             dict(cal_fraction=0.0),
+            dict(cal_fraction=1.0),  # mimocqr would have no training rows
             dict(workers=0),
             dict(synthetic=False),   # no data source at all
             dict(data="x.csv"),      # two data sources
@@ -320,9 +321,11 @@ class TestIntervalsCsvAndEval:
         assert captured.out == ""
         assert message in captured.err
 
-    def test_intervals_csv_round_trips_floats(self, tmp_path):
+    @pytest.mark.parametrize("method", ["aenbmimocqr", "mimocqr", "enbpi", "enbcqr"])
+    def test_intervals_csv_round_trips_floats(self, tmp_path, method):
+        cfg = fast_config(method=method)
         out = str(tmp_path / "run")
-        cmd_run(fast_config(), out)
+        cmd_run(cfg, out)
         import csv as csv_mod
 
         with open(os.path.join(out, "intervals.csv"), newline="") as fh:
@@ -330,8 +333,13 @@ class TestIntervalsCsvAndEval:
         assert rows[0] == ["series", "origin", "h", "lower", "upper", "y", "covered"]
         body = rows[1:]
         assert len(body) == 10  # n_test intervals
-        for row in body:
+        series, _ = gen_synthetic(SyntheticConfig(seed=cfg.seed, length=cfg.length))
+        n_train = cfg.length - cfg.n_test
+        for i, row in enumerate(body):
+            b, h = divmod(i, cfg.horizon)
+            assert (int(row[1]), int(row[2])) == (n_train + 1 + b * cfg.horizon, h + 1)
             lower, upper, y = float(row[3]), float(row[4]), float(row[5])
+            assert y == series.values[n_train + i]
             assert lower <= upper
             assert row[6] in ("0", "1")
             assert (int(row[6]) == 1) == (lower <= y <= upper)

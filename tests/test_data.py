@@ -236,6 +236,14 @@ class TestCsv:
             load_csv(path, "long")
         assert excinfo.value.row == 3
 
+    def test_long_time_gap_rejected(self, tmp_path):
+        # the wide layout cannot skip a value silently, and neither can this
+        path = tmp_path / "gap.csv"
+        path.write_text("id,t,value\na,1,10.0\nb,1,1.0\na,2,20.0\na,5,50.0\n")
+        with pytest.raises(MissingValue, match="series 'a' has no value at t 3") as excinfo:
+            load_csv(path, "long")
+        assert excinfo.value.row == 5
+
     def test_long_bad_header(self, tmp_path):
         path = tmp_path / "hdr.csv"
         path.write_text("series,time,y\na,1,10.0\n")

@@ -5,9 +5,10 @@ from hypothesis import strategies as st
 
 from conformalts.errors import InvalidInterval, SeriesTooShort
 from conformalts.framing import (
-    HorizonIntervals,
     PredictionInterval,
     TimeSeries,
+    check_bounds,
+    covered,
     frame_mimo,
     frame_recursive,
     recursive_forecast,
@@ -66,36 +67,19 @@ class TestPredictionInterval:
         assert PredictionInterval(5.0, 5.0).width == 0.0
 
 
-class TestHorizonIntervals:
-    def test_len_and_iter(self):
-        ivs = [PredictionInterval(0.0, 1.0), PredictionInterval(1.0, 2.0)]
-        block = HorizonIntervals(origin=11, lower=[0.0, 1.0], upper=[1.0, 2.0])
-        assert len(block) == 2
-        assert list(block) == ivs
-        assert block.origin == 11
-
-    def test_covers_is_closed_elementwise(self):
-        block = HorizonIntervals(1, [1.0, 1.0, 1.0, 1.0], [2.0, 2.0, 2.0, 2.0])
-        np.testing.assert_array_equal(
-            block.covers([1.0, 2.0, 0.999, 2.001]), [True, True, False, False]
-        )
-
+class TestCheckBounds:
     @pytest.mark.parametrize("pair", [(2.0, 1.0), (np.nan, 1.0), (0.0, -np.inf)])
     def test_rejects_a_bad_pair(self, pair):
         with pytest.raises(InvalidInterval):
-            HorizonIntervals(1, [0.0, pair[0]], [1.0, pair[1]])
+            check_bounds([0.0, pair[0]], [1.0, pair[1]])
 
-    def test_rejects_unequal_lengths(self):
-        with pytest.raises(ValueError):
-            HorizonIntervals(1, [0.0, 1.0], [1.0])
 
-    def test_bounds_are_read_only_copies(self):
-        lower = np.array([0.0, 1.0])
-        block = HorizonIntervals(1, lower, [1.0, 2.0])
-        lower[0] = 5.0
-        assert block.lower[0] == 0.0
-        with pytest.raises(ValueError):
-            block.upper[0] = 9.0
+class TestCovered:
+    def test_covers_is_closed_elementwise(self):
+        np.testing.assert_array_equal(
+            covered(np.ones(4), np.full(4, 2.0), np.array([1.0, 2.0, 0.999, 2.001])),
+            [True, True, False, False],
+        )
 
 
 class TestFrameRecursive:

@@ -9,11 +9,11 @@ import oracles
 from conformalts import pipelines, quantile_net
 from conformalts.adaptive import AciState, aci_update, init_gamma
 from conformalts.data import SyntheticConfig, gen_synthetic, split_train_test
-from conformalts.errors import AllRowsInBag, DimensionMismatch
+from conformalts.errors import AllRowsInBag, DimensionMismatch, InvalidInterval
 from conformalts.framing import (
-    HorizonIntervals,
     SupervisedFrame,
     TimeSeries,
+    covered,
     frame_mimo,
     frame_recursive,
 )
@@ -37,8 +37,14 @@ from support import (
 )
 
 
-def block_of(width, lo=0.0, hi=1.0, origin=1):
-    return HorizonIntervals(origin, np.full(width, lo), np.full(width, hi))
+def assert_blocks_match(result, expected):
+    """A run's blocks against a re-simulation's, origin by origin."""
+    assert result.n_blocks == len(expected)
+    for origin, lower, upper, ref in zip(result.origins, result.lower, result.upper, expected):
+        assert origin == ref["origin"]
+        lo_ref, hi_ref = np.transpose(ref["intervals"])
+        assert lower == pytest.approx(lo_ref, abs=1e-10)
+        assert upper == pytest.approx(hi_ref, abs=1e-10)
 
 
 class TestFeedbackStream:
@@ -49,29 +55,29 @@ class TestFeedbackStream:
 
     def test_reveal_beyond_submitted_rejected(self):
         stream = FeedbackStream([1.0, 2.0, 3.0, 4.0])
-        stream.submit(block_of(2))
+        stream.submit(2)
         with pytest.raises(ValueError):
             stream.reveal(3)
 
     def test_submit_overrun_rejected(self):
         stream = FeedbackStream([1.0, 2.0])
         with pytest.raises(ValueError):
-            stream.submit(block_of(3))
+            stream.submit(3)
 
     def test_reveal_returns_committed_steps(self):
         stream = FeedbackStream([10.0, 20.0, 30.0, 40.0])
-        stream.submit(block_of(2))
+        stream.submit(2)
         np.testing.assert_array_equal(stream.reveal(2), [10.0, 20.0])
-        stream.submit(block_of(2, origin=3))
+        stream.submit(2)
         np.testing.assert_array_equal(stream.reveal(2), [30.0, 40.0])
         assert stream.n_submitted == 4
         assert stream.n_revealed == 4
 
     def test_events_are_logged_in_order(self):
         stream = FeedbackStream([1.0, 2.0, 3.0, 4.0])
-        stream.submit(block_of(2))
+        stream.submit(2)
         stream.reveal(2)
-        stream.submit(block_of(2, origin=3))
+        stream.submit(2)
         stream.reveal(2)
         assert stream.events == [
             ("submit", 0, 2),
@@ -98,8 +104,8 @@ class TestFeedbackStream:
             before = (stream.n_submitted, stream.n_revealed)
             try:
                 if kind == "submit":
-                    stream.submit(block_of(max(k, 0)))
-                    accepted.append((kind, before[0], max(k, 0)))
+                    stream.submit(k)
+                    accepted.append((kind, before[0], k))
                 else:
                     out = stream.reveal(k)
                     np.testing.assert_array_equal(out, values[before[1]: before[1] + k])
@@ -114,6 +120,18 @@ class TestFeedbackStream:
             FeedbackStream([])
         with pytest.raises(ValueError):
             FeedbackStream([1.0, np.nan])
+
+
+class TestRunResult:
+    def test_arrays_are_read_only(self, rng):
+        members = make_affine_members(2, 2, 1, 5)
+        result = run_mimocqr(
+            TimeSeries(rng.uniform(size=20)), FeedbackStream(rng.uniform(size=2)),
+            n_lags=2, horizon=1, alpha=0.1, models=(members[0], members[1]),
+        )
+        for values in (result.origins, result.lower, result.upper, result.y):
+            with pytest.raises(ValueError):
+                values[0] = 9
 
 
 class TestBootstrapEnsemble:
@@ -234,7 +252,7 @@ class TestStackedMembers:
                              window_size=20, **common)),
         ]
         for stacked, generic in pairs:
-            for a, b in zip(stacked.bounds_flat(), generic.bounds_flat()):
+            for a, b in ((stacked.lower, generic.lower), (stacked.upper, generic.upper)):
                 assert a.size == 10 and np.array_equal(a, b)
         assert point._layers and all(ens._layers for ens in bands + mimo_bands)
         assert not any(batch_loop(ens)._layers for ens in mimo_bands)
@@ -293,8 +311,8 @@ class TestFitEnsemble:
             for tau, side in ((alpha / 2.0, "lo"), (1.0 - alpha / 2.0, "hi")))
         trained = run_mimocqr(train_ts, FeedbackStream(test), config=cfg, **common)
         injected = run_mimocqr(train_ts, FeedbackStream(test), models=models, **common)
-        for a, b in zip(trained.bounds_flat(), injected.bounds_flat()):
-            np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(trained.lower, injected.lower)
+        np.testing.assert_array_equal(trained.upper, injected.upper)
 
 
 class TestOobPredict:
@@ -366,12 +384,7 @@ class TestAdaptiveRunner:
             train, test, p, H, 0.2,
             lo.members, hi.members, index_sets, T=50,
         )
-        assert result.n_blocks == len(expected)
-        for (block, _), ref in zip(result.per_origin, expected):
-            assert block.origin == ref["origin"]
-            for iv, (lo_ref, hi_ref) in zip(block, ref["intervals"]):
-                assert iv.lower == pytest.approx(lo_ref, abs=1e-10)
-                assert iv.upper == pytest.approx(hi_ref, abs=1e-10)
+        assert_blocks_match(result, expected)
         for k, ref in enumerate(expected):
             np.testing.assert_allclose(result.alpha_traces[:, k + 1], ref["alphas"], atol=1e-12)
 
@@ -402,9 +415,8 @@ class TestAdaptiveRunner:
                            BootstrapEnsemble([hi_member] * 2, sets)),
                 gamma_override=0.0,
             )
-            second = result.per_origin[1][0]
-            for h, iv in enumerate(second, start=1):
-                assert (iv.lower, iv.upper) == (
+            for h in (1, 2):
+                assert (result.lower[1, h - 1], result.upper[1, h - 1]) == (
                     4.0 - expected[h][k], 6.0 + expected[h][k])
 
     def test_exchangeable_coverage(self):
@@ -417,7 +429,7 @@ class TestAdaptiveRunner:
         sets = [np.array([], dtype=int), np.arange(n_rows)]
         lo = make_constant_member([-0.5] * H)
         hi = make_constant_member([0.5] * H)
-        covered = 0
+        n_covered = 0
         for seed in seeds:
             values = np.random.default_rng(seed).normal(size=n_train + n_blocks * H)
             result = run_aenbmimocqr(
@@ -426,10 +438,10 @@ class TestAdaptiveRunner:
                 ensembles=(BootstrapEnsemble([lo, lo], sets),
                            BootstrapEnsemble([hi, hi], sets)),
             )
-            covered += sum(int(block.covers(y).sum()) for block, y in result.per_origin)
+            n_covered += int(covered(result.lower, result.upper, result.y).sum())
         n = len(seeds) * n_blocks * H
         slack = 3.0 * np.sqrt(alpha * (1.0 - alpha) / n)
-        assert covered / n >= 1.0 - alpha - slack
+        assert n_covered / n >= 1.0 - alpha - slack
 
     def test_gamma_from_pre_thinning_score_count(self, rng):
         # the adaptation rate comes from the larger of the window capacity
@@ -532,12 +544,8 @@ class TestAdaptiveRunner:
             n_lags=p, horizon=H, alpha=0.1, cal_fraction=1.0,
             models=(members[0], members[1]),
         )
-        for (ab, ay), (fb, fy) in zip(adaptive.per_origin, frozen.per_origin):
-            assert ab.origin == fb.origin
-            for ia, if_ in zip(ab, fb):
-                assert ia.lower == if_.lower
-                assert ia.upper == if_.upper
-            np.testing.assert_array_equal(ay, fy)
+        for name in ("origins", "lower", "upper", "y"):
+            np.testing.assert_array_equal(getattr(adaptive, name), getattr(frozen, name))
 
     def test_mismatched_index_sets_rejected(self, rng):
         p, H = 2, 2
@@ -581,7 +589,7 @@ class TestAdaptiveRunner:
         train = TimeSeries(rng.uniform(size=14))
         lo, hi, _ = affine_ensembles(2, 2, 11, 1, rng)
         stream = FeedbackStream(rng.uniform(size=4))
-        stream.submit(block_of(2))
+        stream.submit(2)
         with pytest.raises(ValueError):
             run_aenbmimocqr(
                 train, stream, n_lags=2, horizon=2, alpha=0.1, ensembles=(lo, hi)
@@ -596,16 +604,11 @@ class TestAdaptiveRunner:
             TimeSeries(train), FeedbackStream(test),
             n_lags=p, horizon=H, alpha=0.1, window_size=100, ensembles=(lo, hi),
         )
-        assert result.n_blocks == 2
-        np.testing.assert_array_equal(result.horizons_flat(), [1, 2, 3, 1, 2, 3])
-        np.testing.assert_array_equal(result.origins_flat(), [21, 21, 21, 24, 24, 24])
-        np.testing.assert_array_equal(result.realized_flat(), test)
-        lower, upper = result.bounds_flat()
-        assert lower.size == upper.size == 6
-        np.testing.assert_array_equal(
-            lower, np.concatenate([block.lower for block, _ in result.per_origin]))
-        np.testing.assert_array_equal(
-            upper, np.concatenate([block.upper for block, _ in result.per_origin]))
+        assert (result.n_blocks, result.horizon) == (2, 3)
+        assert result.lower.shape == result.upper.shape == (2, 3)
+        np.testing.assert_array_equal(result.origins, [21, 24])
+        # row-major flattening walks the test segment in time order
+        np.testing.assert_array_equal(result.y.ravel(), test)
 
 
 class TestSplitRunner:
@@ -622,11 +625,7 @@ class TestSplitRunner:
         expected = oracles.sim_mimocqr(
             train, test, p, H, 0.2, members[0], members[1], cal_fraction=0.4
         )
-        for (block, _), ref in zip(result.per_origin, expected):
-            assert block.origin == ref["origin"]
-            for iv, (lo_ref, hi_ref) in zip(block, ref["intervals"]):
-                assert iv.lower == pytest.approx(lo_ref, abs=1e-10)
-                assert iv.upper == pytest.approx(hi_ref, abs=1e-10)
+        assert_blocks_match(result, expected)
 
     def test_perfect_models_give_point_intervals(self):
         # models that output the true continuation produce zero scores, a
@@ -641,9 +640,8 @@ class TestSplitRunner:
             n_lags=3, horizon=2, alpha=0.1, cal_fraction=0.5,
             models=(truth, truth),
         )
-        for block, y in result.per_origin:
-            for iv, v in zip(block, y):
-                assert iv.lower == iv.upper == v
+        np.testing.assert_array_equal(result.lower, result.y)
+        np.testing.assert_array_equal(result.upper, result.y)
 
     def test_constant_offset_band_shrinks_back(self):
         # lower/upper sit exactly 1 below/above the truth on a constant
@@ -657,8 +655,7 @@ class TestSplitRunner:
             n_lags=2, horizon=1, alpha=0.1, cal_fraction=0.5,
             models=(lo, hi),
         )
-        for block, y in result.per_origin:
-            assert block.lower[0] == block.upper[0] == 5.0
+        assert np.all(result.lower == 5.0) and np.all(result.upper == 5.0)
 
     def test_split_coverage_on_exchangeable_scores(self):
         # i.i.d. N(0, 1) values and a band that ignores the lag window make
@@ -683,13 +680,28 @@ class TestSplitRunner:
                 n_lags=p, horizon=H, alpha=alpha, cal_fraction=cal_fraction,
                 models=(lo, hi),
             )
-            lower, upper = result.bounds_flat()
-            y = result.realized_flat()
-            coverage.append(np.mean((lower <= y) & (y <= upper)))
+            coverage.append(np.mean(covered(result.lower, result.upper, result.y)))
         slack = 3.0 * np.sqrt(alpha * (1.0 - alpha) * (1.0 / n_cal + 1.0 / n_test) / len(seeds))
         mean = float(np.mean(coverage))
         assert mean >= 1.0 - alpha - slack
         assert mean <= 1.0 - alpha + 1.0 / (n_cal + 1) + slack
+
+    def test_non_finite_bound_rejected_before_submit(self):
+        # the nets are finite on the training rows (all below 10) but return
+        # NaN once 11 enters the lag window, at block 3's origin: the walk
+        # raises there without submitting the block
+        def member(offset):
+            def f(x):
+                return np.full(2, np.nan if np.max(x) >= 10 else x[-1] + offset)
+            return f
+
+        stream = FeedbackStream([6.0, 7.0, 11.0, 12.0, 13.0, 14.0])
+        with pytest.raises(InvalidInterval):
+            run_mimocqr(
+                TimeSeries(np.linspace(1.0, 5.0, 20)), stream,
+                n_lags=3, horizon=2, alpha=0.1, models=(member(-1.0), member(1.0)),
+            )
+        assert stream.events[-1] == ("reveal", 2, 2)
 
     def test_cal_fraction_bounds(self, rng):
         train = TimeSeries(rng.uniform(size=20))
@@ -727,11 +739,7 @@ class TestEnbpiRunner:
             ensemble=BootstrapEnsemble(members, index_sets),
         )
         expected = oracles.sim_enbpi(train, test, p, H, 0.2, members, index_sets)
-        for (block, _), ref in zip(result.per_origin, expected):
-            assert block.origin == ref["origin"]
-            for iv, (lo_ref, hi_ref) in zip(block, ref["intervals"]):
-                assert iv.lower == pytest.approx(lo_ref, abs=1e-10)
-                assert iv.upper == pytest.approx(hi_ref, abs=1e-10)
+        assert_blocks_match(result, expected)
 
     def test_echo_members_on_constant_series(self):
         # an echo forecaster is exact on a constant series, so residuals and
@@ -747,10 +755,8 @@ class TestEnbpiRunner:
             n_lags=2, horizon=3, alpha=0.1,
             ensemble=BootstrapEnsemble([echo, echo], sets),
         )
-        for block, y in result.per_origin:
-            for iv, v in zip(block, y):
-                assert iv.lower == iv.upper == 3.0
-        assert all(block.covers(3.0).all() for block, _ in result.per_origin)
+        assert np.all(result.lower == 3.0) and np.all(result.upper == 3.0)
+        assert covered(result.lower, result.upper, 3.0).all()
 
     def test_intervals_symmetric_around_points(self, rng):
         p, H = 2, 2
@@ -762,10 +768,9 @@ class TestEnbpiRunner:
             n_lags=p, horizon=H, alpha=0.2,
             ensemble=BootstrapEnsemble(members, random_index_sets(2, 18, rng)),
         )
-        lower, upper = result.bounds_flat()
-        widths = upper - lower
+        widths = result.upper - result.lower
         # one shared correction per block: all widths in a block equal
-        assert widths[0] == pytest.approx(widths[1], rel=1e-12)
+        assert widths[0, 0] == pytest.approx(widths[0, 1], rel=1e-12)
 
     def test_bounds_equal_enbcqr_with_its_ensemble_as_the_band(self, monkeypatch, rng):
         # enbpi skips the band prediction; enbcqr with one ensemble in all
@@ -789,7 +794,7 @@ class TestEnbpiRunner:
             assert oob_calls == [e]
             enbcqr = run_enbcqr(train, FeedbackStream(test), ensembles=(e, e, e), **common)
             oob_calls.clear()
-            for a, b in zip(enbpi.bounds_flat(), enbcqr.bounds_flat()):
+            for a, b in ((enbpi.lower, enbcqr.lower), (enbpi.upper, enbcqr.upper)):
                 assert a.size == 10 and np.array_equal(a, b)
 
 
@@ -815,11 +820,7 @@ class TestEnbcqrRunner:
         expected = oracles.sim_enbcqr(
             train, test, p, H, 0.2, lo_m, med_m, hi_m, index_sets
         )
-        for (block, _), ref in zip(result.per_origin, expected):
-            assert block.origin == ref["origin"]
-            for iv, (lo_ref, hi_ref) in zip(block, ref["intervals"]):
-                assert iv.lower == pytest.approx(lo_ref, abs=1e-10)
-                assert iv.upper == pytest.approx(hi_ref, abs=1e-10)
+        assert_blocks_match(result, expected)
 
     def test_identical_quantile_heads_collapse_to_points(self):
         values = np.full(20, 4.0)
@@ -834,9 +835,7 @@ class TestEnbcqrRunner:
             n_lags=2, horizon=2, alpha=0.1,
             ensembles=(ens, ens, ens),
         )
-        for block, y in result.per_origin:
-            for iv in block:
-                assert iv.lower == iv.upper == 4.0
+        assert np.all(result.lower == 4.0) and np.all(result.upper == 4.0)
 
     def test_requires_shared_index_sets(self, rng):
         p = 2
@@ -887,10 +886,8 @@ class TestTrainedRunners:
             for _ in range(2)
         ]
         a, b = results
-        for (ba, _), (bb, _) in zip(a.per_origin, b.per_origin):
-            for ia, ib in zip(ba, bb):
-                assert ia.lower == ib.lower
-                assert ia.upper == ib.upper
+        np.testing.assert_array_equal(a.lower, b.lower)
+        np.testing.assert_array_equal(a.upper, b.upper)
         np.testing.assert_array_equal(a.alpha_traces, b.alpha_traces)
 
     def test_all_methods_produce_valid_blocks(self, rng):
@@ -905,11 +902,8 @@ class TestTrainedRunners:
         ]
         for result in runs:
             assert result.n_blocks == 3
-            for block, y in result.per_origin:
-                assert len(block) == 2
-                assert y.shape == (2,)
-                for iv in block:
-                    assert iv.lower <= iv.upper
+            assert result.lower.shape == result.upper.shape == result.y.shape == (3, 2)
+            assert np.all(result.lower <= result.upper)
 
     @pytest.mark.parametrize("seed", [1, 2])
     def test_alpha_traces_replay_aci_update_and_stay_off_the_clamp(self, seed):
@@ -926,8 +920,8 @@ class TestTrainedRunners:
         n_scored = frame_mimo(train, p, H).n_rows - result.skipped_oob_rows
         state = AciState.fresh(alpha, init_gamma(T, n_scored), H)
         rows = [state.alphas.copy()]
-        for block, y in result.per_origin:
-            for h, hit in enumerate(block.covers(y), start=1):
+        for lower, upper, y in zip(result.lower, result.upper, result.y):
+            for h, hit in enumerate(covered(lower, upper, y), start=1):
                 aci_update(state, h, bool(hit))
             rows.append(state.alphas.copy())
         assert np.array_equal(np.asarray(rows).T, result.alpha_traces)
