@@ -441,6 +441,11 @@ def cmd_eval(intervals_path, oracle_path=None, out_path=None) -> dict:
                 f"sidecar {oracle_path} has no {' or '.join(map(repr, missing))} "
                 "array of reference bounds"
             )
+        if len(oracle["lower"]) != len(oracle["upper"]):
+            raise ConfigError(
+                f"sidecar {oracle_path} has {len(oracle['lower'])} lower but "
+                f"{len(oracle['upper'])} upper reference bounds"
+            )
         if keyed and oracle.get("id") not in grouped:
             raise ConfigError(
                 f"sidecar {oracle_path} is for series {oracle.get('id')!r}, but "

@@ -26,12 +26,14 @@ The sliding runners keep their scores in one fixed-width
 ``SlidingScoreWindow`` (one row, or one per step for aenbmimocqr): a block
 pushes one batch and the corrections are one row-wise quantile call.
 
-An ensemble of QuantileNets of one shape stacks their layers once, when it
-is built (``quantile_net.stack_layers``), and answers single windows and
-batches in the walk with one ``quantile_net.forward`` pass over the stack,
-bit for bit equal to the per-member loop under the inference exactness rule
-of the ``quantile_net`` docstring. Out-of-bag scoring calls each member: a
-stacked pass over the training frame would hold B frames of activations.
+Every model is a QuantileNet, injected ones included. An ensemble's
+members share one shape: it stacks their layers once, when it is built
+(``quantile_net.stack_layers``), and answers single windows and batches in
+the walk with one ``quantile_net.forward`` pass over the stack, bit for bit
+equal to the per-member loop under the inference exactness rule of the
+``quantile_net`` docstring. Out-of-bag scoring calls each member's
+``predict_batch``: a stacked pass over the training frame would hold B
+frames of activations.
 
 Methods
 -------
@@ -129,30 +131,15 @@ class FeedbackStream:
         return out
 
 
-def _member_predict(member, x: np.ndarray) -> np.ndarray:
-    f = getattr(member, "predict", member)
-    return np.asarray(f(x), dtype=float).reshape(-1)
-
-
-def _member_predict_batch(member, X: np.ndarray) -> np.ndarray:
-    pb = getattr(member, "predict_batch", None)
-    if pb is not None:
-        return np.asarray(pb(X), dtype=float)
-    return np.stack([_member_predict(member, x) for x in X])
-
-
 @dataclass
 class BootstrapEnsemble:
     """Bagged forecasters plus the bootstrap row multiset each one saw.
 
-    ``members`` map a lag window (n_lags,) to a (horizon,) prediction; any
-    callable or object with ``predict`` works, which is how tests inject
-    deterministic stand-ins for trained networks.
-
-    QuantileNet members of one shape are stacked once, here: ``_layers`` is
-    their ``stack_layers``, or () when the members do not stack, and other
-    members are called one by one. A stacked prediction matches the member
-    loop bit for bit (see the ``quantile_net`` docstring).
+    ``members`` are QuantileNets of one shape, each mapping a lag window
+    (n_lags,) to a (horizon,) prediction. They are stacked once, here
+    (``_layers``), and every mean prediction is one ``forward`` pass over
+    the stack, bit for bit equal to the member loop (see the
+    ``quantile_net`` docstring).
     """
 
     members: list
@@ -176,16 +163,11 @@ class BootstrapEnsemble:
 
     def predict_mean_rows(self, X: np.ndarray) -> np.ndarray:
         """Mean prediction of all members at each row of X, (n_rows, n_out)."""
-        if not self._layers:
-            return np.array([np.mean([_member_predict(m, x) for m in self.members], axis=0)
-                             for x in np.asarray(X, dtype=float)])
         preds = forward(self._layers, self._rows(X)[:, None, None, :])[:, :, 0]
         return np.add.reduce(preds, axis=1) / self.n_members
 
     def predict_mean_batch(self, X: np.ndarray) -> np.ndarray:
         """Mean of the members' ``predict_batch`` over the rows of X."""
-        if not self._layers:
-            return np.mean([_member_predict_batch(m, X) for m in self.members], axis=0)
         return np.add.reduce(forward(self._layers, self._rows(X)), axis=0) / self.n_members
 
     def _rows(self, X) -> np.ndarray:
@@ -249,9 +231,7 @@ def oob_predict(ensemble: BootstrapEnsemble, frame: SupervisedFrame):
     kept = counts > 0
     if not np.any(kept):
         raise AllRowsInBag("every row appears in every bootstrap bag")
-    preds = np.stack(
-        [_member_predict_batch(m, frame.covariates) for m in ensemble.members]
-    )
+    preds = np.stack([m.predict_batch(frame.covariates) for m in ensemble.members])
     total = np.einsum("bn,bnh->nh", excluded.astype(float), preds)
     out = np.full((n, frame.horizon), np.nan)
     out[kept] = total[kept] / counts[kept, None]
@@ -292,9 +272,11 @@ class RunResult:
 
 
 def _check_run(stream: FeedbackStream, horizon: int, alpha: float) -> None:
-    """Reject a bad level or stream before any model is trained."""
+    """Reject a bad level, horizon or stream before any model is trained."""
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+    if horizon < 1:
+        raise ValueError(f"horizon must be >= 1, got {horizon}")
     if stream.n_submitted or stream.n_revealed:
         raise ValueError("stream has already been consumed")
     if len(stream) % horizon != 0:
@@ -465,7 +447,8 @@ def run_mimocqr(
     The supervised rows are split in time order: the first part trains the
     lower/upper quantile nets, the last ``cal_fraction`` of rows calibrates
     one correction per forecast step. Corrections stay frozen across the
-    whole test segment.
+    whole test segment. ``models`` injects a (lower, upper) pair of
+    QuantileNets in place of training.
     """
     _check_run(stream, horizon, alpha)
     if not 0.0 < cal_fraction <= 1.0:
@@ -486,15 +469,13 @@ def run_mimocqr(
         f_lo, f_hi = models
 
     cal_X = frame.covariates[n_fit:]
-    lo_cal, hi_cal = _ordered_bounds(
-        _member_predict_batch(f_lo, cal_X), _member_predict_batch(f_hi, cal_X)
-    )
+    lo_cal, hi_cal = _ordered_bounds(f_lo.predict_batch(cal_X), f_hi.predict_batch(cal_X))
     scores = score_cqr(lo_cal, hi_cal, frame.targets[n_fit:])
     qhat = conformal_quantile(scores.T, alpha)
 
     def emit(history):
         x = np.asarray(history[-n_lags:], dtype=float)
-        lo, hi = _ordered_bounds(_member_predict(f_lo, x), _member_predict(f_hi, x))
+        lo, hi = _ordered_bounds(f_lo.predict(x), f_hi.predict(x))
         return lo, hi, qhat
 
     return RunResult("mimocqr", *_walk(train_series, stream, horizon, emit,

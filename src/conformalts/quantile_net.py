@@ -30,11 +30,13 @@ reassociating the Adam step (``lr * m / c1`` instead of ``lr * (m / c1)``).
 Inference is one pass, ``forward``, over (weights, biases) layers along the
 last axis of its input: a net's own (in, out) layers in ``predict_batch``,
 or the (B, in, out) stack that ``stack_layers`` builds from B nets of one
-shape. Inference exactness rule: a stacked pass runs, per net, the product
-the net's own method runs, one (1, in) @ (in, out) per window for
-``predict`` and (n, in) @ (in, out) for ``predict_batch``, so it equals the
-per-net loop bit for bit; a multi-row gemm in place of the single-window
-products does not, because BLAS sums its rows in another order.
+shape. Every net stores C-ordered float64 arrays, so every ensemble stacks.
+Inference exactness rule: a stacked pass runs, per net, the product the
+net's own method runs, one (1, in) @ (in, out) per window for ``predict``
+and (n, in) @ (in, out) for ``predict_batch``, so it equals the per-net
+loop bit for bit for every ensemble; a multi-row gemm in place of the
+single-window products does not, because BLAS sums its rows in another
+order.
 """
 
 from __future__ import annotations
@@ -94,8 +96,8 @@ class QuantileNet:
     def __init__(self, weights, biases, tau: float | None):
         if tau is not None and not 0.0 < tau < 1.0:
             raise InvalidTau(f"tau must be in (0, 1), got {tau}")
-        self.weights = [np.asarray(w, dtype=float) for w in weights]
-        self.biases = [np.asarray(b, dtype=float) for b in biases]
+        self.weights = [np.ascontiguousarray(w, dtype=float) for w in weights]
+        self.biases = [np.ascontiguousarray(b, dtype=float) for b in biases]
         self.tau = tau
         self.loss_history: list[float] = []
 
@@ -137,12 +139,11 @@ def forward(layers, a: np.ndarray) -> np.ndarray:
 
 def stack_layers(nets) -> tuple:
     """Per layer, the nets' weights as (B, in, out) and biases as (B, 1, out),
-    for one ``forward`` pass over every net; () unless every net is a
-    QuantileNet with C-ordered weights and all share one ``layer_sizes``."""
-    if not (all(type(net) is QuantileNet for net in nets)
-            and len({net.layer_sizes for net in nets}) == 1
-            and all(w.flags.c_contiguous for net in nets for w in net.weights)):
-        return ()
+    for one ``forward`` pass over every net. The nets must be QuantileNets
+    of one ``layer_sizes``."""
+    if not (all(isinstance(net, QuantileNet) for net in nets)
+            and len({net.layer_sizes for net in nets}) == 1):
+        raise ValueError("ensemble members must be QuantileNets of one shape")
     return tuple(
         (np.stack([net.weights[k] for net in nets]),
          np.stack([net.biases[k] for net in nets])[:, None, :])
@@ -278,29 +279,21 @@ def _layer_views(flat: np.ndarray, shapes):
     return weights, biases
 
 
-def loss_and_gradients(net: QuantileNet, X: np.ndarray, Y: np.ndarray, objective: str):
+def loss_and_gradients(net: QuantileNet, X: np.ndarray, Y: np.ndarray):
     """Mean loss over all rows and output components, with gradients for
     every weight matrix and bias vector.
 
-    ``objective`` is "pinball" (uses net.tau; at a zero residual the
-    subgradient takes the tau branch) or "squared". Runs the training
-    kernel once on copies of the net's parameters and returns copies of its
-    gradients.
+    The loss is the net's own: pinball at ``net.tau`` (at a zero residual
+    the subgradient takes the tau branch), or squared error when tau is
+    None. Runs the training kernel once on copies of the net's parameters
+    and returns copies of its gradients.
     """
-    if objective == "pinball":
-        tau = net.tau
-        if tau is None:
-            raise InvalidTau("net has no tau; it was trained for squared error")
-    elif objective == "squared":
-        tau = None
-    else:
-        raise ValueError(f"unknown objective {objective!r}")
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
     kernel = _Kernel(net.layer_sizes, X.shape[0])
     kernel.load(net.weights, net.biases)
-    loss = kernel.loss(X, Y, tau)
-    kernel.backward(X, Y, tau)
+    loss = kernel.loss(X, Y, net.tau)
+    kernel.backward(X, Y, net.tau)
     return loss, [g.copy() for g in kernel.grad_w], [g.copy() for g in kernel.grad_b]
 
 

@@ -3,10 +3,12 @@
 Everything here is deliberately written the slow, obvious way: explicit
 loops, sorted lists, no imports from the package under test. Test modules
 compare the production pipelines against these on small instances with
-injected predictors (plain callables from a lag window to a list of step
-predictions). Score windows are kept as Python lists; the adaptive
-simulation requires the window capacity to cover the whole initial score
-set so that no random subsampling is involved.
+injected predictors. The oracles only call a predictor on a lag window and
+read its step predictions back, so they never depend on what it is; the
+tests inject one-layer QuantileNets, which are callable. Score windows are
+kept as Python lists; the adaptive simulation requires the window capacity
+to cover the whole initial score set so that no random subsampling is
+involved.
 
 ``ref_fit`` is the one numpy routine: training is compared bit for bit, so
 it must run the same float64 products, but it builds a fresh array for

@@ -150,7 +150,7 @@ def test_criterion_04_pinball_gradient():
     margin = float(np.min(np.abs(Y - net.predict_batch(X))))
     assert margin > 1e-3  # keeps every finite-difference evaluation off the kink
 
-    _, grad_w, grad_b = loss_and_gradients(net, X, Y, "pinball")
+    _, grad_w, grad_b = loss_and_gradients(net, X, Y)
     h = 1e-5
     checked = 0
     worst_rel = 0.0
@@ -162,9 +162,9 @@ def test_criterion_04_pinball_gradient():
             for i in range(flat_p.size):
                 orig = flat_p[i]
                 flat_p[i] = orig + h
-                up, _, _ = loss_and_gradients(net, X, Y, "pinball")
+                up, _, _ = loss_and_gradients(net, X, Y)
                 flat_p[i] = orig - h
-                down, _, _ = loss_and_gradients(net, X, Y, "pinball")
+                down, _, _ = loss_and_gradients(net, X, Y)
                 flat_p[i] = orig
                 fd = (up - down) / (2.0 * h)
                 if abs(fd) > 1e-12:

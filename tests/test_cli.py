@@ -199,6 +199,19 @@ class TestIntervalsCsvAndEval:
         assert main(["eval", "--intervals", intervals, "--oracle", str(oracle)]) == 2
         assert capsys.readouterr().out == ""
 
+    def test_eval_rejects_sidecar_with_unequal_bounds(self, tmp_path, capsys):
+        # the test segment targets positions 110-119, past the short upper array
+        out = str(tmp_path / "run")
+        cmd_run(fast_config(), out)  # seed 3, length 120
+        intervals = os.path.join(out, "intervals.csv")
+        oracle = tmp_path / "cut.oracle.json"
+        oracle.write_text(json.dumps(
+            {"id": "synthetic-3", "lower": [0.0] * 120, "upper": [1.0] * 100}))
+        with pytest.raises(ConfigError, match="cut.oracle.json has 120 lower but 100 upper"):
+            cmd_eval(intervals, oracle_path=str(oracle))
+        assert main(["eval", "--intervals", intervals, "--oracle", str(oracle)]) == 2
+        assert capsys.readouterr().out == ""
+
     def test_eval_rejects_sidecar_of_another_series(self, tmp_path, capsys):
         csv_path = tmp_path / "other.csv"
         cmd_synth(4, csv_path, length=120)

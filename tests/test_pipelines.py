@@ -33,6 +33,7 @@ from support import (
     make_affine_member,
     make_affine_members,
     make_constant_member,
+    make_lag_member,
     random_index_sets,
 )
 
@@ -146,7 +147,7 @@ class TestBootstrapEnsemble:
 
     def test_predict_mean(self):
         ens = BootstrapEnsemble(
-            [make_constant_member([1.0, 3.0]), make_constant_member([3.0, 5.0])],
+            [make_constant_member([1.0, 3.0], p=2), make_constant_member([3.0, 5.0], p=2)],
             [np.array([0]), np.array([0])],
         )
         np.testing.assert_array_equal(ens.predict_mean(np.zeros(2)), [2.0, 4.0])
@@ -159,20 +160,13 @@ def trained_ensemble(horizon, hidden):
     return fit_ensemble(frame, 0.5, 10, 5, TrainConfig(epochs=3, hidden=hidden))
 
 
-def member_loop(ens):
-    """The same members behind plain callables, which do not stack."""
-    return BootstrapEnsemble([m.predict for m in ens.members], ens.index_sets)
-
-
-class BatchOnly:
-    """A member seen through its ``predict_batch`` alone, which does not stack."""
-
-    def __init__(self, net):
-        self.predict_batch = net.predict_batch
-
-
-def batch_loop(ens):
-    return BootstrapEnsemble([BatchOnly(m) for m in ens.members], ens.index_sets)
+def member_loop(ens, X, batch=False):
+    """The members' mean, one member at a time: each one's ``predict`` at
+    every row of X, or with ``batch`` each one's ``predict_batch`` over X."""
+    X = np.asarray(X, dtype=float)
+    if batch:
+        return np.mean([m.predict_batch(X) for m in ens.members], axis=0)
+    return np.array([np.mean([m.predict(x) for m in ens.members], axis=0) for x in X])
 
 
 class TestStackedMembers:
@@ -216,20 +210,25 @@ class TestStackedMembers:
         with pytest.raises(DimensionMismatch):
             ens.predict_mean_batch(np.zeros(6))
 
-    def test_members_that_do_not_stack_use_member_loop(self, rng):
+    def test_members_of_mixed_shape_or_type_rejected(self):
         net = trained_ensemble(2, (4,)).members[0]
         wider = trained_ensemble(2, (5,)).members[0]
-        fortran = QuantileNet([np.asfortranarray(w) for w in net.weights], net.biases, net.tau)
-        stand_in = make_affine_member(6, 2, 3)
-        X = rng.normal(size=(3, 6))
-        for members in ([stand_in, stand_in], [net, stand_in], [net, wider], [net, fortran]):
-            ens = BootstrapEnsemble(members, [np.array([0])] * 2)
-            expected = np.array([np.mean([m(x) for m in members], axis=0) for x in X])
-            assert np.array_equal(ens.predict_mean(X[0]), expected[0])
-            assert np.array_equal(ens.predict_mean_rows(X), expected)
-            assert ens._layers == ()
+        affine = make_affine_member(6, 2, 3)
+        for members in ([net, wider], [net, affine], [net, net.predict]):
+            with pytest.raises(ValueError, match="QuantileNets of one shape"):
+                BootstrapEnsemble(members, [np.array([0])] * 2)
 
-    def test_recursive_runners_equal_generic_path(self):
+    def test_fortran_ordered_weights_stack_bitwise(self, rng):
+        net = trained_ensemble(2, (64, 64)).members[0]
+        fortran = QuantileNet([np.asfortranarray(w) for w in net.weights], net.biases, net.tau)
+        assert all(w.flags.c_contiguous for w in fortran.weights)
+        ens = BootstrapEnsemble([net, fortran], [np.array([0])] * 2)
+        X = rng.normal(size=(7, 6)).cumsum(axis=1)
+        assert np.array_equal(ens.predict_mean(X[0]), member_loop(ens, X[:1])[0])
+        assert np.array_equal(ens.predict_mean_rows(X), member_loop(ens, X))
+        assert np.array_equal(ens.predict_mean_batch(X), member_loop(ens, X, batch=True))
+
+    def test_recursive_runners_equal_generic_path(self, monkeypatch):
         values = np.random.default_rng(8).normal(size=70).cumsum()
         train, test = TimeSeries(values[:60]), values[60:]
         frame = frame_recursive(train, 6)
@@ -239,23 +238,22 @@ class TestStackedMembers:
         mimo = frame_mimo(train, 6, 5)
         mimo_bands = tuple(fit_ensemble(mimo, tau, 10, 4, cfg) for tau in (0.05, 0.95))
         common = dict(n_lags=6, horizon=5, alpha=0.1)
-        pairs = [
-            (run_enbpi(train, FeedbackStream(test), ensemble=point, **common),
-             run_enbpi(train, FeedbackStream(test), ensemble=member_loop(point), **common)),
-            (run_enbcqr(train, FeedbackStream(test), ensembles=bands, **common),
-             run_enbcqr(train, FeedbackStream(test),
-                        ensembles=tuple(map(member_loop, bands)), **common)),
-            (run_aenbmimocqr(train, FeedbackStream(test), ensembles=mimo_bands,
-                             window_size=20, **common),
-             run_aenbmimocqr(train, FeedbackStream(test),
-                             ensembles=tuple(map(batch_loop, mimo_bands)),
-                             window_size=20, **common)),
-        ]
-        for stacked, generic in pairs:
-            for a, b in ((stacked.lower, generic.lower), (stacked.upper, generic.upper)):
+
+        def runs():
+            return [
+                run_enbpi(train, FeedbackStream(test), ensemble=point, **common),
+                run_enbcqr(train, FeedbackStream(test), ensembles=bands, **common),
+                run_aenbmimocqr(train, FeedbackStream(test), ensembles=mimo_bands,
+                                window_size=20, **common),
+            ]
+
+        stacked = runs()
+        monkeypatch.setattr(BootstrapEnsemble, "predict_mean_rows", member_loop)
+        monkeypatch.setattr(BootstrapEnsemble, "predict_mean_batch",
+                            lambda ens, X: member_loop(ens, X, batch=True))
+        for fast, generic in zip(stacked, runs()):
+            for a, b in ((fast.lower, generic.lower), (fast.upper, generic.upper)):
                 assert a.size == 10 and np.array_equal(a, b)
-        assert point._layers and all(ens._layers for ens in bands + mimo_bands)
-        assert not any(batch_loop(ens)._layers for ens in mimo_bands)
 
 
 class TestFitEnsemble:
@@ -322,7 +320,7 @@ class TestOobPredict:
         # row 2 is in both bags and has no out-of-bag prediction.
         frame = SupervisedFrame(np.zeros((3, 2)), np.zeros((3, 1)))
         ens = BootstrapEnsemble(
-            [make_constant_member([10.0]), make_constant_member([20.0])],
+            [make_constant_member([10.0], p=2), make_constant_member([20.0], p=2)],
             [np.array([0, 1]), np.array([1, 2])],
         )
         preds, kept = oob_predict(ens, frame)
@@ -399,12 +397,8 @@ class TestAdaptiveRunner:
         # and keeps one training score. The second block's band is [4, 6];
         # with adaptation off, alpha 0.1, 0.5 and 0.9 pick the largest,
         # middle and smallest window score as the correction.
-        def lo_member(x):
-            return np.full(2, x[-1] - 1.0)
-
-        def hi_member(x):
-            return np.full(2, x[-1] + 1.0)
-
+        lo_member = make_lag_member(1, [-1.0, -1.0])
+        hi_member = make_lag_member(1, [1.0, 1.0])
         sets = [np.array([], dtype=int), np.arange(3)]
         expected = {1: [2.0, 1.0, -1.0], 2: [4.0, 2.0, -1.0]}
         for k, alpha in enumerate((0.1, 0.5, 0.9)):
@@ -427,8 +421,8 @@ class TestAdaptiveRunner:
         n_train, n_blocks, seeds = 200, 100, range(5)
         n_rows = n_train - p - H + 1
         sets = [np.array([], dtype=int), np.arange(n_rows)]
-        lo = make_constant_member([-0.5] * H)
-        hi = make_constant_member([0.5] * H)
+        lo = make_constant_member([-0.5] * H, p)
+        hi = make_constant_member([0.5] * H, p)
         n_covered = 0
         for seed in seeds:
             values = np.random.default_rng(seed).normal(size=n_train + n_blocks * H)
@@ -450,7 +444,7 @@ class TestAdaptiveRunner:
         # block then moves alpha_h by exactly gamma * alpha.
         p, H, alpha = 2, 1, 0.1
         train = TimeSeries(rng.uniform(0.5, 1.0, size=10))  # 8 supervised rows
-        band = [make_constant_member([-50.0]), make_constant_member([50.0])]
+        band = [make_constant_member([-50.0], p), make_constant_member([50.0], p)]
         # an empty first bag leaves every row with an out-of-bag prediction
         sets = [np.array([], dtype=int), np.arange(8)]
         for T, expected_gamma in ((100, 1.0 / 100), (4, 1.0 / 8)):
@@ -476,10 +470,10 @@ class TestAdaptiveRunner:
         n_rows = 14 - p - H + 1
         sets = [np.array([], dtype=int), np.arange(n_rows)]
         lo = BootstrapEnsemble(
-            [make_constant_member([-99.0, -99.0])] * 2, sets
+            [make_constant_member([-99.0, -99.0], p)] * 2, sets
         )
         hi = BootstrapEnsemble(
-            [make_constant_member([99.0, 99.0])] * 2, sets
+            [make_constant_member([99.0, 99.0], p)] * 2, sets
         )
         result = run_aenbmimocqr(
             train, FeedbackStream(np.zeros(8)),
@@ -632,9 +626,7 @@ class TestSplitRunner:
         # zero correction and degenerate intervals that still cover
         values = np.arange(1.0, 21.0)  # next values are x[-1]+1, x[-1]+2
 
-        def truth(x):
-            return np.array([x[-1] + 1.0, x[-1] + 2.0])
-
+        truth = make_lag_member(3, [1.0, 2.0])
         result = run_mimocqr(
             TimeSeries(values[:16]), FeedbackStream(values[16:]),
             n_lags=3, horizon=2, alpha=0.1, cal_fraction=0.5,
@@ -648,8 +640,8 @@ class TestSplitRunner:
         # series: every score is -1, so the correction trims the band to a
         # point at the true value
         values = np.full(20, 5.0)
-        lo = make_constant_member([4.0])
-        hi = make_constant_member([6.0])
+        lo = make_constant_member([4.0], p=2)
+        hi = make_constant_member([6.0], p=2)
         result = run_mimocqr(
             TimeSeries(values[:15]), FeedbackStream(values[15:]),
             n_lags=2, horizon=1, alpha=0.1, cal_fraction=0.5,
@@ -670,8 +662,8 @@ class TestSplitRunner:
         n_train, n_blocks, seeds = 400, 100, range(20)
         n_cal = int((n_train - p - H + 1) * cal_fraction)
         n_test = n_blocks * H
-        lo = make_constant_member([-0.5] * H)
-        hi = make_constant_member([0.5] * H)
+        lo = make_constant_member([-0.5] * H, p)
+        hi = make_constant_member([0.5] * H, p)
         coverage = []
         for seed in seeds:
             values = np.random.default_rng(seed).normal(size=n_train + n_test)
@@ -687,19 +679,20 @@ class TestSplitRunner:
         assert mean <= 1.0 - alpha + 1.0 / (n_cal + 1) + slack
 
     def test_non_finite_bound_rejected_before_submit(self):
-        # the nets are finite on the training rows (all below 10) but return
-        # NaN once 11 enters the lag window, at block 3's origin: the walk
-        # raises there without submitting the block
-        def member(offset):
-            def f(x):
-                return np.full(2, np.nan if np.max(x) >= 10 else x[-1] + offset)
-            return f
+        # the nets put weight -/+1.7e307 on the last lag: the band is finite
+        # while x[-1] <= 7 but overflows to -/+inf once 12 ends the lag
+        # window, at block 3's origin: the walk raises there without
+        # submitting the block
+        def member(weight):
+            W = np.zeros((3, 2))
+            W[-1] = weight
+            return QuantileNet([W], [np.zeros(2)], None)
 
         stream = FeedbackStream([6.0, 7.0, 11.0, 12.0, 13.0, 14.0])
-        with pytest.raises(InvalidInterval):
+        with pytest.raises(InvalidInterval), np.errstate(over="ignore", invalid="ignore"):
             run_mimocqr(
                 TimeSeries(np.linspace(1.0, 5.0, 20)), stream,
-                n_lags=3, horizon=2, alpha=0.1, models=(member(-1.0), member(1.0)),
+                n_lags=3, horizon=2, alpha=0.1, models=(member(-1.7e307), member(1.7e307)),
             )
         assert stream.events[-1] == ("reveal", 2, 2)
 
@@ -746,9 +739,7 @@ class TestEnbpiRunner:
         # the correction are zero and every interval is the point itself
         values = np.full(24, 3.0)
 
-        def echo(x):
-            return np.array([x[-1]])
-
+        echo = make_lag_member(2, [0.0])
         sets = [np.array([0, 1, 2]), np.array([3, 4, 5])]
         result = run_enbpi(
             TimeSeries(values[:18]), FeedbackStream(values[18:]),
@@ -825,9 +816,7 @@ class TestEnbcqrRunner:
     def test_identical_quantile_heads_collapse_to_points(self):
         values = np.full(20, 4.0)
 
-        def echo(x):
-            return np.array([x[-1]])
-
+        echo = make_lag_member(2, [0.0])
         sets = [np.array([0, 1]), np.array([2, 3])]
         ens = BootstrapEnsemble([echo, echo], sets)
         result = run_enbcqr(
@@ -849,24 +838,44 @@ class TestEnbcqrRunner:
             )
 
 
+@pytest.fixture
+def training_calls(monkeypatch):
+    """Every training call a runner makes; each one fails the test."""
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        raise AssertionError("a model was trained")
+
+    for name in ("fit_ensemble", "train", "mse_train"):
+        monkeypatch.setattr(pipelines, name, spy)
+    return calls
+
+
+RUNNERS = [run_aenbmimocqr, run_mimocqr, run_enbpi, run_enbcqr]
+
+
 class TestAlphaCheck:
-    @pytest.mark.parametrize("runner", [run_aenbmimocqr, run_mimocqr, run_enbpi, run_enbcqr])
+    @pytest.mark.parametrize("runner", RUNNERS)
     @pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5, -0.1])
-    def test_rejected_before_any_training(self, monkeypatch, rng, runner, alpha):
-        calls = []
-
-        def spy(*args, **kwargs):
-            calls.append(args)
-            raise AssertionError("a model was trained")
-
-        for name in ("fit_ensemble", "train", "mse_train"):
-            monkeypatch.setattr(pipelines, name, spy)
+    def test_rejected_before_any_training(self, training_calls, rng, runner, alpha):
         with pytest.raises(ValueError, match="alpha"):
             runner(
                 TimeSeries(rng.uniform(size=40)), FeedbackStream(rng.uniform(size=4)),
                 n_lags=3, horizon=2, alpha=alpha,
             )
-        assert calls == []
+        assert training_calls == []
+
+
+class TestHorizonCheck:
+    @pytest.mark.parametrize("runner", RUNNERS)
+    def test_zero_horizon_rejected_before_any_training(self, training_calls, rng, runner):
+        with pytest.raises(ValueError, match="horizon must be >= 1"):
+            runner(
+                TimeSeries(rng.uniform(size=40)), FeedbackStream(rng.uniform(size=4)),
+                n_lags=3, horizon=0, alpha=0.1,
+            )
+        assert training_calls == []
 
 
 class TestTrainedRunners:
