@@ -101,6 +101,15 @@ class ExperimentConfig:
             raise ConfigError("give exactly one data source: --data PATH or --synthetic")
         if self.synthetic:
             _synthetic_config(self.seed, self.length, self.alpha)
+            # a MIMO frame row spans p + H values, a recursive one p + 1
+            mimo = self.method in ("aenbmimocqr", "mimocqr")
+            needed = self.n_lags + (self.horizon if mimo else 1)
+            if self.length - self.n_test < needed:
+                raise ConfigError(
+                    f"length {self.length} minus n-test {self.n_test} leaves "
+                    f"{self.length - self.n_test} training values; {self.method} needs at least "
+                    f"{'p + H' if mimo else 'p + 1'} = {needed} (p={self.n_lags}, H={self.horizon})"
+                )
 
     def to_json_dict(self) -> dict:
         """The settings under their config-file keys, "-" written as "_"."""
@@ -243,15 +252,9 @@ def _series_job(payload: dict) -> dict:
     series = TimeSeries(payload["values"], id=payload["id"])
     train_ts, test_ts = split_train_test(series, cfg.n_test)
     stream = FeedbackStream(test_ts)
-    run_seed = derive_seed(cfg.seed, series.id)
-    tc = TrainConfig(
-        epochs=cfg.epochs,
-        learning_rate=cfg.learning_rate,
-        seed=run_seed,
-        hidden=cfg.hidden,
-    )
+    tc = TrainConfig(epochs=cfg.epochs, learning_rate=cfg.learning_rate, hidden=cfg.hidden)
     common = dict(n_lags=cfg.n_lags, horizon=cfg.horizon, alpha=cfg.alpha,
-                  seed=run_seed, config=tc)
+                  seed=derive_seed(cfg.seed, series.id), config=tc)
     if cfg.method == "aenbmimocqr":
         result = run_aenbmimocqr(
             train_ts, stream, n_models=cfg.n_models, window_size=cfg.window_size, **common

@@ -37,6 +37,11 @@ _D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
       3.754408661907416e+00)
 _P_LOW = 0.02425
 
+# The synthetic noise scale at 1-based step t is c_t * mu_t with
+# c_t = NOISE_C0 + NOISE_SLOPE * t.
+NOISE_C0 = 0.1
+NOISE_SLOPE = 0.001
+
 
 def norm_quantile(p: float) -> float:
     """Standard normal quantile at probability p in (0, 1)."""
@@ -62,8 +67,6 @@ class SyntheticConfig:
 
     ``noise_scale`` controls how c_t * mu_t is read: "stdev" (the default)
     uses it as the standard deviation, "variance" as the variance.
-    ``zero_noise`` is a validation hook that suppresses the Gaussian term so
-    the generated values equal mu_t exactly.
     """
 
     seed: int
@@ -71,9 +74,6 @@ class SyntheticConfig:
     warmup: int = 40
     oracle_alpha: float = 0.1
     noise_scale: str = "stdev"
-    zero_noise: bool = False
-    c0: float = 0.1
-    c_slope: float = 0.001
 
     def __post_init__(self):
         if self.seed < 0:
@@ -96,7 +96,6 @@ class OracleIntervalSet:
     step (the warmup region) are NaN.
     """
 
-    alpha: float
     mu: np.ndarray
     sigma: np.ndarray
     lower: np.ndarray
@@ -108,16 +107,16 @@ def gen_synthetic(config: SyntheticConfig) -> tuple[TimeSeries, OracleIntervalSe
 
     y_t ~ Normal(mu_t, sd_t) for t > warmup (1-based), where mu_t is the log
     of the sum of the squared previous ``warmup`` values and sd_t comes from
-    c_t * mu_t with c_t = c0 + c_slope * t. Gaussian draws are the normal
-    quantile transform of open-interval uniforms from the seeded generator,
-    so the trace is reproducible bit for bit from the seed.
+    c_t * mu_t with c_t = NOISE_C0 + NOISE_SLOPE * t. Gaussian draws are the
+    normal quantile transform of open-interval uniforms from the seeded
+    generator, so the trace is reproducible bit for bit from the seed.
     """
     rng = np.random.default_rng(config.seed)
     n, w = config.length, config.warmup
     y = np.empty(n, dtype=float)
     y[:w] = rng.random(w)
     # uniforms on (0, 1), both endpoints excluded, one per generated step
-    uniforms = [] if config.zero_noise else (rng.integers(1, 2**53, size=n - w) / 2**53).tolist()
+    uniforms = (rng.integers(1, 2**53, size=n - w) / 2**53).tolist()
     squares = [v * v for v in y[:w].tolist()]
     mu = np.full(n, np.nan)
     sigma = np.full(n, np.nan)
@@ -125,22 +124,15 @@ def gen_synthetic(config: SyntheticConfig) -> tuple[TimeSeries, OracleIntervalSe
         m = math.log(math.fsum(squares[t - w:t]))
         if m <= 0.0:
             raise NonPositiveMean(f"mu_{t + 1} = {m} <= 0; cannot scale noise")
-        c = config.c0 + config.c_slope * (t + 1)
-        scale = c * m
+        scale = (NOISE_C0 + NOISE_SLOPE * (t + 1)) * m
         sd = scale if config.noise_scale == "stdev" else math.sqrt(scale)
         mu[t] = m
         sigma[t] = sd
-        yt = m if config.zero_noise else m + sd * norm_quantile(uniforms[t - w])
+        yt = m + sd * norm_quantile(uniforms[t - w])
         y[t] = yt
         squares.append(yt * yt)
     z = norm_quantile(1.0 - config.oracle_alpha / 2.0)
-    oracle = OracleIntervalSet(
-        alpha=config.oracle_alpha,
-        mu=mu,
-        sigma=sigma,
-        lower=mu - z * sigma,
-        upper=mu + z * sigma,
-    )
+    oracle = OracleIntervalSet(mu=mu, sigma=sigma, lower=mu - z * sigma, upper=mu + z * sigma)
     return TimeSeries(y, id=f"synthetic-{config.seed}"), oracle
 
 

@@ -50,7 +50,7 @@ run_enbcqr       three bagged one-step quantile models (lower, median,
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -183,8 +183,7 @@ def _train_net(frame: SupervisedFrame, rows, tau: float | None, seed: int,
     """Train one net at ``seed`` on the frame's ``rows`` (an index array or a
     slice): a pinball net at level ``tau``, or a squared-error net if None."""
     sub = SupervisedFrame(frame.covariates[rows], frame.targets[rows])
-    config = replace(config, seed=seed)
-    return mse_train(sub, config) if tau is None else train(sub, tau, config)
+    return mse_train(sub, config, seed) if tau is None else train(sub, tau, config, seed)
 
 
 def fit_ensemble(

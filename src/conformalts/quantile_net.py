@@ -72,7 +72,6 @@ class TrainConfig:
 
     epochs: int = 1000
     learning_rate: float = 1e-3
-    seed: int = 0
     hidden: tuple[int, ...] = (64, 64)
 
     def __post_init__(self):
@@ -297,7 +296,8 @@ def loss_and_gradients(net: QuantileNet, X: np.ndarray, Y: np.ndarray):
     return loss, [g.copy() for g in kernel.grad_w], [g.copy() for g in kernel.grad_b]
 
 
-def _fit(frame: SupervisedFrame, tau: float | None, config: TrainConfig) -> QuantileNet:
+def _fit(frame: SupervisedFrame, tau: float | None, config: TrainConfig,
+         seed: int) -> QuantileNet:
     # Optimize in standardized units (series values can sit far from the
     # origin, which starves full-batch Adam at a fixed step size), then fold
     # the affine maps into the first and last layers so the returned net
@@ -308,7 +308,7 @@ def _fit(frame: SupervisedFrame, tau: float | None, config: TrainConfig) -> Quan
         scale = 1.0
     X = (frame.covariates - loc) / scale
     Y = (frame.targets - loc) / scale
-    init = init_net(frame.n_lags, frame.horizon, tuple(config.hidden), tau, config.seed)
+    init = init_net(frame.n_lags, frame.horizon, tuple(config.hidden), tau, seed)
     kernel = _Kernel(init.layer_sizes, X.shape[0])
     kernel.load(init.weights, init.biases)
     history = []
@@ -334,14 +334,17 @@ def _fit(frame: SupervisedFrame, tau: float | None, config: TrainConfig) -> Quan
     return net
 
 
-def train(frame: SupervisedFrame, tau: float, config: TrainConfig) -> QuantileNet:
-    """Fit a quantile network at level tau on the frame (full-batch Adam)."""
+def train(frame: SupervisedFrame, tau: float, config: TrainConfig,
+          seed: int = 0) -> QuantileNet:
+    """Fit a quantile network at level tau on the frame (full-batch Adam),
+    from the initial weights of ``seed``."""
     if not 0.0 < tau < 1.0:
         raise InvalidTau(f"tau must be in (0, 1), got {tau}")
-    return _fit(frame, tau, config)
+    return _fit(frame, tau, config, seed)
 
 
-def mse_train(frame: SupervisedFrame, config: TrainConfig) -> QuantileNet:
-    """Fit a point-forecast network on squared error (tau is None)."""
-    return _fit(frame, None, config)
+def mse_train(frame: SupervisedFrame, config: TrainConfig, seed: int = 0) -> QuantileNet:
+    """Fit a point-forecast network on squared error (tau is None), from the
+    initial weights of ``seed``."""
+    return _fit(frame, None, config, seed)
 

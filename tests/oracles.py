@@ -349,8 +349,7 @@ def ref_fit(covariates, targets, tau, epochs, lr, seed, hidden):
     return weights, biases, losses
 
 
-def ref_gen_synthetic(seed, length, warmup, noise_scale, zero_noise, oracle_alpha,
-                      c0, c_slope, quantile):
+def ref_gen_synthetic(seed, length, warmup, noise_scale, oracle_alpha, quantile):
     """The synthetic series the slow way: one scalar uniform per step from
     ``default_rng(seed)`` (after ``warmup`` uniforms for the warmup values),
     a fresh fsum over the window for every mean. ``quantile`` is the
@@ -364,14 +363,11 @@ def ref_gen_synthetic(seed, length, warmup, noise_scale, zero_noise, oracle_alph
     sigma = np.full(length, np.nan)
     for t in range(warmup, length):
         m = math.log(math.fsum(v * v for v in y[t - warmup:t]))
-        scale = (c0 + c_slope * (t + 1)) * m
+        scale = (0.1 + 0.001 * (t + 1)) * m
         sd = scale if noise_scale == "stdev" else math.sqrt(scale)
         mu[t] = m
         sigma[t] = sd
-        if zero_noise:
-            y[t] = m
-        else:
-            u = float(rng.integers(1, 2**53)) / 2**53
-            y[t] = m + sd * quantile(u)
+        u = float(rng.integers(1, 2**53)) / 2**53
+        y[t] = m + sd * quantile(u)
     z = quantile(1.0 - oracle_alpha / 2.0)
     return y, mu, sigma, mu - z * sigma, mu + z * sigma

@@ -1,4 +1,4 @@
-"""Eleven acceptance checks with pinned thresholds.
+"""Thirteen acceptance checks with pinned thresholds.
 
 Every test prints one line, ``criterion N: PASS (...)`` or ``criterion N:
 FAIL (...)``, before asserting, so the captured output names each
@@ -534,10 +534,11 @@ def test_criterion_10_window_and_cadence_invariants():
 @pytest.fixture(scope="module")
 def long_walks():
     """Seeds 1 and 2 walked 150 blocks (p=40, H=30, alpha=0.1, 5 epochs)
-    by aenbmimocqr and mimocqr, each trained once: {seed: {method: result}}."""
+    by aenbmimocqr and mimocqr, each trained once: {seed: {method: result,
+    "sigma": the oracle sigma at each target, shaped like result.y}}."""
     walks = {}
     for seed in (1, 2):
-        series, _ = gen_synthetic(SyntheticConfig(seed=seed, length=5151))
+        series, oracle = gen_synthetic(SyntheticConfig(seed=seed, length=5151))
         train, test = split_train_test(series, 4500)
         common = dict(n_lags=40, horizon=30, alpha=0.1, seed=seed,
                       config=TrainConfig(epochs=5))
@@ -545,6 +546,7 @@ def long_walks():
             "aenbmimocqr": run_aenbmimocqr(train, FeedbackStream(test), n_models=10,
                                            window_size=100, **common),
             "mimocqr": run_mimocqr(train, FeedbackStream(test), cal_fraction=0.5, **common),
+            "sigma": oracle.sigma[len(train):].reshape(-1, 30),
         }
     return walks
 
@@ -576,4 +578,70 @@ def test_criterion_11_long_walk_validity(long_walks):
                        f"{'/'.join(f'{c:.3f}' for c in mimo)}")
     _line(11, ok, f"{'; '.join(details)}; every aenbmimocqr third in "
                   f"[{low:.3f}, {high:.3f}], its last third closer to 0.90")
+    assert ok, details
+
+
+def test_criterion_12_horizon_validity(long_walks):
+    """Every forecast step of the adaptive method is valid on its own.
+
+    Each step has one interval per block, 150 in all. z = 3.14 is the
+    two-sided 0.05 level with a Bonferroni correction over the 30 steps.
+    """
+    alpha, n_blocks = 0.1, 150
+    half_width = 3.14 * math.sqrt(alpha * (1.0 - alpha) / n_blocks)
+    low, high = 1.0 - alpha - half_width, 1.0 - alpha + half_width
+    details, ok = [], True
+    for seed, runs in long_walks.items():
+        result = runs["aenbmimocqr"]
+        assert result.n_blocks == n_blocks
+        per_step = covered(result.lower, result.upper, result.y).mean(axis=0)
+        ok = ok and bool(np.all((low <= per_step) & (per_step <= high)))
+        details.append(f"seed {seed}: per-step coverage "
+                       f"{per_step.min():.3f}-{per_step.max():.3f}")
+    _line(12, ok, f"{'; '.join(details)}; every aenbmimocqr step in "
+                  f"[{low:.3f}, {high:.3f}]")
+    assert ok, details
+
+
+def _by_third(values) -> list[np.ndarray]:
+    return [chunk.ravel() for chunk in np.split(np.asarray(values), 3)]
+
+
+def test_criterion_13_heteroscedasticity(long_walks):
+    """The adaptive method covers low- and high-noise targets alike, and its
+    width follows the oracle's noise level more closely than mimocqr's.
+
+    Within each third, the targets split into terciles of the oracle sigma;
+    the lowest and the highest each cover within criterion 11's band. The
+    oracle interval's width is proportional to sigma, so the width-oracle
+    width correlation is the correlation of width with sigma.
+    """
+    alpha, blocks_per_third = 0.1, 50
+    half_width = 3.0 * math.sqrt(alpha * (1.0 - alpha) / blocks_per_third)
+    low, high = 1.0 - alpha - half_width, min(1.0, 1.0 - alpha + half_width)
+    details, ok = [], True
+    for seed, runs in long_walks.items():
+        sigmas = _by_third(runs["sigma"])
+        corr = {}
+        for method in ("aenbmimocqr", "mimocqr"):
+            result = runs[method]
+            corr[method] = [float(np.corrcoef(width, sigma)[0, 1]) for width, sigma in
+                            zip(_by_third(result.upper - result.lower), sigmas)]
+        aenb = runs["aenbmimocqr"]
+        terciles = []
+        for hits, sigma in zip(_by_third(covered(aenb.lower, aenb.upper, aenb.y)), sigmas):
+            rank = np.argsort(np.argsort(sigma))
+            terciles.append((hits[rank < sigma.size / 3].mean(),
+                             hits[rank >= 2 * sigma.size / 3].mean()))
+        cover = np.asarray(terciles)
+        in_band = bool(np.all((low <= cover) & (cover <= high)))
+        tracks = all(a > m for a, m in zip(corr["aenbmimocqr"], corr["mimocqr"]))
+        ok = ok and in_band and tracks
+        details.append(
+            f"seed {seed}: low/high sigma "
+            f"{', '.join(f'{lo:.2f}/{hi:.2f}' for lo, hi in terciles)}, corr "
+            f"{'/'.join(f'{c:.2f}' for c in corr['aenbmimocqr'])} vs mimocqr "
+            f"{'/'.join(f'{c:.2f}' for c in corr['mimocqr'])}")
+    _line(13, ok, f"{'; '.join(details)}; every tercile in [{low:.3f}, {high:.3f}], "
+                  f"every third's corr above mimocqr's")
     assert ok, details

@@ -58,6 +58,13 @@ class TestExperimentConfig:
             dict(length=40),
             dict(layout="tall"),
             dict(seed=-1),           # numpy cannot seed a synthetic series with it
+            # length 120 minus n-test leaves fewer training values than one
+            # frame row spans: p + H = 7 (MIMO) or p + 1 = 6 (recursive)
+            dict(n_test=114),
+            dict(method="mimocqr", n_test=114),
+            dict(method="enbpi", n_test=116),
+            dict(method="enbcqr", n_test=116),
+            dict(n_test=130),        # more test values than the series has
         ):
             with pytest.raises(ConfigError):
                 fast_config(**overrides).validate()
@@ -452,6 +459,20 @@ class TestMainExitCodes:
         assert capsys.readouterr().err.count("seed must be >= 0") == 2
         assert not os.path.exists(tmp_path / "run")
         assert not os.path.exists(tmp_path / "s.csv")
+
+    @pytest.mark.parametrize("method, length", [("enbpi", "100"), ("mimocqr", "400")])
+    def test_too_short_synthetic_run_is_two(self, tmp_path, capsys, method, length):
+        out = tmp_path / "run"
+        assert main(["run", "--synthetic", "--length", length, "--n-test", "390",
+                     "--method", method, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"length {length} minus n-test 390" in err
+        assert "(p=40, H=30)" in err
+        assert not out.exists()
+        # exactly one frame row's worth of training values passes: p + H = 7
+        # for the MIMO methods, p + 1 = 6 for the recursive ones
+        fast_config(length=121, n_test=114).validate()
+        fast_config(method="enbpi", n_test=114).validate()
 
     def test_missing_out_is_two(self):
         assert main(["run", "--synthetic"]) == 2

@@ -1,4 +1,3 @@
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -285,27 +284,26 @@ class TestFitEnsemble:
         # the member seed scheme, derive_seed(seed, "member", b, "mse" or
         # str(tau)), over the member's bootstrap rows of the frame
         frame = SupervisedFrame(rng.normal(size=(25, 3)), rng.normal(size=(25, 2)))
-        cfg = TrainConfig(epochs=3, hidden=(4,), seed=99)
+        cfg = TrainConfig(epochs=3, hidden=(4,))
         ens = fit_ensemble(frame, tau, 3, seed=13, config=cfg)
         for b, (member, idx) in enumerate(zip(ens.members, ens.index_sets)):
             sub = SupervisedFrame(frame.covariates[idx], frame.targets[idx])
-            member_cfg = replace(
-                cfg, seed=derive_seed(13, "member", b, "mse" if tau is None else str(tau)))
-            direct = (quantile_net.mse_train(sub, member_cfg) if tau is None
-                      else quantile_net.train(sub, tau, member_cfg))
+            member_seed = derive_seed(13, "member", b, "mse" if tau is None else str(tau))
+            direct = (quantile_net.mse_train(sub, cfg, member_seed) if tau is None
+                      else quantile_net.train(sub, tau, cfg, member_seed))
             for got, want in zip(member.weights + member.biases, direct.weights + direct.biases):
                 np.testing.assert_array_equal(got, want)
 
     def test_mimocqr_nets_are_trained_on_the_fit_rows_at_their_seeds(self, rng):
         series = TimeSeries(rng.normal(size=44).cumsum())
         train_ts, test = TimeSeries(series.values[:38]), series.values[38:]
-        cfg, alpha = TrainConfig(epochs=3, hidden=(4,), seed=0), 0.1
+        cfg, alpha = TrainConfig(epochs=3, hidden=(4,)), 0.1
         common = dict(n_lags=3, horizon=2, alpha=alpha, cal_fraction=0.5, seed=7)
         frame = frame_mimo(train_ts, 3, 2)
         n_fit = frame.n_rows - int(frame.n_rows * 0.5)
         sub = SupervisedFrame(frame.covariates[:n_fit], frame.targets[:n_fit])
         models = tuple(
-            quantile_net.train(sub, tau, replace(cfg, seed=derive_seed(7, "mimocqr", side)))
+            quantile_net.train(sub, tau, cfg, derive_seed(7, "mimocqr", side))
             for tau, side in ((alpha / 2.0, "lo"), (1.0 - alpha / 2.0, "hi")))
         trained = run_mimocqr(train_ts, FeedbackStream(test), config=cfg, **common)
         injected = run_mimocqr(train_ts, FeedbackStream(test), models=models, **common)
@@ -881,7 +879,7 @@ class TestHorizonCheck:
 class TestTrainedRunners:
     """End-to-end smoke runs with real (tiny) network training."""
 
-    CFG = TrainConfig(epochs=3, hidden=(4,), seed=0)
+    CFG = TrainConfig(epochs=3, hidden=(4,))
 
     def test_adaptive_run_is_repeatable(self, rng):
         series = TimeSeries(rng.normal(size=40).cumsum())
@@ -924,7 +922,7 @@ class TestTrainedRunners:
         train, test = split_train_test(series, 1500)
         result = run_aenbmimocqr(
             train, FeedbackStream(test), n_lags=p, horizon=H, alpha=alpha,
-            n_models=10, window_size=T, seed=seed, config=TrainConfig(epochs=5, seed=seed),
+            n_models=10, window_size=T, seed=seed, config=TrainConfig(epochs=5),
         )
         n_scored = frame_mimo(train, p, H).n_rows - result.skipped_oob_rows
         state = AciState.fresh(alpha, init_gamma(T, n_scored), H)

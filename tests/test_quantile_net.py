@@ -159,9 +159,9 @@ def _forward(net, X):
 class TestTraining:
     def test_bitwise_deterministic(self, rng):
         frame = small_frame(rng)
-        cfg = TrainConfig(epochs=40, seed=5, hidden=(8,))
-        a = train(frame, 0.5, cfg)
-        b = train(frame, 0.5, cfg)
+        cfg = TrainConfig(epochs=40, hidden=(8,))
+        a = train(frame, 0.5, cfg, seed=5)
+        b = train(frame, 0.5, cfg, seed=5)
         for wa, wb in zip(a.weights, b.weights):
             np.testing.assert_array_equal(wa, wb)
         for ba, bb in zip(a.biases, b.biases):
@@ -170,8 +170,8 @@ class TestTraining:
 
     def test_seed_changes_fit(self, rng):
         frame = small_frame(rng)
-        a = train(frame, 0.5, TrainConfig(epochs=20, seed=1, hidden=(8,)))
-        b = train(frame, 0.5, TrainConfig(epochs=20, seed=2, hidden=(8,)))
+        a = train(frame, 0.5, TrainConfig(epochs=20, hidden=(8,)), seed=1)
+        b = train(frame, 0.5, TrainConfig(epochs=20, hidden=(8,)), seed=2)
         assert not np.array_equal(a.weights[0], b.weights[0])
 
     def test_loss_history_runs_epochs_plus_one(self, rng):
@@ -184,7 +184,7 @@ class TestTraining:
         X = rng.normal(size=(80, 2))
         Y = np.full((80, 1), 7.0)
         frame = SupervisedFrame(X, Y)
-        net = mse_train(frame, TrainConfig(epochs=1000, learning_rate=0.02, hidden=(8,), seed=0))
+        net = mse_train(frame, TrainConfig(epochs=1000, learning_rate=0.02, hidden=(8,)))
         preds = net.predict_batch(X)
         assert np.max(np.abs(preds - 7.0)) < 0.2
 
@@ -193,7 +193,7 @@ class TestTraining:
         x = rng.uniform(-1.0, 1.0, size=(200, 1))
         y = 2.0 * x
         frame = SupervisedFrame(x, y)
-        net = mse_train(frame, TrainConfig(epochs=1000, hidden=(16,), seed=0))
+        net = mse_train(frame, TrainConfig(epochs=1000, hidden=(16,)))
         resid = net.predict_batch(x) - y
         assert np.mean(resid**2) < 1e-2 * np.var(y)
 
@@ -202,7 +202,7 @@ class TestTraining:
         X = rng.normal(size=(400, 2))
         Y = rng.uniform(0.0, 1.0, size=(400, 1))
         frame = SupervisedFrame(X, Y)
-        net = train(frame, 0.9, TrainConfig(epochs=1000, hidden=(8,), seed=0))
+        net = train(frame, 0.9, TrainConfig(epochs=1000, hidden=(8,)))
         assert 0.85 < float(np.mean(net.predict_batch(X))) < 0.95
 
     def test_tau_out_of_range(self, rng):
@@ -235,7 +235,7 @@ class TestTraining:
         t = np.arange(300, dtype=float)
         values = np.sin(t / 8.0) + 0.1 * rng.normal(size=t.size)
         frame = frame_recursive(TimeSeries(values), n_lags=10)
-        cfg = TrainConfig(epochs=400, hidden=(16,), seed=0)
+        cfg = TrainConfig(epochs=400, hidden=(16,))
         lo = train(frame, 0.05, cfg)
         hi = train(frame, 0.95, cfg)
         lo_pred = lo.predict_batch(frame.covariates)[:, 0]
@@ -263,10 +263,10 @@ class TestKernelMatchesReference:
     @pytest.mark.parametrize("tau", [0.05, 0.5, 0.95, None])
     def test_bitwise_equal(self, kind, hidden, tau):
         frame = self.FRAMES[kind]
-        cfg = TrainConfig(epochs=300, learning_rate=3e-3, seed=11, hidden=hidden)
-        net = mse_train(frame, cfg) if tau is None else train(frame, tau, cfg)
+        cfg, seed = TrainConfig(epochs=300, learning_rate=3e-3, hidden=hidden), 11
+        net = mse_train(frame, cfg, seed) if tau is None else train(frame, tau, cfg, seed)
         weights, biases, losses = oracles.ref_fit(
-            frame.covariates, frame.targets, tau, cfg.epochs, cfg.learning_rate, cfg.seed, hidden
+            frame.covariates, frame.targets, tau, cfg.epochs, cfg.learning_rate, seed, hidden
         )
         assert len(net.loss_history) == cfg.epochs + 1
         assert net.loss_history == losses
