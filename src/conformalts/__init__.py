@@ -2,13 +2,12 @@
 forecasting, with online width adaptation under distribution shift."""
 
 from .adaptive import (
-    AciState,
     SlidingScoreWindow,
     aci_update,
     init_gamma,
     sample_without_replacement,
 )
-from .conformal import conformal_quantile, cqr_interval, score_absolute, score_cqr
+from .conformal import conformal_quantile, cqr_interval, score_cqr
 from .data import (
     OracleIntervalSet,
     SyntheticConfig,

@@ -1,61 +1,34 @@
 """Online adaptation machinery: per-horizon miscoverage tracking and
 fixed-width score windows.
 
-The miscoverage update is the standard online correction: each observed
-block nudges the working level alpha_h by gamma toward the target, down
-after a miss, up after a cover. Clamping keeps the level a valid quantile
-argument. The score windows are one store, a (rows, width) array with one
-row per window. Its width is fixed for life: each block slides its new
-scores in and evicts as many of the oldest (the ensemble-batch update of
-EnbPI, Xu & Xie 2021, arXiv 2010.09107), so the conformity evidence ages
-out at a fixed rate.
+The miscoverage update is the online correction of adaptive conformal
+inference (Gibbs & Candes 2021, arXiv 2106.00170): each observed block
+nudges every step's working level alpha_h by gamma toward the target, down
+after a miss, up after a cover, in one array update. Clamping keeps the
+level a valid quantile argument. The score windows are one store, a
+(rows, width) array with one row per window. Its width is fixed for life:
+each block slides its new scores in and evicts as many of the oldest (the
+ensemble-batch update of EnbPI, Xu & Xie 2021, arXiv 2010.09107), so the
+conformity evidence ages out at a fixed rate.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .seeding import spawn_rng
 
 
-@dataclass
-class AciState:
-    """Working miscoverage levels for each forecast step.
-
-    ``alphas[h-1]`` is the current level for horizon step h. ``target`` is
-    the nominal miscoverage alpha the update steers toward and ``gamma`` the
-    adaptation rate.
+def aci_update(alphas: np.ndarray, target: float, gamma: float, hits) -> np.ndarray:
+    """One online update of every step's level: alpha_h + gamma * (target -
+    miss_h), clamped into [0, 1], where miss_h is 1 where ``hits`` is False
+    and 0 where it is True. Returns the new levels; ``alphas`` is unchanged.
     """
-
-    target: float
-    gamma: float
-    alphas: np.ndarray
-
-    @classmethod
-    def fresh(cls, alpha: float, gamma: float, horizon: int) -> "AciState":
-        if not 0.0 < alpha < 1.0:
-            raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-        if gamma < 0.0:
-            raise ValueError("gamma must be >= 0")
-        if horizon < 1:
-            raise ValueError("horizon must be >= 1")
-        return cls(alpha, gamma, np.full(horizon, float(alpha)))
-
-
-def aci_update(state: AciState, h: int, covered: bool) -> AciState:
-    """Apply one online update for horizon step h (1-based), in place.
-
-    alpha_h += gamma * (target - miss) where miss is 1 on a miscover and 0
-    otherwise; the result is clamped into [0, 1].
-    """
-    if not 1 <= h <= state.alphas.size:
-        raise ValueError(f"horizon step {h} out of range 1..{state.alphas.size}")
-    miss = 0.0 if covered else 1.0
-    raw = state.alphas[h - 1] + state.gamma * (state.target - miss)
-    state.alphas[h - 1] = min(max(raw, 0.0), 1.0)
-    return state
+    hits = np.asarray(hits, dtype=bool)
+    if hits.shape != np.shape(alphas):
+        raise ValueError(f"expected hits of shape {np.shape(alphas)}, got {hits.shape}")
+    miss = (~hits).astype(float)
+    return np.clip(alphas + gamma * (target - miss), 0.0, 1.0)
 
 
 def init_gamma(window_size: int, n_scores: int) -> float:

@@ -101,14 +101,24 @@ class ExperimentConfig:
             raise ConfigError("give exactly one data source: --data PATH or --synthetic")
         if self.synthetic:
             _synthetic_config(self.seed, self.length, self.alpha)
-            # a MIMO frame row spans p + H values, a recursive one p + 1
+            # a MIMO frame row spans p + H values, a recursive one p + 1; every
+            # method needs two rows (a bag that misses one, or a split in two)
             mimo = self.method in ("aenbmimocqr", "mimocqr")
-            needed = self.n_lags + (self.horizon if mimo else 1)
-            if self.length - self.n_test < needed:
+            span = self.n_lags + (self.horizon if mimo else 1)
+            n_train = self.length - self.n_test
+            n_rows = n_train - span + 1
+            if n_rows < 2:
                 raise ConfigError(
-                    f"length {self.length} minus n-test {self.n_test} leaves "
-                    f"{self.length - self.n_test} training values; {self.method} needs at least "
-                    f"{'p + H' if mimo else 'p + 1'} = {needed} (p={self.n_lags}, H={self.horizon})"
+                    f"length {self.length} minus n-test {self.n_test} leaves {n_train} "
+                    f"training values; {self.method} needs at least "
+                    f"{'p + H + 1' if mimo else 'p + 2'} = {span + 1} "
+                    f"(p={self.n_lags}, H={self.horizon})"
+                )
+            if self.method == "mimocqr" and int(n_rows * self.cal_fraction) < 1:
+                raise ConfigError(
+                    f"cal-fraction {self.cal_fraction} of the {n_rows} frame rows that length "
+                    f"{self.length} minus n-test {self.n_test} leaves calibrates none "
+                    f"(p={self.n_lags}, H={self.horizon})"
                 )
 
     def to_json_dict(self) -> dict:

@@ -14,11 +14,6 @@ import numpy as np
 from .errors import EmptyScoreSet, InvalidInterval
 
 
-def score_absolute(y_hat: np.ndarray | float, y: np.ndarray | float) -> np.ndarray | float:
-    """Absolute residual |y_hat - y|, elementwise."""
-    return np.abs(np.asarray(y_hat, dtype=float) - np.asarray(y, dtype=float))[()]
-
-
 def score_cqr(lo: np.ndarray | float, hi: np.ndarray | float, y: np.ndarray | float):
     """Signed distance of y outside the band [lo, hi].
 

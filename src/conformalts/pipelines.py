@@ -55,7 +55,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .adaptive import (
-    AciState,
     SlidingScoreWindow,
     aci_update,
     init_gamma,
@@ -355,8 +354,8 @@ def run_aenbmimocqr(
     Fits lower/upper multi-output quantile ensembles over shared bootstrap
     resamples, calibrates per-step corrections on out-of-bag conformity
     scores, then walks the test segment block by block: emit corrected
-    intervals, observe the block, rescore, update each step's working
-    miscoverage level, and recompute the corrections.
+    intervals, observe the block, rescore, update every step's working
+    miscoverage level in one ``aci_update``, and recompute the corrections.
 
     Rescoring follows the ensemble-batch rule of EnbPI (Xu & Xie 2021,
     arXiv 2010.09107): a block of ``horizon`` revealed values slides
@@ -373,10 +372,12 @@ def run_aenbmimocqr(
     per block, and reused for both emitting and scoring.
 
     ``ensembles`` injects pre-fitted (lower, upper) ensembles in place of
-    training; ``gamma_override`` pins the adaptation rate (0 disables
-    adaptation), both mainly for equivalence testing.
+    training; ``gamma_override`` pins the adaptation rate, a finite value
+    >= 0 (0 disables adaptation), both mainly for equivalence testing.
     """
     _check_run(stream, horizon, alpha)
+    if gamma_override is not None and not 0.0 <= gamma_override < np.inf:
+        raise ValueError(f"gamma must be a finite number >= 0, got {gamma_override}")
     config = config or TrainConfig()
     frame = frame_mimo(train_series, n_lags, horizon)
     if ensembles is None:
@@ -388,8 +389,8 @@ def run_aenbmimocqr(
 
     scores, skipped = _oob_band_scores(lo_ens, hi_ens, frame)
     gamma = init_gamma(window_size, len(scores)) if gamma_override is None else gamma_override
-    state = AciState.fresh(alpha, gamma, horizon)
-    qhat = conformal_quantile(scores.T, state.alphas)
+    alphas = np.full(horizon, float(alpha))
+    qhat = conformal_quantile(scores.T, alphas)
     windows = SlidingScoreWindow([
         sample_without_replacement(scores[:, h], window_size, derive_seed(seed, "window", h + 1))
         for h in range(horizon)
@@ -402,22 +403,21 @@ def run_aenbmimocqr(
     # in the previous and new bands stacked, row horizon - 1 + j - h is the
     # origin whose step h + 1 forecast targets the block's j-th value
     score_rows = horizon - 1 + steps[None, :] - steps[:, None]
-    alpha_rows = [state.alphas.copy()]
+    alpha_rows = [alphas]
 
     def emit(history):
         return lo_band[-1], hi_band[-1], qhat
 
     def observe(lower, upper, y, history):
-        nonlocal lo_band, hi_band, qhat
+        nonlocal lo_band, hi_band, qhat, alphas
         new_lo, new_hi = _trailing_bands(lo_ens, hi_ens, history, n_lags, horizon)
         lo_t = np.vstack([lo_band, new_lo])[score_rows, steps[:, None]]
         hi_t = np.vstack([hi_band, new_hi])[score_rows, steps[:, None]]
         windows.push(score_cqr(lo_t, hi_t, y))  # (step, target)
-        for h, hit in enumerate(covered(lower, upper, y), start=1):
-            aci_update(state, h, bool(hit))
-        qhat = conformal_quantile(windows.values(), state.alphas)
+        alphas = aci_update(alphas, alpha, gamma, covered(lower, upper, y))
+        qhat = conformal_quantile(windows.values(), alphas)
         lo_band, hi_band = new_lo, new_hi
-        alpha_rows.append(state.alphas.copy())
+        alpha_rows.append(alphas)
 
     return RunResult(
         "aenbmimocqr",

@@ -89,6 +89,16 @@ def _ordered(a, b):
     return (a, b) if a <= b else (b, a)
 
 
+def ref_aci_update(alphas, target, gamma, hits):
+    """The ACI level rule one step at a time: alpha_h + gamma * (target -
+    miss_h), clamped into [0, 1] with Python's min and max."""
+    new = []
+    for a, hit in zip(alphas, hits):
+        miss = 0.0 if hit else 1.0
+        new.append(min(max(a + gamma * (target - miss), 0.0), 1.0))
+    return new
+
+
 def sim_aenbmimocqr(train_values, test_values, p, H, alpha,
                     lo_members, hi_members, index_sets, T, gamma=None):
     """Re-simulate the adaptive bagged multi-output procedure.
@@ -147,10 +157,8 @@ def sim_aenbmimocqr(train_values, test_values, p, H, alpha,
                 windows[h - 1].append(max(blo - y_block[j], y_block[j] - bhi))
                 if len(windows[h - 1]) > capacity:
                     windows[h - 1].pop(0)
-        for h in range(H):
-            lower, upper = intervals[h]
-            miss = 0.0 if lower <= y_block[h] <= upper else 1.0
-            alphas[h] = min(max(alphas[h] + gamma * (alpha - miss), 0.0), 1.0)
+        hits = [lower <= y <= upper for (lower, upper), y in zip(intervals, y_block)]
+        alphas = ref_aci_update(alphas, alpha, gamma, hits)
         qhat = [kth_smallest(windows[h], 1.0 - alphas[h]) for h in range(H)]
         blocks.append({
             "origin": len(train_values) + b * H + 1,

@@ -4,57 +4,50 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conformalts.adaptive import (
-    AciState,
     SlidingScoreWindow,
     aci_update,
     init_gamma,
     sample_without_replacement,
 )
 
+from oracles import ref_aci_update
+
+
+def one_level(alpha, target, gamma, covered):
+    return aci_update(np.array([alpha]), target, gamma, [covered])[0]
+
 
 class TestAciUpdate:
     def test_cover_raises_level(self):
-        state = AciState.fresh(0.1, 0.005, 1)
-        aci_update(state, 1, covered=True)
-        assert state.alphas[0] == pytest.approx(0.1005, abs=1e-15)
+        assert one_level(0.1, 0.1, 0.005, True) == pytest.approx(0.1005, abs=1e-15)
 
     def test_miss_lowers_level(self):
-        state = AciState.fresh(0.1, 0.005, 1)
-        aci_update(state, 1, covered=False)
-        assert state.alphas[0] == pytest.approx(0.0955, abs=1e-15)
+        assert one_level(0.1, 0.1, 0.005, False) == pytest.approx(0.0955, abs=1e-15)
 
     def test_clamps_at_zero(self):
-        state = AciState.fresh(0.1, 0.005, 1)
-        state.alphas[0] = 0.002
-        aci_update(state, 1, covered=False)
-        assert state.alphas[0] == 0.0
+        assert one_level(0.002, 0.1, 0.005, False) == 0.0
 
     def test_clamps_at_one(self):
-        state = AciState.fresh(0.9, 0.5, 1)
-        state.alphas[0] = 0.95
-        aci_update(state, 1, covered=True)
-        assert state.alphas[0] == 1.0
+        assert one_level(0.95, 0.9, 0.5, True) == 1.0
 
-    def test_updates_only_requested_step(self):
-        state = AciState.fresh(0.1, 0.01, 4)
-        aci_update(state, 3, covered=False)
-        np.testing.assert_array_equal(state.alphas[[0, 1, 3]], 0.1)
-        assert state.alphas[2] != 0.1
+    def test_each_step_moves_by_its_own_hit(self):
+        alphas = aci_update(np.full(4, 0.1), 0.1, 0.01, [True, True, False, True])
+        np.testing.assert_array_equal(alphas[[0, 1, 3]], one_level(0.1, 0.1, 0.01, True))
+        assert alphas[2] == one_level(0.1, 0.1, 0.01, False)
 
     def test_step_out_of_range(self):
-        state = AciState.fresh(0.1, 0.01, 2)
-        with pytest.raises(ValueError):
-            aci_update(state, 0, covered=True)
-        with pytest.raises(ValueError):
-            aci_update(state, 3, covered=True)
+        # hits for steps 1..1 or 1..3 against levels for steps 1..2
+        for hits in ([True], [True] * 3, [[True, True]]):
+            with pytest.raises(ValueError, match="shape"):
+                aci_update(np.full(2, 0.1), 0.1, 0.01, hits)
 
     def test_all_covered_telescopes(self):
         # k straight covers move the level to alpha * (1 + k * gamma)
         alpha, gamma, k = 0.1, 0.002, 7
-        state = AciState.fresh(alpha, gamma, 1)
+        alphas = np.array([alpha])
         for _ in range(k):
-            aci_update(state, 1, covered=True)
-        assert state.alphas[0] == pytest.approx(alpha * (1 + k * gamma), rel=1e-12)
+            alphas = aci_update(alphas, alpha, gamma, [True])
+        assert alphas[0] == pytest.approx(alpha * (1 + k * gamma), rel=1e-12)
 
     @given(
         outcomes=st.lists(st.booleans(), min_size=1, max_size=60),
@@ -62,25 +55,30 @@ class TestAciUpdate:
     )
     def test_matches_closed_form_without_clamping(self, outcomes, gamma):
         alpha = 0.5
-        state = AciState.fresh(alpha, gamma, 1)
+        alphas = np.array([alpha])
         for covered in outcomes:
-            aci_update(state, 1, covered)
+            alphas = aci_update(alphas, alpha, gamma, [covered])
         n_cov = sum(outcomes)
         n_miss = len(outcomes) - n_cov
         expected = alpha + gamma * (n_cov * alpha - n_miss * (1 - alpha))
-        assert state.alphas[0] == pytest.approx(expected, rel=1e-9)
+        assert alphas[0] == pytest.approx(expected, rel=1e-9)
 
-    def test_fresh_validates(self):
-        with pytest.raises(ValueError):
-            AciState.fresh(0.0, 0.01, 1)
-        with pytest.raises(ValueError):
-            AciState.fresh(0.1, -0.01, 1)
-        with pytest.raises(ValueError):
-            AciState.fresh(0.1, 0.01, 0)
-
-    def test_fresh_levels_start_at_target(self):
-        state = AciState.fresh(0.2, 0.01, 5)
-        np.testing.assert_array_equal(state.alphas, np.full(5, 0.2))
+    @given(
+        data=st.data(),
+        horizon=st.integers(1, 40),
+        target=st.floats(0.01, 0.99),
+        gamma=st.sampled_from([0.0, 1.0 / 582, 0.5]),
+        n_blocks=st.integers(1, 8),
+    )
+    def test_equals_scalar_rule_bit_for_bit(self, data, horizon, target, gamma, n_blocks):
+        levels = data.draw(st.lists(st.floats(0.0, 1.0), min_size=horizon, max_size=horizon))
+        alphas = np.array(levels)
+        for _ in range(n_blocks):
+            hits = data.draw(st.lists(st.booleans(), min_size=horizon, max_size=horizon))
+            alphas = aci_update(alphas, target, gamma, np.array(hits))
+            levels = ref_aci_update(levels, target, gamma, hits)
+            assert alphas.dtype == np.float64
+            np.testing.assert_array_equal(alphas.view(np.int64), np.array(levels).view(np.int64))
 
 
 class TestInitGamma:

@@ -58,12 +58,18 @@ class TestExperimentConfig:
             dict(length=40),
             dict(layout="tall"),
             dict(seed=-1),           # numpy cannot seed a synthetic series with it
-            # length 120 minus n-test leaves fewer training values than one
-            # frame row spans: p + H = 7 (MIMO) or p + 1 = 6 (recursive)
+            # length minus n-test leaves fewer training values than two frame
+            # rows span: p + H + 1 = 8 (MIMO) or p + 2 = 7 (recursive)
             dict(n_test=114),
             dict(method="mimocqr", n_test=114),
             dict(method="enbpi", n_test=116),
             dict(method="enbcqr", n_test=116),
+            dict(length=121, n_test=114),
+            dict(method="mimocqr", length=121, n_test=114),
+            dict(method="enbpi", n_test=114),
+            dict(method="enbcqr", n_test=114),
+            # two frame rows, but 0.3 of them calibrates none
+            dict(method="mimocqr", length=122, n_test=114, cal_fraction=0.3),
             dict(n_test=130),        # more test values than the series has
         ):
             with pytest.raises(ConfigError):
@@ -469,10 +475,13 @@ class TestMainExitCodes:
         assert f"length {length} minus n-test 390" in err
         assert "(p=40, H=30)" in err
         assert not out.exists()
-        # exactly one frame row's worth of training values passes: p + H = 7
-        # for the MIMO methods, p + 1 = 6 for the recursive ones
-        fast_config(length=121, n_test=114).validate()
-        fast_config(method="enbpi", n_test=114).validate()
+        # two frame rows' worth of training values pass: p + H + 1 = 8 for
+        # the MIMO methods, p + 2 = 7 for the recursive ones
+        fast_config(length=122, n_test=114).validate()
+        fast_config(method="mimocqr", length=122, n_test=114).validate()
+        fast_config(method="enbpi", length=121, n_test=114).validate()
+        with pytest.raises(ConfigError, match=r"cal-fraction 0.3 of the 2 frame rows .* 122 "):
+            fast_config(method="mimocqr", length=122, n_test=114, cal_fraction=0.3).validate()
 
     def test_missing_out_is_two(self):
         assert main(["run", "--synthetic"]) == 2

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from conformalts.conformal import (
     conformal_quantile,
     cqr_interval,
-    score_absolute,
     score_cqr,
 )
 from conformalts.errors import EmptyScoreSet, InvalidInterval
@@ -24,12 +23,6 @@ FINITE = st.one_of(
 
 
 class TestScores:
-    def test_absolute(self):
-        assert score_absolute(3.0, 5.0) == 2.0
-        np.testing.assert_array_equal(
-            score_absolute(np.array([1.0, 2.0]), np.array([2.0, 0.0])), [1.0, 2.0]
-        )
-
     def test_cqr_inside_is_negative(self):
         assert score_cqr(0.0, 10.0, 4.0) == -4.0
 
@@ -56,7 +49,7 @@ class TestScores:
         # true third field draws the pair y = p
         p = np.array([pv for pv, _, _ in cases])
         y = np.array([pv if equal else yv for pv, yv, equal in cases])
-        cqr, absolute = score_cqr(p, p, y), score_absolute(p, y)
+        cqr, absolute = score_cqr(p, p, y), np.abs(p - y)
         assert np.array_equal(cqr, absolute)
         assert np.array_equal(np.signbit(cqr), np.signbit(absolute))
 

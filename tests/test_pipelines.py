@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 import oracles
 from conformalts import pipelines, quantile_net
-from conformalts.adaptive import AciState, aci_update, init_gamma
+from conformalts.adaptive import aci_update, init_gamma
 from conformalts.data import SyntheticConfig, gen_synthetic, split_train_test
 from conformalts.errors import AllRowsInBag, DimensionMismatch, InvalidInterval
 from conformalts.framing import (
@@ -876,6 +876,17 @@ class TestHorizonCheck:
         assert training_calls == []
 
 
+class TestGammaCheck:
+    @pytest.mark.parametrize("gamma", [-0.01, float("nan"), float("inf")])
+    def test_bad_gamma_rejected_before_any_training(self, training_calls, rng, gamma):
+        with pytest.raises(ValueError, match="gamma"):
+            run_aenbmimocqr(
+                TimeSeries(rng.uniform(size=40)), FeedbackStream(rng.uniform(size=4)),
+                n_lags=3, horizon=2, alpha=0.1, gamma_override=gamma,
+            )
+        assert training_calls == []
+
+
 class TestTrainedRunners:
     """End-to-end smoke runs with real (tiny) network training."""
 
@@ -925,12 +936,11 @@ class TestTrainedRunners:
             n_models=10, window_size=T, seed=seed, config=TrainConfig(epochs=5),
         )
         n_scored = frame_mimo(train, p, H).n_rows - result.skipped_oob_rows
-        state = AciState.fresh(alpha, init_gamma(T, n_scored), H)
-        rows = [state.alphas.copy()]
+        gamma = init_gamma(T, n_scored)
+        # every level starts at the target, and each block moves them once
+        rows = [np.full(H, alpha)]
         for lower, upper, y in zip(result.lower, result.upper, result.y):
-            for h, hit in enumerate(covered(lower, upper, y), start=1):
-                aci_update(state, h, bool(hit))
-            rows.append(state.alphas.copy())
+            rows.append(aci_update(rows[-1], alpha, gamma, covered(lower, upper, y)))
         assert np.array_equal(np.asarray(rows).T, result.alpha_traces)
         assert result.alpha_traces.shape == (H, 1500 // H + 1)
         assert np.all((result.alpha_traces > 0.0) & (result.alpha_traces < 1.0))
