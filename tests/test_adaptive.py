@@ -9,8 +9,11 @@ from conformalts.adaptive import (
     init_gamma,
     sample_without_replacement,
 )
+from conformalts.framing import TimeSeries
+from conformalts.pipelines import BootstrapEnsemble, FeedbackStream, run_aenbmimocqr
 
 from oracles import ref_aci_update
+from support import make_affine_members, random_index_sets
 
 
 def one_level(alpha, target, gamma, covered):
@@ -34,6 +37,20 @@ class TestAciUpdate:
         alphas = aci_update(np.full(4, 0.1), 0.1, 0.01, [True, True, False, True])
         np.testing.assert_array_equal(alphas[[0, 1, 3]], one_level(0.1, 0.1, 0.01, True))
         assert alphas[2] == one_level(0.1, 0.1, 0.01, False)
+
+    def test_fresh_levels_start_at_target(self, rng):
+        # before any block is observed, every step's level is the target
+        p, H = 2, 3
+        train = TimeSeries(rng.normal(size=20).cumsum())
+        sets = random_index_sets(2, 20 - p - H + 1, rng)
+        lo = BootstrapEnsemble(make_affine_members(2, p, H, 5), sets)
+        hi = BootstrapEnsemble(make_affine_members(2, p, H, 12), sets)
+        for alpha in (0.1, 0.37):
+            result = run_aenbmimocqr(
+                train, FeedbackStream(rng.normal(size=2 * H)),
+                n_lags=p, horizon=H, alpha=alpha, window_size=10, ensembles=(lo, hi),
+            )
+            np.testing.assert_array_equal(result.alpha_traces[:, 0], np.full(H, alpha))
 
     def test_step_out_of_range(self):
         # hits for steps 1..1 or 1..3 against levels for steps 1..2
