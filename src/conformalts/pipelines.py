@@ -378,6 +378,8 @@ def run_aenbmimocqr(
     _check_run(stream, horizon, alpha)
     if gamma_override is not None and not 0.0 <= gamma_override < np.inf:
         raise ValueError(f"gamma must be a finite number >= 0, got {gamma_override}")
+    if window_size < 1:
+        raise ValueError(f"window_size must be >= 1, got {window_size}")
     config = config or TrainConfig()
     frame = frame_mimo(train_series, n_lags, horizon)
     if ensembles is None:

@@ -887,6 +887,17 @@ class TestGammaCheck:
         assert training_calls == []
 
 
+class TestWindowSizeCheck:
+    @pytest.mark.parametrize("window_size", [0, -1])
+    def test_rejected_before_any_training(self, training_calls, rng, window_size):
+        with pytest.raises(ValueError, match="window_size"):
+            run_aenbmimocqr(
+                TimeSeries(rng.uniform(size=40)), FeedbackStream(rng.uniform(size=4)),
+                n_lags=3, horizon=2, alpha=0.1, window_size=window_size,
+            )
+        assert training_calls == []
+
+
 class TestTrainedRunners:
     """End-to-end smoke runs with real (tiny) network training."""
 
