@@ -29,6 +29,7 @@ from time import perf_counter
 import numpy as np
 
 from .data import (
+    LAYOUTS,
     SyntheticConfig,
     gen_synthetic,
     load_csv,
@@ -45,7 +46,6 @@ from .seeding import derive_seed
 
 SCHEMA_VERSION = 1
 METHODS = ("aenbmimocqr", "mimocqr", "enbpi", "enbcqr")
-LAYOUTS = ("wide", "long")
 
 
 @dataclass
@@ -59,16 +59,16 @@ class ExperimentConfig:
     n_models: int = 10
     window_size: int = 100
     n_test: int = 390
-    epochs: int = 1000
-    hidden: tuple[int, ...] = (64, 64)
-    learning_rate: float = 1e-3
+    epochs: int = TrainConfig.epochs
+    hidden: tuple[int, ...] = TrainConfig.hidden
+    learning_rate: float = TrainConfig.learning_rate
     cal_fraction: float = 0.5
     seed: int = 0
     workers: int = 1
     data: str | None = None
     layout: str = "wide"
     synthetic: bool = False
-    length: int = 1041
+    length: int = SyntheticConfig.length
 
     def validate(self) -> None:
         if self.method not in METHODS:
@@ -137,64 +137,43 @@ def _synthetic_config(seed: int, length: int, alpha: float) -> SyntheticConfig:
         raise ConfigError(str(exc)) from None
 
 
-def _to_int(key):
-    def conv(text: str) -> int:
-        try:
-            return int(text)
-        except ValueError:
-            raise ConfigError(f"{key} expects an integer, got {text!r}") from None
-    return conv
+_EXPECTS = {int: "an integer", float: "a number", bool: "true/false",
+            tuple: "comma-separated widths"}
+_BOOLS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
 
 
-def _to_float(key):
-    def conv(text: str) -> float:
-        try:
-            return float(text)
-        except ValueError:
-            raise ConfigError(f"{key} expects a number, got {text!r}") from None
-    return conv
-
-
-def _to_bool(key):
-    def conv(text: str) -> bool:
-        low = text.strip().lower()
-        if low in ("true", "1", "yes"):
-            return True
-        if low in ("false", "0", "no"):
-            return False
-        raise ConfigError(f"{key} expects true/false, got {text!r}")
-    return conv
-
-
-def _to_hidden(text: str) -> tuple[int, ...]:
+def _convert(key: str, kind: type, text: str):
+    """A setting's text as its ``kind`` (str, int, float, bool, or tuple for
+    comma-separated widths); a bad value is a ConfigError naming the key."""
     try:
-        return tuple(int(part) for part in str(text).split(",") if part.strip() != "")
-    except ValueError:
-        raise ConfigError(f"hidden expects comma-separated widths, got {text!r}") from None
+        if kind is bool:
+            return _BOOLS[text.strip().lower()]
+        if kind is tuple:
+            return tuple(int(part) for part in text.split(",") if part.strip() != "")
+        return kind(text)
+    except (KeyError, ValueError):
+        raise ConfigError(f"{key} expects {_EXPECTS[kind]}, got {text!r}") from None
 
 
-# config-file key (flag --key) -> (ExperimentConfig attribute, converter
-# from string, flag help)
+# config-file key (flag --key) -> (ExperimentConfig attribute, kind, flag help)
 _RUN_KEYS = {
     "method": ("method", str, f"one of {', '.join(METHODS)}"),
-    "alpha": ("alpha", _to_float("alpha"), "miscoverage level in (0, 1)"),
-    "p": ("n_lags", _to_int("p"), "lag window length"),
-    "H": ("horizon", _to_int("H"), "forecast horizon"),
-    "B": ("n_models", _to_int("B"), "bootstrap ensemble size"),
-    "T": ("window_size", _to_int("T"), "score window capacity"),
-    "n-test": ("n_test", _to_int("n-test"), "test segment length, a multiple of H"),
-    "epochs": ("epochs", _to_int("epochs"), "training epochs per network"),
-    "hidden": ("hidden", _to_hidden, "hidden widths, e.g. 64,64"),
-    "lr": ("learning_rate", _to_float("lr"), "learning rate"),
-    "cal-fraction": ("cal_fraction", _to_float("cal-fraction"),
-                     "mimocqr's calibration share of the rows"),
-    "seed": ("seed", _to_int("seed"), "run seed, also the synthetic series seed"),
-    "workers": ("workers", _to_int("workers"), "worker processes for multi-series data"),
+    "alpha": ("alpha", float, "miscoverage level in (0, 1)"),
+    "p": ("n_lags", int, "lag window length"),
+    "H": ("horizon", int, "forecast horizon"),
+    "B": ("n_models", int, "bootstrap ensemble size"),
+    "T": ("window_size", int, "score window capacity"),
+    "n-test": ("n_test", int, "test segment length, a multiple of H"),
+    "epochs": ("epochs", int, "training epochs per network"),
+    "hidden": ("hidden", tuple, "hidden widths, e.g. 64,64"),
+    "lr": ("learning_rate", float, "learning rate"),
+    "cal-fraction": ("cal_fraction", float, "mimocqr's calibration share of the rows"),
+    "seed": ("seed", int, "run seed, also the synthetic series seed"),
+    "workers": ("workers", int, "worker processes for multi-series data"),
     "data": ("data", str, "CSV dataset path"),
     "layout": ("layout", str, f"CSV layout, one of {', '.join(LAYOUTS)}"),
-    "synthetic": ("synthetic", _to_bool("synthetic"),
-                  "use the built-in synthetic benchmark series"),
-    "length": ("length", _to_int("length"), "synthetic series length"),
+    "synthetic": ("synthetic", bool, "use the built-in synthetic benchmark series"),
+    "length": ("length", int, "synthetic series length"),
 }
 
 
@@ -224,13 +203,13 @@ def parse_config_file(path) -> dict[str, str]:
 def _resolve_run_config(args) -> tuple[ExperimentConfig, str]:
     file_values = parse_config_file(args.config) if args.config else {}
     cfg = ExperimentConfig()
-    for key, (attr, conv, _) in _RUN_KEYS.items():
+    for key, (attr, kind, _) in _RUN_KEYS.items():
         if key in file_values:
-            setattr(cfg, attr, conv(file_values[key]))
+            setattr(cfg, attr, _convert(key, kind, file_values[key]))
         # an explicit flag (key "n-test" is flag dest "n_test") wins over the file
         value = getattr(args, key.replace("-", "_"))
         if value is not None:
-            setattr(cfg, attr, conv(value))
+            setattr(cfg, attr, _convert(key, kind, value))
     out = args.out if args.out is not None else file_values.get("out")
     if not out:
         raise ConfigError("an output directory is required (--out)")
@@ -365,7 +344,8 @@ def _json_array(values: np.ndarray) -> list:
             for v in (float(x) for x in values)]
 
 
-def cmd_synth(seed: int, out_path, length: int = 1041, alpha: float = 0.1) -> dict:
+def cmd_synth(seed: int, out_path, length: int = SyntheticConfig.length,
+              alpha: float = SyntheticConfig.oracle_alpha) -> dict:
     """Generate the benchmark series; write a wide CSV and a sidecar JSON."""
     config = _synthetic_config(seed, length, alpha)
     series, oracle = gen_synthetic(config)
@@ -500,10 +480,11 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--out", help="output directory")
 
     synth = sub.add_parser("synth", help="generate the synthetic benchmark")
-    synth.add_argument("--seed", type=int, required=True)
+    # strings, converted and checked as run converts them
+    synth.add_argument("--seed", required=True)
     synth.add_argument("--out", required=True, help="CSV path to write")
-    synth.add_argument("--length", type=int, default=1041)
-    synth.add_argument("--alpha", type=float, default=0.1)
+    synth.add_argument("--length", default=str(SyntheticConfig.length))
+    synth.add_argument("--alpha", default=str(SyntheticConfig.oracle_alpha))
 
     ev = sub.add_parser("eval", help="recompute metrics from an intervals file")
     ev.add_argument("--intervals", required=True)
@@ -520,7 +501,9 @@ def main(argv=None) -> int:
             cfg, out_dir = _resolve_run_config(args)
             cmd_run(cfg, out_dir)
         elif args.command == "synth":
-            cmd_synth(args.seed, args.out, length=args.length, alpha=args.alpha)
+            seed, length, alpha = (_convert(key, _RUN_KEYS[key][1], getattr(args, key))
+                                   for key in ("seed", "length", "alpha"))
+            cmd_synth(seed, args.out, length=length, alpha=alpha)
         else:
             cmd_eval(args.intervals, args.oracle, args.out)
     except ConfigError as exc:

@@ -42,6 +42,9 @@ _P_LOW = 0.02425
 NOISE_C0 = 0.1
 NOISE_SLOPE = 0.001
 
+# CSV layouts load_csv reads: one series per column, or (id, t, value) rows
+LAYOUTS = ("wide", "long")
+
 
 def norm_quantile(p: float) -> float:
     """Standard normal quantile at probability p in (0, 1)."""
@@ -180,8 +183,8 @@ def load_csv(path, layout: str) -> list[TimeSeries]:
     any order and are sorted by t within each id, whose time indices must
     be consecutive.
     """
-    if layout not in ("wide", "long"):
-        raise ValueError('layout must be "wide" or "long"')
+    if layout not in LAYOUTS:
+        raise ValueError(f"layout must be one of {', '.join(LAYOUTS)}")
     with open(path, "r", encoding="utf-8", newline="") as fh:
         rows = list(numbered_rows(fh))
     if len(rows) < 2:

@@ -7,7 +7,8 @@ have been submitted. All state updates (score windows, working miscoverage
 levels, conformal corrections) therefore happen strictly between blocks.
 
 Every runner checks its inputs, fits (or takes) its models, each net by
-``_train_net`` on rows of the runner's frame, calibrates on held-out scores
+``_train_net`` on rows of the runner's frame (a bagged runner's in one
+``fit_ensemble`` call over all its levels), calibrates on held-out scores
 and hands the test segment to ``_walk``, the one block loop.
 A runner supplies two callbacks: ``emit(history)`` returns the next block's
 (lower band, upper band, correction) from the values seen so far, and
@@ -187,27 +188,34 @@ def _train_net(frame: SupervisedFrame, rows, tau: float | None, seed: int,
 
 def fit_ensemble(
     frame: SupervisedFrame,
-    tau: float | None,
+    taus: tuple[float | None, ...],
     n_models: int,
     seed: int,
     config: TrainConfig,
-) -> BootstrapEnsemble:
-    """Train ``n_models`` networks on with-replacement row resamples.
+) -> list[BootstrapEnsemble]:
+    """Train ``n_models`` networks per level in ``taus`` on one draw of
+    with-replacement row resamples; one ensemble per level, in order.
 
-    ``tau`` selects the objective: a level in (0, 1) trains pinball nets,
-    None trains squared-error nets. The bootstrap index sets depend only on
-    ``seed``, so ensembles fitted with the same seed but different tau pair
-    up member-for-member over identical resamples.
+    A level in (0, 1) trains pinball nets, None squared-error nets. Every
+    level's member b trains on bag b at seed ``derive_seed(seed, "member",
+    b, "mse" or str(tau))``, so the ensembles pair up member for member.
+    The bags depend only on ``seed`` and the frame's row count.
     """
     if n_models < 2:
         raise ValueError(f"n_models must be >= 2, got {n_models}")
     n = frame.n_rows
+    if n < 2:
+        # one row is in every bag, so no row would have an out-of-bag score
+        raise SeriesTooShort(f"bagging needs at least 2 frame rows, the training frame has {n}")
     rng = spawn_rng(seed, "bootstrap")
     index_sets = [rng.integers(0, n, size=n) for _ in range(n_models)]
-    objective = "mse" if tau is None else str(tau)
-    members = [_train_net(frame, idx, tau, derive_seed(seed, "member", b, objective), config)
-               for b, idx in enumerate(index_sets)]
-    return BootstrapEnsemble(members, index_sets)
+    ensembles = []
+    for tau in taus:
+        objective = "mse" if tau is None else str(tau)
+        members = [_train_net(frame, idx, tau, derive_seed(seed, "member", b, objective), config)
+                   for b, idx in enumerate(index_sets)]
+        ensembles.append(BootstrapEnsemble(members, index_sets))
+    return ensembles
 
 
 def oob_predict(ensemble: BootstrapEnsemble, frame: SupervisedFrame):
@@ -383,10 +391,8 @@ def run_aenbmimocqr(
     config = config or TrainConfig()
     frame = frame_mimo(train_series, n_lags, horizon)
     if ensembles is None:
-        lo_ens = fit_ensemble(frame, alpha / 2.0, n_models, seed, config)
-        hi_ens = fit_ensemble(frame, 1.0 - alpha / 2.0, n_models, seed, config)
-    else:
-        lo_ens, hi_ens = ensembles
+        ensembles = fit_ensemble(frame, (alpha / 2.0, 1.0 - alpha / 2.0), n_models, seed, config)
+    lo_ens, hi_ens = ensembles
     _require_shared_index_sets(lo_ens, hi_ens)
 
     scores, skipped = _oob_band_scores(lo_ens, hi_ens, frame)
@@ -510,7 +516,7 @@ def run_enbpi(
     config = config or TrainConfig()
     frame = frame_recursive(train_series, n_lags)
     if ensemble is None:
-        ensemble = fit_ensemble(frame, None, n_models, seed, config)
+        (ensemble,) = fit_ensemble(frame, (None,), n_models, seed, config)
     return _recursive_walk("enbpi", train_series, stream, frame, horizon, alpha, ensemble)
 
 
@@ -537,11 +543,9 @@ def run_enbcqr(
     config = config or TrainConfig()
     frame = frame_recursive(train_series, n_lags)
     if ensembles is None:
-        lo_ens = fit_ensemble(frame, alpha / 2.0, n_models, seed, config)
-        med_ens = fit_ensemble(frame, 0.5, n_models, seed, config)
-        hi_ens = fit_ensemble(frame, 1.0 - alpha / 2.0, n_models, seed, config)
-    else:
-        lo_ens, med_ens, hi_ens = ensembles
+        ensembles = fit_ensemble(frame, (alpha / 2.0, 0.5, 1.0 - alpha / 2.0), n_models, seed,
+                                 config)
+    lo_ens, med_ens, hi_ens = ensembles
     _require_shared_index_sets(lo_ens, med_ens, hi_ens)
     return _recursive_walk("enbcqr", train_series, stream, frame, horizon, alpha,
                            med_ens, (lo_ens, hi_ens))

@@ -5,9 +5,11 @@ import re
 import numpy as np
 import pytest
 
+from conformalts import pipelines
 from conformalts.cli import (
     _RUN_KEYS,
     ExperimentConfig,
+    _resolve_run_config,
     build_parser,
     cmd_eval,
     cmd_run,
@@ -393,6 +395,28 @@ class TestCmdSynth:
         assert sidecar_path_for("bench.dat") == "bench.dat.oracle.json"
 
 
+# every run key -> two (text, value) spellings with different values
+SPELLINGS = {
+    "method": (("mimocqr", "mimocqr"), ("enbpi", "enbpi")),
+    "alpha": (("0.2", 0.2), ("0.3", 0.3)),
+    "p": (("4", 4), ("6", 6)),
+    "H": (("1", 1), ("5", 5)),
+    "B": (("3", 3), ("4", 4)),
+    "T": (("7", 7), ("9", 9)),
+    "n-test": (("4", 4), ("6", 6)),
+    "epochs": (("3", 3), ("9", 9)),
+    "hidden": (("6,4", (6, 4)), ("8", (8,))),
+    "lr": (("0.01", 0.01), ("2e-3", 0.002)),
+    "cal-fraction": (("0.3", 0.3), ("0.6", 0.6)),
+    "seed": (("5", 5), ("7", 7)),
+    "workers": (("2", 2), ("3", 3)),
+    "data": (("a.csv", "a.csv"), ("b.csv", "b.csv")),
+    "layout": (("long", "long"), ("wide", "wide")),
+    "synthetic": (("no", False), ("true", True)),
+    "length": (("90", 90), ("200", 200)),
+}
+
+
 class TestConfigFile:
     def test_file_values_then_flag_overrides(self, tmp_path):
         cfg_file = tmp_path / "run.cfg"
@@ -432,6 +456,31 @@ class TestConfigFile:
         cfg_file.write_text("\n# comment\nseed = 5   # trailing\n\n")
         assert parse_config_file(cfg_file) == {"seed": "5"}
 
+    @pytest.mark.parametrize("key", list(_RUN_KEYS))
+    def test_file_and_flag_give_one_value_and_the_flag_wins(self, monkeypatch, tmp_path, key):
+        # conversion and precedence only; validation has its own tests
+        monkeypatch.setattr(ExperimentConfig, "validate", lambda self: None)
+        (file_text, file_value), (flag_text, flag_value) = SPELLINGS[key]
+        cfg_file = tmp_path / "run.cfg"
+
+        def resolved(file_text=None, flag=()):
+            cfg_file.write_text("" if file_text is None else f"{key} = {file_text}\n")
+            args = build_parser().parse_args(
+                ["run", "--config", str(cfg_file), "--out", "o", *flag])
+            value = getattr(_resolve_run_config(args)[0], _RUN_KEYS[key][0])
+            return value, type(value)
+
+        def flag(text):
+            # --synthetic takes no value; it always means true
+            return ["--synthetic"] if key == "synthetic" else [f"--{key}", text]
+
+        assert resolved(file_text) == (file_value, type(file_value))
+        assert resolved(flag_text) == (flag_value, type(flag_value))
+        assert resolved(flag=flag(flag_text)) == (flag_value, type(flag_value))
+        if key != "synthetic":
+            assert resolved(flag=flag(file_text)) == (file_value, type(file_value))
+        assert resolved(file_text, flag(flag_text)) == (flag_value, type(flag_value))
+
     def test_type_errors_are_config_errors(self, tmp_path):
         cfg_file = tmp_path / "bad.cfg"
         cfg_file.write_text("epochs = soon\n")
@@ -441,6 +490,21 @@ class TestConfigFile:
             "run", "--config", str(cfg_file), "--synthetic",
             "--out", str(tmp_path / "o"),
         ]) == 2
+
+
+# (flag, bad value, message): every int and float key, hidden, and two
+# values each converter accepts but validate rejects
+BAD_FLAG_VALUES = [
+    ("--p", "x", "p expects an integer, got 'x'"),
+    ("--lr", "fast", "lr expects a number, got 'fast'"),
+    ("--method", "bogus", "method must be one of"),
+    ("--layout", "tall", "layout must be one of"),
+    *((f"--{key}", "x", f"{key} expects an integer, got 'x'")
+      for key in ("H", "B", "T", "n-test", "epochs", "seed", "workers", "length")),
+    *((f"--{key}", "fast", f"{key} expects a number, got 'fast'")
+      for key in ("alpha", "cal-fraction")),
+    ("--hidden", "64;64", "hidden expects comma-separated widths, got '64;64'"),
+]
 
 
 class TestMainExitCodes:
@@ -499,18 +563,57 @@ class TestMainExitCodes:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "--frobnicate"])
 
-    @pytest.mark.parametrize("flag, value, message", [
-        ("--p", "x", "p expects an integer, got 'x'"),
-        ("--lr", "fast", "lr expects a number, got 'fast'"),
-        ("--method", "bogus", "method must be one of"),
-        ("--layout", "tall", "layout must be one of"),
-    ], ids=["p", "lr", "method", "layout"])
+    @pytest.mark.parametrize("flag, value, message", BAD_FLAG_VALUES,
+                             ids=[flag[2:] for flag, _, _ in BAD_FLAG_VALUES])
     def test_bad_flag_value_is_two_and_names_the_key(self, tmp_path, capsys, flag, value,
                                                      message):
         out = tmp_path / "run"
         assert main(["run", "--synthetic", flag, value, "--out", str(out)]) == 2
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+    def test_bad_file_value_is_two_and_names_the_key(self, tmp_path, capsys):
+        cfg_file = tmp_path / "bad.cfg"
+        cfg_file.write_text("synthetic = maybe\n")
+        out = tmp_path / "run"
+        assert main(["run", "--config", str(cfg_file), "--out", str(out)]) == 2
+        assert "synthetic expects true/false, got 'maybe'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, message", [
+        ("--seed", "seed expects an integer, got 'x'"),
+        ("--length", "length expects an integer, got 'x'"),
+        ("--alpha", "alpha expects a number, got 'x'"),
+    ], ids=["seed", "length", "alpha"])
+    def test_bad_synth_value_is_two_and_names_the_key(self, tmp_path, capsys, flag, message):
+        out = tmp_path / "s.csv"
+        argv = ["synth", "--seed", "1", "--out", str(out), flag, "x"]
+        assert main(argv) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("method, span", [("aenbmimocqr", 7), ("enbpi", 6), ("enbcqr", 6)])
+    def test_one_row_frame_is_one_before_any_training(self, tmp_path, capsys, monkeypatch,
+                                                      method, span):
+        # at p 5 and H 2 a MIMO frame row spans p + H = 7 values and a
+        # recursive one p + 1 = 6, so n-test 4 leaves exactly one row
+        trained = []
+
+        def spy(*args, **kwargs):
+            trained.append(args)
+            raise AssertionError("a net was trained")
+
+        for name in ("train", "mse_train"):
+            monkeypatch.setattr(pipelines, name, spy)
+        data = tmp_path / "series.csv"
+        save_wide_csv([TimeSeries(np.arange(1.0, span + 5.0), id="s")], data)
+        assert main([
+            "run", "--data", str(data), "--method", method, "--p", "5", "--H", "2",
+            "--n-test", "4", "--B", "3", "--out", str(tmp_path / "run"),
+        ]) == 1
+        assert ("bagging needs at least 2 frame rows, the training frame has 1"
+                in capsys.readouterr().err)
+        assert trained == []
 
     def test_run_flags_are_the_config_keys(self):
         (sub,) = [a for a in build_parser()._actions if a.dest == "command"]

@@ -8,7 +8,7 @@ import oracles
 from conformalts import pipelines, quantile_net
 from conformalts.adaptive import aci_update, init_gamma
 from conformalts.data import SyntheticConfig, gen_synthetic, split_train_test
-from conformalts.errors import AllRowsInBag, DimensionMismatch, InvalidInterval
+from conformalts.errors import AllRowsInBag, DimensionMismatch, InvalidInterval, SeriesTooShort
 from conformalts.framing import (
     SupervisedFrame,
     TimeSeries,
@@ -156,7 +156,8 @@ def trained_ensemble(horizon, hidden):
     """Ten briefly trained median nets on 6-lag windows of a random walk."""
     values = np.random.default_rng(5).normal(size=60).cumsum()
     frame = frame_mimo(TimeSeries(values), 6, horizon)
-    return fit_ensemble(frame, 0.5, 10, 5, TrainConfig(epochs=3, hidden=hidden))
+    (ens,) = fit_ensemble(frame, (0.5,), 10, 5, TrainConfig(epochs=3, hidden=hidden))
+    return ens
 
 
 def member_loop(ens, X, batch=False):
@@ -232,10 +233,10 @@ class TestStackedMembers:
         train, test = TimeSeries(values[:60]), values[60:]
         frame = frame_recursive(train, 6)
         cfg = TrainConfig(epochs=3, hidden=(32, 32))
-        point = fit_ensemble(frame, None, 10, 4, cfg)
-        bands = tuple(fit_ensemble(frame, tau, 10, 4, cfg) for tau in (0.05, 0.5, 0.95))
+        (point,) = fit_ensemble(frame, (None,), 10, 4, cfg)
+        bands = tuple(fit_ensemble(frame, (0.05, 0.5, 0.95), 10, 4, cfg))
         mimo = frame_mimo(train, 6, 5)
-        mimo_bands = tuple(fit_ensemble(mimo, tau, 10, 4, cfg) for tau in (0.05, 0.95))
+        mimo_bands = tuple(fit_ensemble(mimo, (0.05, 0.95), 10, 4, cfg))
         common = dict(n_lags=6, horizon=5, alpha=0.1)
 
         def runs():
@@ -259,11 +260,12 @@ class TestFitEnsemble:
     def test_rejects_single_model(self, rng):
         frame = SupervisedFrame(rng.normal(size=(20, 2)), rng.normal(size=(20, 1)))
         with pytest.raises(ValueError):
-            fit_ensemble(frame, 0.5, 1, seed=0, config=TrainConfig(epochs=1, hidden=(1,)))
+            fit_ensemble(frame, (0.5,), 1, seed=0, config=TrainConfig(epochs=1, hidden=(1,)))
 
     def test_resamples_are_with_replacement_size_n(self, rng):
         frame = SupervisedFrame(rng.normal(size=(150, 1)), rng.normal(size=(150, 1)))
-        ens = fit_ensemble(frame, None, 30, seed=4, config=TrainConfig(epochs=1, hidden=(1,)))
+        (ens,) = fit_ensemble(frame, (None,), 30, seed=4,
+                              config=TrainConfig(epochs=1, hidden=(1,)))
         assert all(idx.size == 150 for idx in ens.index_sets)
         assert all(0 <= idx.min() and idx.max() < 150 for idx in ens.index_sets)
         # a size-n resample leaves each row out with probability (1 - 1/n)^n,
@@ -274,10 +276,40 @@ class TestFitEnsemble:
     def test_same_seed_same_resamples_across_tau(self, rng):
         frame = SupervisedFrame(rng.normal(size=(30, 2)), rng.normal(size=(30, 2)))
         cfg = TrainConfig(epochs=1, hidden=(1,))
-        lo = fit_ensemble(frame, 0.05, 2, seed=9, config=cfg)
-        hi = fit_ensemble(frame, 0.95, 2, seed=9, config=cfg)
+        (lo,) = fit_ensemble(frame, (0.05,), 2, seed=9, config=cfg)
+        (hi,) = fit_ensemble(frame, (0.95,), 2, seed=9, config=cfg)
         for a, b in zip(lo.index_sets, hi.index_sets):
             np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("taus", [(0.05, 0.95), (None,)], ids=["pinball", "mse"])
+    def test_one_row_frame_rejected_before_any_training(self, training_calls, rng, taus):
+        # the one row is in every bag, so no row would have an out-of-bag score
+        frame = SupervisedFrame(rng.normal(size=(1, 3)), rng.normal(size=(1, 2)))
+        with pytest.raises(SeriesTooShort,
+                           match="at least 2 frame rows, the training frame has 1"):
+            fit_ensemble(frame, taus, 3, seed=0, config=TrainConfig(epochs=1, hidden=(1,)))
+        assert training_calls == []
+
+    def test_one_call_shares_bags_across_levels(self, rng):
+        # one bag draw serves every level; member b of each level is the net
+        # trained on bag b at derive_seed(seed, "member", b, "mse" or str(tau))
+        frame = SupervisedFrame(rng.normal(size=(25, 3)), rng.normal(size=(25, 2)))
+        cfg, taus = TrainConfig(epochs=3, hidden=(4,)), (0.05, None, 0.95)
+        ensembles = fit_ensemble(frame, taus, 3, seed=13, config=cfg)
+        assert len(ensembles) == len(taus)
+        bags = ensembles[0].index_sets
+        for tau, ens in zip(taus, ensembles):
+            assert len(ens.index_sets) == 3
+            for b, (member, idx) in enumerate(zip(ens.members, ens.index_sets)):
+                np.testing.assert_array_equal(idx, bags[b])
+                assert member.tau == tau
+                sub = SupervisedFrame(frame.covariates[idx], frame.targets[idx])
+                member_seed = derive_seed(13, "member", b, "mse" if tau is None else str(tau))
+                direct = (quantile_net.mse_train(sub, cfg, member_seed) if tau is None
+                          else quantile_net.train(sub, tau, cfg, member_seed))
+                for got, want in zip(member.weights + member.biases,
+                                     direct.weights + direct.biases):
+                    np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize("tau", [0.05, None])
     def test_member_is_a_net_trained_on_its_rows_at_its_seed(self, rng, tau):
@@ -285,7 +317,7 @@ class TestFitEnsemble:
         # str(tau)), over the member's bootstrap rows of the frame
         frame = SupervisedFrame(rng.normal(size=(25, 3)), rng.normal(size=(25, 2)))
         cfg = TrainConfig(epochs=3, hidden=(4,))
-        ens = fit_ensemble(frame, tau, 3, seed=13, config=cfg)
+        (ens,) = fit_ensemble(frame, (tau,), 3, seed=13, config=cfg)
         for b, (member, idx) in enumerate(zip(ens.members, ens.index_sets)):
             sub = SupervisedFrame(frame.covariates[idx], frame.targets[idx])
             member_seed = derive_seed(13, "member", b, "mse" if tau is None else str(tau))
@@ -767,7 +799,7 @@ class TestEnbpiRunner:
         values = np.random.default_rng(8).normal(size=70).cumsum()
         train, test = TimeSeries(values[:60]), values[60:]
         frame = frame_recursive(train, 6)
-        trained = fit_ensemble(frame, None, 4, 4, TrainConfig(epochs=5, hidden=(4,)))
+        (trained,) = fit_ensemble(frame, (None,), 4, 4, TrainConfig(epochs=5, hidden=(4,)))
         stand_in = BootstrapEnsemble(make_affine_members(3, 6, 1, 5),
                                      random_index_sets(3, frame.n_rows, rng))
         oob_calls = []
