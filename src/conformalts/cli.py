@@ -24,6 +24,7 @@ import os
 import sys
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
+from itertools import repeat
 from time import perf_counter
 
 import numpy as np
@@ -38,9 +39,10 @@ from .data import (
     split_train_test,
 )
 from .errors import ConfigError, ConformalTSError, ParseError
-from .framing import TimeSeries, covered
+from .framing import covered
 from .metrics import aggregate_star, evaluate
-from .pipelines import FeedbackStream, run_aenbmimocqr, run_enbcqr, run_enbpi, run_mimocqr
+from .pipelines import (FeedbackStream, RunDefaults, run_aenbmimocqr, run_enbcqr, run_enbpi,
+                        run_mimocqr)
 from .quantile_net import TrainConfig
 from .seeding import derive_seed
 
@@ -56,13 +58,13 @@ class ExperimentConfig:
     alpha: float = 0.1
     n_lags: int = 40
     horizon: int = 30
-    n_models: int = 10
-    window_size: int = 100
+    n_models: int = RunDefaults.n_models
+    window_size: int = RunDefaults.window_size
     n_test: int = 390
     epochs: int = TrainConfig.epochs
     hidden: tuple[int, ...] = TrainConfig.hidden
     learning_rate: float = TrainConfig.learning_rate
-    cal_fraction: float = 0.5
+    cal_fraction: float = RunDefaults.cal_fraction
     seed: int = 0
     workers: int = 1
     data: str | None = None
@@ -149,7 +151,7 @@ def _convert(key: str, kind: type, text: str):
         if kind is bool:
             return _BOOLS[text.strip().lower()]
         if kind is tuple:
-            return tuple(int(part) for part in text.split(",") if part.strip() != "")
+            return tuple(int(part) for part in text.split(","))
         return kind(text)
     except (KeyError, ValueError):
         raise ConfigError(f"{key} expects {_EXPECTS[kind]}, got {text!r}") from None
@@ -235,10 +237,12 @@ def _oracle_reference(lower, upper, origins, horizons):
     return lower[positions], upper[positions]
 
 
-def _series_job(payload: dict) -> dict:
-    """Backtest one series; runs in a worker process for multi-series data."""
-    cfg: ExperimentConfig = payload["cfg"]
-    series = TimeSeries(payload["values"], id=payload["id"])
+def _series_job(job):
+    """Backtest one ``(cfg, series, oracle bounds or None)`` job; runs in a
+    worker process for multi-series data. Returns the series id, its
+    EvalReport, its RunResult and the flat interval columns ``origins,
+    horizons, lower, upper, y, covered`` that ``intervals.csv`` holds."""
+    cfg, series, oracle = job
     train_ts, test_ts = split_train_test(series, cfg.n_test)
     stream = FeedbackStream(test_ts)
     tc = TrainConfig(epochs=cfg.epochs, learning_rate=cfg.learning_rate, hidden=cfg.hidden)
@@ -258,22 +262,10 @@ def _series_job(payload: dict) -> dict:
     lower, upper, y = result.lower.ravel(), result.upper.ravel(), result.y.ravel()
     horizons = np.tile(np.arange(1, result.horizon + 1), result.n_blocks)
     origins = np.repeat(result.origins, result.horizon)
-    oracle = payload.get("oracle")
     reference = None if oracle is None else _oracle_reference(*oracle, origins, horizons)
     report = evaluate(lower, upper, y, horizons, reference)
-    rows = [
-        (series.id, *row)
-        for row in zip(origins.tolist(), horizons.tolist(), lower.tolist(), upper.tolist(),
-                       y.tolist(), covered(lower, upper, y).astype(int).tolist())
-    ]
-    return {
-        "id": series.id,
-        "report": report,
-        "rows": rows,
-        "alpha_traces": None if result.alpha_traces is None else result.alpha_traces.tolist(),
-        "skipped_oob_rows": result.skipped_oob_rows,
-        "n_blocks": result.n_blocks,
-    }
+    columns = (origins, horizons, lower, upper, y, covered(lower, upper, y).astype(int))
+    return series.id, report, result, columns
 
 
 def _summary(entries) -> dict:
@@ -292,15 +284,10 @@ def cmd_run(cfg: ExperimentConfig, out_dir) -> dict:
     started = datetime.now(timezone.utc).isoformat()
     t0 = perf_counter()
     if cfg.synthetic:
-        series_obj, oracle = gen_synthetic(_synthetic_config(cfg.seed, cfg.length, cfg.alpha))
-        jobs = [{
-            "cfg": cfg, "values": series_obj.values, "id": series_obj.id,
-            "oracle": (oracle.lower, oracle.upper),
-        }]
+        series, oracle = gen_synthetic(_synthetic_config(cfg.seed, cfg.length, cfg.alpha))
+        jobs = [(cfg, series, (oracle.lower, oracle.upper))]
     else:
-        series_list = load_csv(cfg.data, cfg.layout)
-        jobs = [{"cfg": cfg, "values": s.values, "id": s.id, "oracle": None}
-                for s in series_list]
+        jobs = [(cfg, series, None) for series in load_csv(cfg.data, cfg.layout)]
 
     if cfg.workers > 1 and len(jobs) > 1:
         # imported here: a single-series run never loads the pool machinery
@@ -312,14 +299,15 @@ def cmd_run(cfg: ExperimentConfig, out_dir) -> dict:
         outcomes = [_series_job(job) for job in jobs]
 
     summary = _summary([
-        (o["id"], o["report"], {"skipped_oob_rows": o["skipped_oob_rows"],
-                                "n_blocks": o["n_blocks"], "n_test": cfg.n_test})
-        for o in outcomes
+        (sid, report, {"skipped_oob_rows": result.skipped_oob_rows,
+                       "n_blocks": result.n_blocks, "n_test": cfg.n_test})
+        for sid, report, result, _ in outcomes
     ])
     results = {
         **summary,
         "config": cfg.to_json_dict(),
-        "traces": {o["id"]: o["alpha_traces"] for o in outcomes},
+        "traces": {sid: None if result.alpha_traces is None else result.alpha_traces.tolist()
+                   for sid, _, result, _ in outcomes},
         "timestamp": {
             "run_at": started,
             "wall_time_sec": perf_counter() - t0,
@@ -335,7 +323,8 @@ def cmd_run(cfg: ExperimentConfig, out_dir) -> dict:
         writer = csv.writer(fh)
         writer.writerow(["series", "origin", "h", "lower", "upper", "y", "covered"])
         # the bounds and y are Python floats, which csv writes with repr
-        writer.writerows(row for o in outcomes for row in o["rows"])
+        for sid, _, _, columns in outcomes:
+            writer.writerows(zip(repeat(sid), *(c.tolist() for c in columns)))
     return results
 
 

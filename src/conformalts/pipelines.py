@@ -244,6 +244,16 @@ def oob_predict(ensemble: BootstrapEnsemble, frame: SupervisedFrame):
     return out, kept
 
 
+@dataclass(frozen=True)
+class RunDefaults:
+    """The runners' keyword defaults (B, T, mimocqr's calibration share),
+    ``cli.ExperimentConfig``'s too."""
+
+    n_models: int = 10
+    window_size: int = 100
+    cal_fraction: float = 0.5
+
+
 @dataclass
 class RunResult:
     """Everything a backtest produced, one row per block.
@@ -350,8 +360,8 @@ def run_aenbmimocqr(
     n_lags: int,
     horizon: int,
     alpha: float,
-    n_models: int = 10,
-    window_size: int = 100,
+    n_models: int = RunDefaults.n_models,
+    window_size: int = RunDefaults.window_size,
     seed: int = 0,
     config: TrainConfig | None = None,
     ensembles: tuple[BootstrapEnsemble, BootstrapEnsemble] | None = None,
@@ -444,7 +454,7 @@ def run_mimocqr(
     n_lags: int,
     horizon: int,
     alpha: float,
-    cal_fraction: float = 0.5,
+    cal_fraction: float = RunDefaults.cal_fraction,
     seed: int = 0,
     config: TrainConfig | None = None,
     models: tuple | None = None,
@@ -496,7 +506,7 @@ def run_enbpi(
     n_lags: int,
     horizon: int,
     alpha: float,
-    n_models: int = 10,
+    n_models: int = RunDefaults.n_models,
     seed: int = 0,
     config: TrainConfig | None = None,
     ensemble: BootstrapEnsemble | None = None,
@@ -527,7 +537,7 @@ def run_enbcqr(
     n_lags: int,
     horizon: int,
     alpha: float,
-    n_models: int = 10,
+    n_models: int = RunDefaults.n_models,
     seed: int = 0,
     config: TrainConfig | None = None,
     ensembles: tuple[BootstrapEnsemble, BootstrapEnsemble, BootstrapEnsemble] | None = None,

@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import re
@@ -45,6 +46,18 @@ class TestExperimentConfig:
         assert cfg.method == "aenbmimocqr"
         assert (cfg.alpha, cfg.n_lags, cfg.horizon) == (0.1, 40, 30)
         assert (cfg.n_models, cfg.window_size, cfg.n_test) == (10, 100, 390)
+
+    def test_run_defaults_are_the_runners_defaults(self):
+        cfg = ExperimentConfig()
+        runners = (pipelines.run_aenbmimocqr, pipelines.run_mimocqr,
+                   pipelines.run_enbpi, pipelines.run_enbcqr)
+        checked = set()
+        for runner in runners:
+            for name, param in inspect.signature(runner).parameters.items():
+                if name in ("n_models", "window_size", "cal_fraction"):
+                    assert param.default == getattr(cfg, name), (runner.__name__, name)
+                    checked.add(name)
+        assert checked == {"n_models", "window_size", "cal_fraction"}
 
     def test_validate_catches_bad_values(self):
         for overrides in (
@@ -166,6 +179,9 @@ class TestCmdRun:
         seq["config"].pop("workers")
         par["config"].pop("workers")
         assert seq == par
+        # the pool sends each series' interval columns back as arrays
+        intervals = [(tmp_path / w / "intervals.csv").read_bytes() for w in ("w1", "w2")]
+        assert intervals[0] == intervals[1]
 
 
 class TestIntervalsCsvAndEval:
@@ -451,6 +467,11 @@ class TestConfigFile:
         with pytest.raises(ConfigError):
             parse_config_file(cfg_file)
 
+    def test_hidden_widths_may_be_spaced(self, tmp_path):
+        args = build_parser().parse_args(
+            ["run", "--synthetic", "--hidden", " 6 , 4 ", "--out", str(tmp_path / "o")])
+        assert _resolve_run_config(args)[0].hidden == (6, 4)
+
     def test_comments_and_blanks_ignored(self, tmp_path):
         cfg_file = tmp_path / "ok.cfg"
         cfg_file.write_text("\n# comment\nseed = 5   # trailing\n\n")
@@ -504,6 +525,9 @@ BAD_FLAG_VALUES = [
     *((f"--{key}", "fast", f"{key} expects a number, got 'fast'")
       for key in ("alpha", "cal-fraction")),
     ("--hidden", "64;64", "hidden expects comma-separated widths, got '64;64'"),
+    # every comma-separated part is a width, so an empty one is an error
+    *(("--hidden", text, f"hidden expects comma-separated widths, got {text!r}")
+      for text in ("6,,4", "64,", ",64")),
 ]
 
 
@@ -564,7 +588,8 @@ class TestMainExitCodes:
             build_parser().parse_args(["run", "--frobnicate"])
 
     @pytest.mark.parametrize("flag, value, message", BAD_FLAG_VALUES,
-                             ids=[flag[2:] for flag, _, _ in BAD_FLAG_VALUES])
+                             ids=[flag[2:] + (f"={value}" if "," in value else "")
+                                  for flag, value, _ in BAD_FLAG_VALUES])
     def test_bad_flag_value_is_two_and_names_the_key(self, tmp_path, capsys, flag, value,
                                                      message):
         out = tmp_path / "run"
