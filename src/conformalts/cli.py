@@ -164,7 +164,7 @@ _RUN_KEYS = {
     "p": ("n_lags", int, "lag window length"),
     "H": ("horizon", int, "forecast horizon"),
     "B": ("n_models", int, "bootstrap ensemble size"),
-    "T": ("window_size", int, "score window capacity"),
+    "T": ("window_size", int, "score window capacity (aenbmimocqr only)"),
     "n-test": ("n_test", int, "test segment length, a multiple of H"),
     "epochs": ("epochs", int, "training epochs per network"),
     "hidden": ("hidden", tuple, "hidden widths, e.g. 64,64"),
@@ -415,7 +415,10 @@ def cmd_eval(intervals_path, oracle_path=None, out_path=None) -> dict:
     oracle = None
     if oracle_path is not None:
         with open(oracle_path, "r", encoding="utf-8") as fh:
-            oracle = json.load(fh)
+            try:
+                oracle = json.load(fh)
+            except ValueError as exc:
+                raise ConfigError(f"sidecar {oracle_path} is not valid JSON: {exc}") from None
         missing = [key for key in ("lower", "upper")
                    if not isinstance(oracle, dict) or not isinstance(oracle.get(key), list)]
         if missing:

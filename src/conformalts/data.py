@@ -250,7 +250,7 @@ def save_wide_csv(series_list, path) -> None:
     if len(lengths) != 1:
         raise ValueError("wide layout requires equal-length series")
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
+        writer = csv.writer(fh, lineterminator="\n")
         writer.writerow([s.id for s in series_list])
         for i in range(lengths.pop()):
             writer.writerow([repr(float(s.values[i])) for s in series_list])

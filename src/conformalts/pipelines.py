@@ -269,7 +269,6 @@ class RunResult:
     so each column is constant.
     """
 
-    method: str
     origins: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
@@ -344,13 +343,18 @@ def _oob_band_scores(lo_ens, hi_ens, frame: SupervisedFrame):
     return score_cqr(lo_cal, hi_cal, frame.targets[kept]), int(frame.n_rows - kept.sum())
 
 
-def _require_shared_index_sets(*ensembles: BootstrapEnsemble) -> None:
+def _fit_or_take(frame, taus, n_models, seed, config, ensembles):
+    """``fit_ensemble``'s list for the levels ``taus``, or the injected
+    ``ensembles``, checked to be that: one per level, all on one set of bags."""
+    if ensembles is None:
+        return fit_ensemble(frame, taus, n_models, seed, config)
+    if len(ensembles) != len(taus):
+        raise ValueError(f"expected {len(taus)} ensembles, one per level, got {len(ensembles)}")
     first = ensembles[0].index_sets
-    for other in ensembles[1:]:
-        if len(other.index_sets) != len(first) or not all(
-            np.array_equal(a, b) for a, b in zip(first, other.index_sets)
-        ):
-            raise ValueError("paired ensembles must share bootstrap index sets")
+    if any(len(e.index_sets) != len(first) or not all(map(np.array_equal, first, e.index_sets))
+           for e in ensembles[1:]):
+        raise ValueError("paired ensembles must share bootstrap index sets")
+    return ensembles
 
 
 def run_aenbmimocqr(
@@ -363,8 +367,8 @@ def run_aenbmimocqr(
     n_models: int = RunDefaults.n_models,
     window_size: int = RunDefaults.window_size,
     seed: int = 0,
-    config: TrainConfig | None = None,
-    ensembles: tuple[BootstrapEnsemble, BootstrapEnsemble] | None = None,
+    config: TrainConfig = TrainConfig(),
+    ensembles: list[BootstrapEnsemble] | None = None,
     gamma_override: float | None = None,
 ) -> RunResult:
     """Adaptive bagged multi-output conformalized quantile regression.
@@ -389,7 +393,7 @@ def run_aenbmimocqr(
     Ensemble bands are predicted once per forecast origin, in one batch
     per block, and reused for both emitting and scoring.
 
-    ``ensembles`` injects pre-fitted (lower, upper) ensembles in place of
+    ``ensembles`` injects ``fit_ensemble``'s (lower, upper) list in place of
     training; ``gamma_override`` pins the adaptation rate, a finite value
     >= 0 (0 disables adaptation), both mainly for equivalence testing.
     """
@@ -398,12 +402,9 @@ def run_aenbmimocqr(
         raise ValueError(f"gamma must be a finite number >= 0, got {gamma_override}")
     if window_size < 1:
         raise ValueError(f"window_size must be >= 1, got {window_size}")
-    config = config or TrainConfig()
     frame = frame_mimo(train_series, n_lags, horizon)
-    if ensembles is None:
-        ensembles = fit_ensemble(frame, (alpha / 2.0, 1.0 - alpha / 2.0), n_models, seed, config)
-    lo_ens, hi_ens = ensembles
-    _require_shared_index_sets(lo_ens, hi_ens)
+    lo_ens, hi_ens = _fit_or_take(frame, (alpha / 2.0, 1.0 - alpha / 2.0), n_models, seed,
+                                  config, ensembles)
 
     scores, skipped = _oob_band_scores(lo_ens, hi_ens, frame)
     gamma = init_gamma(window_size, len(scores)) if gamma_override is None else gamma_override
@@ -438,7 +439,6 @@ def run_aenbmimocqr(
         alpha_rows.append(alphas)
 
     return RunResult(
-        "aenbmimocqr",
         *_walk(train_series, stream, horizon, emit, observe),
         alpha_traces=np.asarray(alpha_rows).T,
         window_size_traces=np.full(
@@ -456,7 +456,7 @@ def run_mimocqr(
     alpha: float,
     cal_fraction: float = RunDefaults.cal_fraction,
     seed: int = 0,
-    config: TrainConfig | None = None,
+    config: TrainConfig = TrainConfig(),
     models: tuple | None = None,
 ) -> RunResult:
     """Split conformalized multi-output quantile regression, no adaptation.
@@ -470,7 +470,6 @@ def run_mimocqr(
     _check_run(stream, horizon, alpha)
     if not 0.0 < cal_fraction <= 1.0:
         raise ValueError("cal_fraction must be in (0, 1]")
-    config = config or TrainConfig()
     frame = frame_mimo(train_series, n_lags, horizon)
     n_cal = int(frame.n_rows * cal_fraction)
     if n_cal < 1:
@@ -495,8 +494,8 @@ def run_mimocqr(
         lo, hi = _ordered_bounds(f_lo.predict(x), f_hi.predict(x))
         return lo, hi, qhat
 
-    return RunResult("mimocqr", *_walk(train_series, stream, horizon, emit,
-                                       lambda lower, upper, y, history: None))
+    return RunResult(*_walk(train_series, stream, horizon, emit,
+                            lambda lower, upper, y, history: None))
 
 
 def run_enbpi(
@@ -508,8 +507,8 @@ def run_enbpi(
     alpha: float,
     n_models: int = RunDefaults.n_models,
     seed: int = 0,
-    config: TrainConfig | None = None,
-    ensemble: BootstrapEnsemble | None = None,
+    config: TrainConfig = TrainConfig(),
+    ensembles: list[BootstrapEnsemble] | None = None,
 ) -> RunResult:
     """Bagged point forecasts with symmetric absolute-residual intervals.
 
@@ -523,11 +522,9 @@ def run_enbpi(
     max(p - y, y - p) is |p - y| exactly.
     """
     _check_run(stream, horizon, alpha)
-    config = config or TrainConfig()
     frame = frame_recursive(train_series, n_lags)
-    if ensemble is None:
-        (ensemble,) = fit_ensemble(frame, (None,), n_models, seed, config)
-    return _recursive_walk("enbpi", train_series, stream, frame, horizon, alpha, ensemble)
+    return _recursive_walk(train_series, stream, frame, horizon, alpha,
+                           _fit_or_take(frame, (None,), n_models, seed, config, ensembles))
 
 
 def run_enbcqr(
@@ -539,8 +536,8 @@ def run_enbcqr(
     alpha: float,
     n_models: int = RunDefaults.n_models,
     seed: int = 0,
-    config: TrainConfig | None = None,
-    ensembles: tuple[BootstrapEnsemble, BootstrapEnsemble, BootstrapEnsemble] | None = None,
+    config: TrainConfig = TrainConfig(),
+    ensembles: list[BootstrapEnsemble] | None = None,
 ) -> RunResult:
     """Bagged one-step quantile bands rolled forward through the median.
 
@@ -550,27 +547,24 @@ def run_enbcqr(
     widened by the conformal quantile of a sliding window of band scores.
     """
     _check_run(stream, horizon, alpha)
-    config = config or TrainConfig()
     frame = frame_recursive(train_series, n_lags)
-    if ensembles is None:
-        ensembles = fit_ensemble(frame, (alpha / 2.0, 0.5, 1.0 - alpha / 2.0), n_models, seed,
-                                 config)
-    lo_ens, med_ens, hi_ens = ensembles
-    _require_shared_index_sets(lo_ens, med_ens, hi_ens)
-    return _recursive_walk("enbcqr", train_series, stream, frame, horizon, alpha,
-                           med_ens, (lo_ens, hi_ens))
+    taus = (alpha / 2.0, 0.5, 1.0 - alpha / 2.0)
+    return _recursive_walk(train_series, stream, frame, horizon, alpha,
+                           _fit_or_take(frame, taus, n_models, seed, config, ensembles))
 
 
-def _recursive_walk(method, train_series, stream, frame, horizon, alpha, med_ens, band=None):
+def _recursive_walk(train_series, stream, frame, horizon, alpha, ensembles):
     """The walk of the recursive runners.
 
-    Each block's path is the median ensemble rolled forward ``horizon``
-    steps. The band is the ``(lower, upper)`` ensembles' mean at the path's
-    lag windows, or the path itself when ``band`` is None. One sliding
-    window of CQR band scores, out-of-bag first and then ``horizon`` per
-    block, sets the one correction of every step.
+    ``ensembles`` is enbpi's ``(point,)`` or enbcqr's ``(lower, median,
+    upper)``. Each block's path is the point or median ensemble rolled
+    forward ``horizon`` steps. The band is the lower and upper ensembles'
+    mean at the path's lag windows, or the path itself for a point
+    ensemble. One sliding window of CQR band scores, out-of-bag first and
+    then ``horizon`` per block, sets the one correction of every step.
     """
-    scores, skipped = _oob_band_scores(*(band or (med_ens, med_ens)), frame)
+    lo_ens, med_ens, hi_ens = ensembles[0], ensembles[len(ensembles) // 2], ensembles[-1]
+    scores, skipped = _oob_band_scores(lo_ens, hi_ens, frame)
     window = SlidingScoreWindow(scores[:, 0])
     qhat = conformal_quantile(window.values()[0], alpha)
     n_lags = frame.n_lags
@@ -581,12 +575,12 @@ def _recursive_walk(method, train_series, stream, frame, horizon, alpha, med_ens
         last = np.asarray(history[-n_lags:], dtype=float)
         path = recursive_forecast(lambda x: float(med_ens.predict_mean(x)[0]), last, horizon)
         lo_steps = hi_steps = path
-        if band is not None:
+        if len(ensembles) > 1:
             # the lag window of step h + 1: the last observations, then path[:h]
             windows = np.lib.stride_tricks.sliding_window_view(
                 np.concatenate([last, path[:-1]]), n_lags)
             lo_steps, hi_steps = _ordered_bounds(
-                *(ens.predict_mean_rows(windows)[:, 0] for ens in band))
+                *(ens.predict_mean_rows(windows)[:, 0] for ens in (lo_ens, hi_ens)))
         return lo_steps, hi_steps, qhat
 
     def observe(lower, upper, y, history):
@@ -595,7 +589,6 @@ def _recursive_walk(method, train_series, stream, frame, horizon, alpha, med_ens
         qhat = conformal_quantile(window.values()[0], alpha)
 
     return RunResult(
-        method,
         *_walk(train_series, stream, horizon, emit, observe),
         window_size_traces=np.full((len(stream) // horizon + 1, 1), window.values().shape[1]),
         skipped_oob_rows=skipped,

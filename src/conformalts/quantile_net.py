@@ -66,7 +66,7 @@ def pinball_loss(y, y_hat, tau: float):
     return float(np.mean(loss))
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     """Optimizer settings. ``hidden`` fixes the widths of the ReLU layers."""
 

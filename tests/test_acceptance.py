@@ -1,4 +1,4 @@
-"""Thirteen acceptance checks with pinned thresholds.
+"""Fourteen acceptance checks with pinned thresholds.
 
 Every test prints one line, ``criterion N: PASS (...)`` or ``criterion N:
 FAIL (...)``, before asserting, so the captured output names each
@@ -20,15 +20,16 @@ import numpy as np
 import pytest
 
 import oracles
-from conformalts.adaptive import aci_update
+from conformalts.adaptive import SlidingScoreWindow, aci_update
 from conformalts.cli import ExperimentConfig, cmd_run
 from conformalts.conformal import conformal_quantile
 from conformalts.data import SyntheticConfig, gen_synthetic, split_train_test
-from conformalts.framing import TimeSeries, covered
+from conformalts.framing import TimeSeries, covered, frame_mimo
 from conformalts.metrics import evaluate, miou, picp, pinaw
 from conformalts.pipelines import (
     BootstrapEnsemble,
     FeedbackStream,
+    fit_ensemble,
     run_aenbmimocqr,
     run_enbcqr,
     run_enbpi,
@@ -257,7 +258,7 @@ def test_criterion_05_runner_oracle_equivalence():
         mean_members = make_affine_members(2, p, 1, seed=base + 5, scale=0.4)
         result = run_enbpi(
             train, FeedbackStream(test_vals), n_lags=p, horizon=H, alpha=alpha,
-            ensemble=BootstrapEnsemble(mean_members, sets_1))
+            ensembles=(BootstrapEnsemble(mean_members, sets_1),))
         blocks = oracles.sim_enbpi(
             train.values, test_vals, p, H, alpha, mean_members, sets_1)
         max_err = max(max_err,
@@ -492,8 +493,8 @@ def test_criterion_10_window_and_cadence_invariants():
             if method == "enbpi":
                 result = run_enbpi(
                     train, stream, n_lags=p, horizon=H, alpha=0.1,
-                    ensemble=BootstrapEnsemble(
-                        make_affine_members(2, p, 1, seed=base, scale=0.4), sets))
+                    ensembles=(BootstrapEnsemble(
+                        make_affine_members(2, p, 1, seed=base, scale=0.4), sets),))
             else:
                 result = run_enbcqr(
                     train, stream, n_lags=p, horizon=H, alpha=0.1,
@@ -644,4 +645,45 @@ def test_criterion_13_heteroscedasticity(long_walks):
             f"{'/'.join(f'{c:.2f}' for c in corr['mimocqr'])}")
     _line(13, ok, f"{'; '.join(details)}; every tercile in [{low:.3f}, {high:.3f}], "
                   f"every third's corr above mimocqr's")
+    assert ok, details
+
+
+def test_criterion_14_ablation(monkeypatch):
+    """What each part of the adaptive method buys, on seeds the other long
+    walks do not use.
+
+    One trained pair per seed is walked four ways: full; no ACI
+    (``gamma_override=0``); frozen windows (``SlidingScoreWindow.push`` a
+    no-op) without and with ACI. The sliding windows carry the long-run
+    coverage, so both frozen variants under-cover in the last third, while
+    ACI moves the whole walk's coverage only a little.
+    """
+    max_aci_shift, max_frozen_last_third = 0.03, 0.5
+    # name -> (windows frozen, gamma_override)
+    variants = {"full": (False, None), "no ACI": (False, 0.0),
+                "frozen": (True, 0.0), "frozen + ACI": (True, None)}
+    details, ok = [], True
+    for seed in (3, 4):
+        series, _ = gen_synthetic(SyntheticConfig(seed=seed, length=5151))
+        train, test = split_train_test(series, 4500)
+        ensembles = fit_ensemble(frame_mimo(train, 40, 30), (0.05, 0.95), 10, seed,
+                                 TrainConfig(epochs=5))
+        overall, thirds = {}, {}
+        for name, (frozen, gamma) in variants.items():
+            with monkeypatch.context() as patch:
+                if frozen:
+                    patch.setattr(SlidingScoreWindow, "push", lambda self, scores: None)
+                result = run_aenbmimocqr(
+                    train, FeedbackStream(test), n_lags=40, horizon=30, alpha=0.1,
+                    window_size=100, seed=seed, ensembles=ensembles, gamma_override=gamma)
+            overall[name] = float(covered(result.lower, result.upper, result.y).mean())
+            thirds[name] = _coverage_by_third(result)
+        ok = (ok and abs(overall["full"] - overall["no ACI"]) <= max_aci_shift
+              and all(thirds[name][-1] <= max_frozen_last_third
+                      for name in ("frozen", "frozen + ACI")))
+        details.append(f"seed {seed}: " + ", ".join(
+            f"{name} {overall[name]:.3f} ({'/'.join(f'{c:.2f}' for c in thirds[name])})"
+            for name in variants))
+    _line(14, ok, f"{'; '.join(details)}; |full - no ACI| <= {max_aci_shift}, every "
+                  f"frozen last third <= {max_frozen_last_third}")
     assert ok, details

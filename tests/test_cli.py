@@ -150,6 +150,16 @@ class TestCmdRun:
         (trace,) = results["traces"].values()
         assert trace is None
 
+    @pytest.mark.parametrize("method", ["enbpi", "enbcqr"])
+    def test_recursive_methods_ignore_window_size(self, tmp_path, method):
+        # T caps aenbmimocqr's per-step windows; the recursive methods slide
+        # all of their out-of-bag scores, about 100 here
+        written = []
+        for T in (5, 100):
+            cmd_run(fast_config(method=method, window_size=T), str(tmp_path / str(T)))
+            written.append((tmp_path / str(T) / "intervals.csv").read_bytes())
+        assert written[0] == written[1]
+
     def test_repeat_run_identical_but_for_timestamp(self, tmp_path):
         a = cmd_run(fast_config(), str(tmp_path / "a"))
         b = cmd_run(fast_config(), str(tmp_path / "b"))
@@ -229,6 +239,19 @@ class TestIntervalsCsvAndEval:
             cmd_eval(intervals, oracle_path=str(oracle))
         assert main(["eval", "--intervals", intervals, "--oracle", str(oracle)]) == 2
         assert capsys.readouterr().out == ""
+
+    def test_eval_rejects_sidecar_that_is_not_json(self, tmp_path, capsys):
+        out = str(tmp_path / "run")
+        cmd_run(fast_config(), out)  # seed 3
+        intervals = os.path.join(out, "intervals.csv")
+        oracle = tmp_path / "bad.oracle.json"
+        oracle.write_text('{"lower": [1,2],\n')
+        with pytest.raises(ConfigError, match="sidecar .*bad.oracle.json is not valid JSON"):
+            cmd_eval(intervals, oracle_path=str(oracle))
+        assert main(["eval", "--intervals", intervals, "--oracle", str(oracle)]) == 2
+        assert "bad.oracle.json" in capsys.readouterr().err
+        # a sidecar that cannot be read at all stays a runtime failure
+        assert main(["eval", "--intervals", intervals, "--oracle", str(tmp_path / "no.json")]) == 1
 
     def test_eval_rejects_sidecar_with_unequal_bounds(self, tmp_path, capsys):
         # the test segment targets positions 110-119, past the short upper array

@@ -201,6 +201,21 @@ class TestCsv:
         for orig, back in zip(series, loaded):
             np.testing.assert_array_equal(orig.values, back.values)
 
+    def test_wide_files_join_line_by_line(self, tmp_path, rng):
+        # what `paste -d, a.csv b.csv` does: a row ending in CR would leave
+        # the CR inside the joined line
+        series = [TimeSeries(rng.normal(size=25), id=name) for name in ("a", "b")]
+        lines = []
+        for s in series:
+            save_wide_csv([s], tmp_path / f"{s.id}.csv")
+            lines.append((tmp_path / f"{s.id}.csv").read_bytes().rstrip(b"\n").split(b"\n"))
+        joined = tmp_path / "joined.csv"
+        joined.write_bytes(b"".join(a + b"," + b + b"\n" for a, b in zip(*lines)))
+        loaded = load_csv(joined, "wide")
+        assert [s.id for s in loaded] == ["a", "b"]
+        for orig, back in zip(series, loaded):
+            np.testing.assert_array_equal(orig.values, back.values)
+
     def test_wide_fixture_shape(self, tmp_path, rng):
         # many short daily series in one file, one column each
         series = [TimeSeries(rng.normal(size=791), id=f"T{i + 1}") for i in range(111)]

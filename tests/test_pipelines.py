@@ -1,3 +1,4 @@
+import dataclasses
 
 import numpy as np
 import pytest
@@ -241,7 +242,7 @@ class TestStackedMembers:
 
         def runs():
             return [
-                run_enbpi(train, FeedbackStream(test), ensemble=point, **common),
+                run_enbpi(train, FeedbackStream(test), ensembles=(point,), **common),
                 run_enbcqr(train, FeedbackStream(test), ensembles=bands, **common),
                 run_aenbmimocqr(train, FeedbackStream(test), ensembles=mimo_bands,
                                 window_size=20, **common),
@@ -759,7 +760,7 @@ class TestEnbpiRunner:
         result = run_enbpi(
             TimeSeries(train), FeedbackStream(test),
             n_lags=p, horizon=H, alpha=0.2,
-            ensemble=BootstrapEnsemble(members, index_sets),
+            ensembles=(BootstrapEnsemble(members, index_sets),),
         )
         expected = oracles.sim_enbpi(train, test, p, H, 0.2, members, index_sets)
         assert_blocks_match(result, expected)
@@ -774,7 +775,7 @@ class TestEnbpiRunner:
         result = run_enbpi(
             TimeSeries(values[:18]), FeedbackStream(values[18:]),
             n_lags=2, horizon=3, alpha=0.1,
-            ensemble=BootstrapEnsemble([echo, echo], sets),
+            ensembles=(BootstrapEnsemble([echo, echo], sets),),
         )
         assert np.all(result.lower == 3.0) and np.all(result.upper == 3.0)
         assert covered(result.lower, result.upper, 3.0).all()
@@ -787,7 +788,7 @@ class TestEnbpiRunner:
         result = run_enbpi(
             TimeSeries(train), FeedbackStream(test),
             n_lags=p, horizon=H, alpha=0.2,
-            ensemble=BootstrapEnsemble(members, random_index_sets(2, 18, rng)),
+            ensembles=(BootstrapEnsemble(members, random_index_sets(2, 18, rng)),),
         )
         widths = result.upper - result.lower
         # one shared correction per block: all widths in a block equal
@@ -811,7 +812,7 @@ class TestEnbpiRunner:
         monkeypatch.setattr(pipelines, "oob_predict", counted_oob)
         common = dict(n_lags=6, horizon=5, alpha=0.1)
         for e in (trained, stand_in):
-            enbpi = run_enbpi(train, FeedbackStream(test), ensemble=e, **common)
+            enbpi = run_enbpi(train, FeedbackStream(test), ensembles=(e,), **common)
             assert oob_calls == [e]
             enbcqr = run_enbcqr(train, FeedbackStream(test), ensembles=(e, e, e), **common)
             oob_calls.clear()
@@ -987,3 +988,45 @@ class TestTrainedRunners:
         assert np.array_equal(np.asarray(rows).T, result.alpha_traces)
         assert result.alpha_traces.shape == (H, 1500 // H + 1)
         assert np.all((result.alpha_traces > 0.0) & (result.alpha_traces < 1.0))
+
+
+class TestInjectedEnsembles:
+    """A bagged runner's ``ensembles=`` is the list ``fit_ensemble`` returns
+    for the runner's levels, on the runner's frame."""
+
+    P, H, ALPHA = 6, 5, 0.1
+    LO, HI = ALPHA / 2.0, 1.0 - ALPHA / 2.0
+    # runner, its frame's target width, its levels
+    BAGGED = {
+        "aenbmimocqr": (run_aenbmimocqr, H, (LO, HI)),
+        "enbpi": (run_enbpi, 1, (None,)),
+        "enbcqr": (run_enbcqr, 1, (LO, 0.5, HI)),
+    }
+
+    @pytest.mark.parametrize("method", BAGGED)
+    def test_injected_fit_is_the_trained_run(self, method):
+        runner, width, taus = self.BAGGED[method]
+        values = np.random.default_rng(5).normal(size=60).cumsum()
+        train, test = TimeSeries(values[:50]), values[50:]
+        cfg = TrainConfig(epochs=3, hidden=(8,))
+        common = dict(n_lags=self.P, horizon=self.H, alpha=self.ALPHA, seed=4, config=cfg)
+        trained = runner(train, FeedbackStream(test), n_models=3, **common)
+        ensembles = fit_ensemble(frame_mimo(train, self.P, width), taus, 3, 4, cfg)
+        injected = runner(train, FeedbackStream(test), ensembles=ensembles, **common)
+        for field in dataclasses.fields(pipelines.RunResult):
+            a, b = getattr(trained, field.name), getattr(injected, field.name)
+            assert (a is None and b is None) or (
+                np.shape(a) == np.shape(b) and np.asarray(a).tobytes() == np.asarray(b).tobytes())
+
+    @pytest.mark.parametrize("method, count", [("aenbmimocqr", 1), ("enbpi", 2), ("enbcqr", 2)])
+    def test_wrong_ensemble_count_rejected_before_any_block(self, rng, method, count):
+        runner, width, _ = self.BAGGED[method]
+        train = TimeSeries(rng.normal(size=50).cumsum())
+        n_rows = frame_mimo(train, self.P, width).n_rows
+        e = BootstrapEnsemble(make_affine_members(2, self.P, width, 1),
+                              random_index_sets(2, n_rows, rng))
+        stream = FeedbackStream(rng.normal(size=10))
+        with pytest.raises(ValueError, match="one per level"):
+            runner(train, stream, n_lags=self.P, horizon=self.H, alpha=self.ALPHA,
+                   ensembles=(e,) * count)
+        assert stream.events == []
