@@ -41,20 +41,28 @@ from .data import (
 from .errors import ConfigError, ConformalTSError, ParseError
 from .framing import covered
 from .metrics import aggregate_star, evaluate
-from .pipelines import (FeedbackStream, RunDefaults, run_aenbmimocqr, run_enbcqr, run_enbpi,
-                        run_mimocqr)
+from .pipelines import FeedbackStream, RunDefaults
+# the runners, each called by name in _series_job
+from .pipelines import run_aenbmimocqr, run_enbcqr, run_enbpi, run_mimocqr  # noqa: F401
 from .quantile_net import TrainConfig
 from .seeding import derive_seed
 
 SCHEMA_VERSION = 1
-METHODS = ("aenbmimocqr", "mimocqr", "enbpi", "enbcqr")
+# method -> (multi-output: a frame row spans p + H values, else p + 1; the
+# ExperimentConfig fields that run_<method> takes as keywords)
+METHODS = {
+    "aenbmimocqr": (True, ("n_models", "window_size")),
+    "mimocqr": (True, ("cal_fraction",)),
+    "enbpi": (False, ("n_models",)),
+    "enbcqr": (False, ("n_models",)),
+}
 
 
 @dataclass
 class ExperimentConfig:
     """Fully resolved settings for one backtest run."""
 
-    method: str = "aenbmimocqr"
+    method: str = next(iter(METHODS))  # the adaptive method
     alpha: float = 0.1
     n_lags: int = 40
     horizon: int = 30
@@ -103,9 +111,9 @@ class ExperimentConfig:
             raise ConfigError("give exactly one data source: --data PATH or --synthetic")
         if self.synthetic:
             _synthetic_config(self.seed, self.length, self.alpha)
-            # a MIMO frame row spans p + H values, a recursive one p + 1; every
-            # method needs two rows (a bag that misses one, or a split in two)
-            mimo = self.method in ("aenbmimocqr", "mimocqr")
+            # every method needs two frame rows (a bag that misses one, or a
+            # split in two)
+            mimo, fields = METHODS[self.method]
             span = self.n_lags + (self.horizon if mimo else 1)
             n_train = self.length - self.n_test
             n_rows = n_train - span + 1
@@ -116,7 +124,7 @@ class ExperimentConfig:
                     f"{'p + H + 1' if mimo else 'p + 2'} = {span + 1} "
                     f"(p={self.n_lags}, H={self.horizon})"
                 )
-            if self.method == "mimocqr" and int(n_rows * self.cal_fraction) < 1:
+            if "cal_fraction" in fields and int(n_rows * self.cal_fraction) < 1:
                 raise ConfigError(
                     f"cal-fraction {self.cal_fraction} of the {n_rows} frame rows that length "
                     f"{self.length} minus n-test {self.n_test} leaves calibrates none "
@@ -223,7 +231,6 @@ def _oracle_reference(lower, upper, origins, horizons):
     """A sidecar's (lower, upper) reference bounds at each forecast's target,
     0-based position ``origin + h - 2``; None if one is on the warmup (NaN or
     null). A position outside the sidecar is a ConfigError."""
-    lower, upper = np.asarray(lower, dtype=float), np.asarray(upper, dtype=float)
     positions = np.asarray(origins) + np.asarray(horizons) - 2
     outside = np.flatnonzero((positions < 0) | (positions >= len(lower)))
     if outside.size:
@@ -246,18 +253,11 @@ def _series_job(job):
     train_ts, test_ts = split_train_test(series, cfg.n_test)
     stream = FeedbackStream(test_ts)
     tc = TrainConfig(epochs=cfg.epochs, learning_rate=cfg.learning_rate, hidden=cfg.hidden)
-    common = dict(n_lags=cfg.n_lags, horizon=cfg.horizon, alpha=cfg.alpha,
-                  seed=derive_seed(cfg.seed, series.id), config=tc)
-    if cfg.method == "aenbmimocqr":
-        result = run_aenbmimocqr(
-            train_ts, stream, n_models=cfg.n_models, window_size=cfg.window_size, **common
-        )
-    elif cfg.method == "mimocqr":
-        result = run_mimocqr(train_ts, stream, cal_fraction=cfg.cal_fraction, **common)
-    elif cfg.method == "enbpi":
-        result = run_enbpi(train_ts, stream, n_models=cfg.n_models, **common)
-    else:
-        result = run_enbcqr(train_ts, stream, n_models=cfg.n_models, **common)
+    # looked up by name at call time, so a wrapper set on cli.run_<method> is the one called
+    runner = globals()[f"run_{cfg.method}"]
+    result = runner(train_ts, stream, n_lags=cfg.n_lags, horizon=cfg.horizon, alpha=cfg.alpha,
+                    seed=derive_seed(cfg.seed, series.id), config=tc,
+                    **{field: getattr(cfg, field) for field in METHODS[cfg.method][1]})
 
     lower, upper, y = result.lower.ravel(), result.upper.ravel(), result.y.ravel()
     horizons = np.tile(np.arange(1, result.horizon + 1), result.n_blocks)
@@ -293,7 +293,8 @@ def cmd_run(cfg: ExperimentConfig, out_dir) -> dict:
         # imported here: a single-series run never loads the pool machinery
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+        # fork starts every worker up front, so start no more than one per series
+        with ProcessPoolExecutor(max_workers=min(cfg.workers, len(jobs))) as pool:
             outcomes = list(pool.map(_series_job, jobs))
     else:
         outcomes = [_series_job(job) for job in jobs]
@@ -431,6 +432,14 @@ def cmd_eval(intervals_path, oracle_path=None, out_path=None) -> dict:
                 f"sidecar {oracle_path} has {len(oracle['lower'])} lower but "
                 f"{len(oracle['upper'])} upper reference bounds"
             )
+        try:
+            bounds = np.array([oracle["lower"], oracle["upper"]], dtype=float)
+        except (TypeError, ValueError):
+            bounds = None
+        if (bounds is None or bounds.ndim != 2 or np.isinf(bounds).any()
+                or not np.array_equal(*np.isnan(bounds))):
+            raise ConfigError(f"sidecar {oracle_path} needs reference bounds that are numbers, "
+                              "or null on the warmup in both arrays")
         if keyed and oracle.get("id") not in grouped:
             raise ConfigError(
                 f"sidecar {oracle_path} is for series {oracle.get('id')!r}, but "
@@ -440,8 +449,7 @@ def cmd_eval(intervals_path, oracle_path=None, out_path=None) -> dict:
     for sid, cols in grouped.items():
         reference = None
         if oracle is not None and (not keyed or oracle.get("id") == sid):
-            reference = _oracle_reference(
-                oracle["lower"], oracle["upper"], cols["origin"], cols["h"])
+            reference = _oracle_reference(*bounds, cols["origin"], cols["h"])
         report = evaluate(cols["lower"], cols["upper"], cols["y"], cols["h"], reference)
         entries.append((sid, report, {}))
     payload = _summary(entries)

@@ -264,9 +264,7 @@ class RunResult:
     step h (1-based) targets time ``origins[b] + h - 1``. ``alpha_traces``
     (adaptive method only) holds the working miscoverage level per horizon
     step, recorded before the first block and after each one, shape
-    (horizon, n_blocks + 1). ``window_size_traces`` records score-window
-    sizes on the same schedule, one column per window; the widths are fixed,
-    so each column is constant.
+    (horizon, n_blocks + 1).
     """
 
     origins: np.ndarray
@@ -274,7 +272,6 @@ class RunResult:
     upper: np.ndarray
     y: np.ndarray
     alpha_traces: np.ndarray | None = None
-    window_size_traces: np.ndarray | None = None
     skipped_oob_rows: int = 0
 
     @property
@@ -441,8 +438,6 @@ def run_aenbmimocqr(
     return RunResult(
         *_walk(train_series, stream, horizon, emit, observe),
         alpha_traces=np.asarray(alpha_rows).T,
-        window_size_traces=np.full(
-            (len(stream) // horizon + 1, horizon), windows.values().shape[1]),
         skipped_oob_rows=skipped,
     )
 
@@ -588,8 +583,5 @@ def _recursive_walk(train_series, stream, frame, horizon, alpha, ensembles):
         window.push(score_cqr(lo_steps, hi_steps, y))
         qhat = conformal_quantile(window.values()[0], alpha)
 
-    return RunResult(
-        *_walk(train_series, stream, horizon, emit, observe),
-        window_size_traces=np.full((len(stream) // horizon + 1, 1), window.values().shape[1]),
-        skipped_oob_rows=skipped,
-    )
+    return RunResult(*_walk(train_series, stream, horizon, emit, observe),
+                     skipped_oob_rows=skipped)

@@ -104,10 +104,6 @@ class QuantileNet:
     def layer_sizes(self) -> tuple[int, ...]:
         return tuple([self.weights[0].shape[0]] + [w.shape[1] for w in self.weights])
 
-    @property
-    def n_outputs(self) -> int:
-        return self.weights[-1].shape[1]
-
     def predict_batch(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=float)
         if X.ndim != 2 or X.shape[1] != self.layer_sizes[0]:
@@ -151,11 +147,11 @@ def stack_layers(nets) -> tuple:
 
 
 def init_net(
-    n_inputs: int, n_outputs: int, hidden: tuple[int, ...], tau: float | None, seed: int
+    n_inputs: int, n_out: int, hidden: tuple[int, ...], tau: float | None, seed: int
 ) -> QuantileNet:
     """Fresh network with fan-in scaled uniform weights and zero biases."""
     rng = np.random.default_rng(seed)
-    sizes = (n_inputs, *hidden, n_outputs)
+    sizes = (n_inputs, *hidden, n_out)
     weights, biases = [], []
     for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
         bound = 1.0 / np.sqrt(fan_in)

@@ -453,7 +453,7 @@ def test_criterion_09_run_determinism(tmp_path):
     assert same_threads
 
 
-def test_criterion_10_window_and_cadence_invariants():
+def test_criterion_10_window_and_cadence_invariants(window_widths):
     """Window sizes stay fixed and state changes only at block boundaries."""
     rng = np.random.default_rng(1010)
     methods = ("aenbmimocqr", "mimocqr", "enbpi", "enbcqr")
@@ -467,6 +467,7 @@ def test_criterion_10_window_and_cadence_invariants():
         train = TimeSeries(rng.uniform(1.0, 2.0, size=n_train))
         stream = FeedbackStream(rng.uniform(1.0, 2.0, size=n_blocks * H))
         base = 5000 + trial * 31
+        window_widths.clear()
 
         if method == "aenbmimocqr":
             rows = n_train - p - H + 1
@@ -513,17 +514,11 @@ def test_criterion_10_window_and_cadence_invariants():
         if stream.events != expected_events:
             problems.append(f"trial {trial}: {method} cadence {stream.events}")
 
-        traces = result.window_size_traces
-        if expected_size is None:
-            if traces is not None:
-                problems.append(f"trial {trial}: {method} has window traces")
-        else:
-            if traces.shape[0] != n_blocks + 1:
-                problems.append(f"trial {trial}: {method} trace shape {traces.shape}")
-            if not np.all(traces == expected_size):
-                problems.append(
-                    f"trial {trial}: {method} window sizes {traces.tolist()} "
-                    f"!= {expected_size}")
+        # one window, built at its fixed width and pushed once per block
+        expected = [] if expected_size is None else [[expected_size] * (n_blocks + 1)]
+        if window_widths != expected:
+            problems.append(f"trial {trial}: {method} window widths {window_widths} "
+                            f"!= {expected}")
 
     ok = not problems
     _line(10, ok, "100 fuzzed runs, fixed window sizes, ordered bounds on every "

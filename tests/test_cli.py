@@ -1,3 +1,4 @@
+import concurrent.futures
 import inspect
 import json
 import os
@@ -6,7 +7,7 @@ import re
 import numpy as np
 import pytest
 
-from conformalts import pipelines
+from conformalts import cli, pipelines
 from conformalts.cli import (
     _RUN_KEYS,
     ExperimentConfig,
@@ -193,6 +194,47 @@ class TestCmdRun:
         intervals = [(tmp_path / w / "intervals.csv").read_bytes() for w in ("w1", "w2")]
         assert intervals[0] == intervals[1]
 
+    def test_pool_starts_at_most_one_process_per_series(self, tmp_path, rng, monkeypatch):
+        # fork starts every worker up front; an inline stand-in starts none
+        sizes = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+        data = tmp_path / "series.csv"
+        save_wide_csv(
+            [TimeSeries(rng.normal(size=60).cumsum(), id=f"s{i}") for i in range(2)], data
+        )
+        cfg = fast_config(synthetic=False, data=str(data), n_test=4, horizon=2, workers=8)
+        cmd_run(cfg, str(tmp_path / "run"))
+        assert sizes == [2]
+
+    @pytest.mark.parametrize("method", ["aenbmimocqr", "mimocqr", "enbpi", "enbcqr"])
+    def test_runner_is_looked_up_where_a_tracer_patches_it(self, tmp_path, monkeypatch,
+                                                            method):
+        # a wrapper set on cli.run_<method> after import is the runner a job calls
+        original = getattr(cli, f"run_{method}")
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(method)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cli, f"run_{method}", spy)
+        cmd_run(fast_config(method=method), str(tmp_path / "run"))
+        assert calls == [method]
+
 
 class TestIntervalsCsvAndEval:
     def test_eval_reproduces_run_metrics(self, tmp_path):
@@ -239,6 +281,25 @@ class TestIntervalsCsvAndEval:
             cmd_eval(intervals, oracle_path=str(oracle))
         assert main(["eval", "--intervals", intervals, "--oracle", str(oracle)]) == 2
         assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("lower, upper", [
+        (["a"] + [0.0] * 119, [1.0] * 120),
+        # the test segment targets positions 110-119
+        ([0.0] * 120, [1.0] * 115 + [None] + [1.0] * 4),
+        ([[0.0]] * 120, [[1.0]] * 120),
+    ], ids=["string", "one-sided-null", "nested"])
+    def test_eval_rejects_sidecar_bounds_that_are_not_numbers(self, tmp_path, capsys,
+                                                              lower, upper):
+        out = str(tmp_path / "run")
+        cmd_run(fast_config(), out)  # seed 3, length 120
+        intervals = os.path.join(out, "intervals.csv")
+        oracle = tmp_path / "bad.oracle.json"
+        oracle.write_text(json.dumps({"id": "synthetic-3", "lower": lower, "upper": upper}))
+        with pytest.raises(ConfigError, match="bad.oracle.json needs reference bounds that "
+                                              "are numbers, or null on the warmup in both"):
+            cmd_eval(intervals, oracle_path=str(oracle))
+        assert main(["eval", "--intervals", intervals, "--oracle", str(oracle)]) == 2
+        assert "bad.oracle.json" in capsys.readouterr().err
 
     def test_eval_rejects_sidecar_that_is_not_json(self, tmp_path, capsys):
         out = str(tmp_path / "run")

@@ -517,13 +517,14 @@ class TestAdaptiveRunner:
                 result.alpha_traces[:, k], alpha * (1 + k * gamma), rtol=1e-12
             )
 
-    def test_window_sizes_stay_constant(self, rng):
+    def test_window_sizes_stay_constant(self, rng, window_widths):
         p, H = 2, 2
         series = TimeSeries(rng.normal(size=30).cumsum())
         train, test = series.values[:22], series.values[22:]
         n_rows = 22 - p - H + 1  # 19 supervised rows before out-of-bag skips
         lo, hi, _ = affine_ensembles(p, H, n_rows, 5, rng)
         for T in (6, 100):
+            window_widths.clear()
             result = run_aenbmimocqr(
                 TimeSeries(train), FeedbackStream(test),
                 n_lags=p, horizon=H, alpha=0.1, window_size=T,
@@ -531,7 +532,7 @@ class TestAdaptiveRunner:
             )
             kept = n_rows - result.skipped_oob_rows
             assert kept > T or T == 100  # both regimes exercised
-            assert np.all(result.window_size_traces == min(T, kept))
+            assert window_widths == [[min(T, kept)] * (result.n_blocks + 1)]
 
     def test_gamma_override_zero_freezes_levels(self, rng):
         p, H = 2, 2
@@ -584,7 +585,7 @@ class TestAdaptiveRunner:
                 n_lags=p, horizon=H, alpha=0.1, ensembles=(lo, hi),
             )
 
-    def test_skipped_rows_counted(self):
+    def test_skipped_rows_counted(self, window_widths):
         # row 0 sits in both bags, so it has no out-of-bag prediction
         train = TimeSeries(np.linspace(0.0, 1.0, 7))
         n_rows = 7 - 2 - 1 + 1  # p=2, H=1 -> 5 rows
@@ -599,7 +600,7 @@ class TestAdaptiveRunner:
             ),
         )
         assert result.skipped_oob_rows == 1
-        assert result.window_size_traces[0, 0] == n_rows - 1
+        assert window_widths == [[n_rows - 1] * 2]
 
     def test_stream_length_must_be_block_multiple(self, rng):
         train = TimeSeries(rng.uniform(size=14))
@@ -738,7 +739,7 @@ class TestSplitRunner:
                     models=(members[0], members[1]),
                 )
 
-    def test_no_adaptive_state(self, rng):
+    def test_no_adaptive_state(self, rng, window_widths):
         train = TimeSeries(rng.uniform(size=20))
         members = make_affine_members(2, 2, 1, 5)
         result = run_mimocqr(
@@ -746,7 +747,7 @@ class TestSplitRunner:
             n_lags=2, horizon=1, alpha=0.1, models=(members[0], members[1]),
         )
         assert result.alpha_traces is None
-        assert result.window_size_traces is None
+        assert window_widths == []
 
 
 class TestEnbpiRunner:

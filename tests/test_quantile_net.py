@@ -85,7 +85,7 @@ class TestQuantileNet:
     def test_layer_sizes(self):
         net = init_net(5, 3, (8, 4), None, seed=0)
         assert net.layer_sizes == (5, 8, 4, 3)
-        assert net.n_outputs == 3
+        assert net.layer_sizes[-1] == 3
 
     def test_predict_dimension_mismatch(self):
         net = init_net(3, 1, (4,), 0.5, seed=0)
@@ -226,7 +226,7 @@ class TestTraining:
         series = TimeSeries(np.linspace(0.0, 1.0, 60))
         frame = frame_mimo(series, n_lags=5, horizon=3)
         net = train(frame, 0.5, TrainConfig(epochs=5, hidden=(4,)))
-        assert net.n_outputs == 3
+        assert net.layer_sizes[-1] == 3
         assert net.predict(series.values[:5]).shape == (3,)
 
     def test_crossing_rare_on_smooth_series(self, rng):
