@@ -191,7 +191,7 @@ def parse_config_file(path) -> dict[str, str]:
     """Flat ``key = value`` lines; blank lines and # comments are ignored."""
     values: dict[str, str] = {}
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             lines = fh.readlines()
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}") from None
@@ -229,8 +229,8 @@ def _resolve_run_config(args) -> tuple[ExperimentConfig, str]:
 
 def _oracle_reference(lower, upper, origins, horizons):
     """A sidecar's (lower, upper) reference bounds at each forecast's target,
-    0-based position ``origin + h - 2``; None if one is on the warmup (NaN or
-    null). A position outside the sidecar is a ConfigError."""
+    0-based position ``origin + h - 2``; None if one is on the warmup (null,
+    read as NaN). A position outside the sidecar is a ConfigError."""
     positions = np.asarray(origins) + np.asarray(horizons) - 2
     outside = np.flatnonzero((positions < 0) | (positions >= len(lower)))
     if outside.size:
@@ -330,8 +330,7 @@ def cmd_run(cfg: ExperimentConfig, out_dir) -> dict:
 
 
 def _json_array(values: np.ndarray) -> list:
-    return [None if (isinstance(v, float) and math.isnan(v)) else v
-            for v in (float(x) for x in values)]
+    return [None if math.isnan(v) else v for v in map(float, values)]
 
 
 def cmd_synth(seed: int, out_path, length: int = SyntheticConfig.length,
@@ -370,7 +369,7 @@ def sidecar_path_for(csv_path) -> str:
 def _read_intervals_csv(path):
     """Interval columns grouped by series id, and whether the file names its
     series (a file without a ``series`` column is one series)."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         rows = list(numbered_rows(fh))
     if len(rows) < 2:
         raise ParseError(f"{path} has no interval rows")
@@ -406,6 +405,15 @@ def _read_intervals_csv(path):
     return grouped, sid_col is not None
 
 
+def _is_bound(value) -> bool:
+    """Whether a parsed sidecar entry is null or a JSON number (int or float,
+    not bool) with a finite float value."""
+    try:
+        return value is None or (type(value) in (int, float) and math.isfinite(value))
+    except OverflowError:  # an integer beyond float range
+        return False
+
+
 def cmd_eval(intervals_path, oracle_path=None, out_path=None) -> dict:
     """Recompute metrics from an intervals file (plus optional sidecar).
 
@@ -423,23 +431,17 @@ def cmd_eval(intervals_path, oracle_path=None, out_path=None) -> dict:
         missing = [key for key in ("lower", "upper")
                    if not isinstance(oracle, dict) or not isinstance(oracle.get(key), list)]
         if missing:
-            raise ConfigError(
-                f"sidecar {oracle_path} has no {' or '.join(map(repr, missing))} "
-                "array of reference bounds"
-            )
-        if len(oracle["lower"]) != len(oracle["upper"]):
-            raise ConfigError(
-                f"sidecar {oracle_path} has {len(oracle['lower'])} lower but "
-                f"{len(oracle['upper'])} upper reference bounds"
-            )
-        try:
-            bounds = np.array([oracle["lower"], oracle["upper"]], dtype=float)
-        except (TypeError, ValueError):
-            bounds = None
-        if (bounds is None or bounds.ndim != 2 or np.isinf(bounds).any()
-                or not np.array_equal(*np.isnan(bounds))):
+            raise ConfigError(f"sidecar {oracle_path} has no {' or '.join(map(repr, missing))} "
+                              "array of reference bounds")
+        lower, upper = oracle["lower"], oracle["upper"]
+        if len(lower) != len(upper):
+            raise ConfigError(f"sidecar {oracle_path} has {len(lower)} lower but "
+                              f"{len(upper)} upper reference bounds")
+        if not (all(map(_is_bound, lower + upper))
+                and [v is None for v in lower] == [v is None for v in upper]):
             raise ConfigError(f"sidecar {oracle_path} needs reference bounds that are numbers, "
                               "or null on the warmup in both arrays")
+        bounds = np.array([lower, upper], dtype=float)  # null reads as NaN
         if keyed and oracle.get("id") not in grouped:
             raise ConfigError(
                 f"sidecar {oracle_path} is for series {oracle.get('id')!r}, but "

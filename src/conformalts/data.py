@@ -185,7 +185,7 @@ def load_csv(path, layout: str) -> list[TimeSeries]:
     """
     if layout not in LAYOUTS:
         raise ValueError(f"layout must be one of {', '.join(LAYOUTS)}")
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         rows = list(numbered_rows(fh))
     if len(rows) < 2:
         raise EmptyFile(f"{path} has no data rows")

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InvalidInterval, SeriesTooShort
 
@@ -96,11 +97,6 @@ class PredictionInterval:
         return self.upper - self.lower
 
 
-def _window_view(values: np.ndarray, width: int) -> np.ndarray:
-    # all length-`width` windows, one per row
-    return np.lib.stride_tricks.sliding_window_view(values, width)
-
-
 def frame_recursive(series: TimeSeries, n_lags: int) -> SupervisedFrame:
     """Frame for one-step-ahead models: ``frame_mimo`` at horizon 1."""
     return frame_mimo(series, n_lags, 1)
@@ -123,10 +119,8 @@ def frame_mimo(series: TimeSeries, n_lags: int, horizon: int) -> SupervisedFrame
             f"series {series.id!r} has {n} values, needs >= {n_lags + horizon} "
             "for multi-output framing"
         )
-    windows = _window_view(series.values, n_lags)
-    covariates = windows[:n_rows].copy()
-    target_windows = _window_view(series.values[n_lags:], horizon)
-    targets = target_windows[:n_rows].copy()
+    covariates = sliding_window_view(series.values, n_lags)[:n_rows].copy()
+    targets = sliding_window_view(series.values[n_lags:], horizon)[:n_rows].copy()
     return SupervisedFrame(covariates, targets)
 
 

@@ -39,13 +39,26 @@ def picp(lower, upper, y) -> float:
     return float(np.mean(covered(lower, upper, y)))
 
 
-def pinaw(lower, upper, y) -> float:
-    """Mean interval width divided by the range of the realized values."""
-    lower, upper, y = _aligned("pinaw", lower, upper, y)
+def _span(y) -> float:
+    """The range of the realized values, pinaw's divisor; zero is ZeroRange."""
     span = float(np.max(y) - np.min(y))
     if span == 0.0:
         raise ZeroRange("realized values have zero range")
-    return float(np.mean(upper - lower) / span)
+    return span
+
+
+def pinaw(lower, upper, y) -> float:
+    """Mean interval width divided by the range of the realized values."""
+    lower, upper, y = _aligned("pinaw", lower, upper, y)
+    return float(np.mean(upper - lower) / _span(y))
+
+
+def _iou(a_lo, a_hi, b_lo, b_hi) -> np.ndarray:
+    """Elementwise intersection-over-union of checked, aligned bounds."""
+    union = np.maximum(a_hi, b_hi) - np.minimum(a_lo, b_lo)
+    inter = np.maximum(0.0, np.minimum(a_hi, b_hi) - np.maximum(a_lo, b_lo))
+    # a zero union means both intervals are the same single point
+    return np.divide(inter, union, out=np.ones_like(union), where=union != 0.0)
 
 
 def miou(lower, upper, ref_lower, ref_upper) -> float:
@@ -53,12 +66,7 @@ def miou(lower, upper, ref_lower, ref_upper) -> float:
 
     Disjoint pairs contribute 0; identical degenerate pairs contribute 1.
     """
-    a_lo, a_hi, b_lo, b_hi = _aligned("miou", lower, upper, ref_lower, ref_upper)
-    union = np.maximum(a_hi, b_hi) - np.minimum(a_lo, b_lo)
-    inter = np.maximum(0.0, np.minimum(a_hi, b_hi) - np.maximum(a_lo, b_lo))
-    # a zero union means both intervals are the same single point
-    iou = np.divide(inter, union, out=np.ones_like(union), where=union != 0.0)
-    return float(np.mean(iou))
+    return float(np.mean(_iou(*_aligned("miou", lower, upper, ref_lower, ref_upper))))
 
 
 @dataclass
@@ -87,27 +95,22 @@ def evaluate(lower, upper, y, horizons, reference=None) -> EvalReport:
     lower, upper, *refs, y = _aligned("evaluate", lower, upper, *refs, y)
     if horizons.size != y.size:
         raise LengthMismatch("intervals, y and horizons must align")
-    overall_picp = picp(lower, upper, y)
-    overall_pinaw = pinaw(lower, upper, y)
-    overall_miou = miou(lower, upper, *refs) if refs else None
-
-    span = float(np.max(y) - np.min(y))
-    picp_h, pinaw_h, miou_h = [], [], []
-    for h in range(1, int(horizons.max()) + 1):
-        idx = np.flatnonzero(horizons == h)
+    span = _span(y)
+    steps = [np.flatnonzero(horizons == h) for h in range(1, int(horizons.max()) + 1)]
+    for h, idx in enumerate(steps, start=1):
         if idx.size == 0:
             raise LengthMismatch(f"no intervals for horizon step {h}")
-        picp_h.append(picp(lower[idx], upper[idx], y[idx]))
-        pinaw_h.append(float(np.mean(upper[idx] - lower[idx]) / span))
-        if refs:
-            miou_h.append(miou(lower[idx], upper[idx], *(r[idx] for r in refs)))
+    # every report number is the mean of one per-interval array, overall or on one step
+    hits = covered(lower, upper, y)
+    widths = upper - lower
+    ious = _iou(lower, upper, *refs) if refs else None
     return EvalReport(
-        picp=overall_picp,
-        pinaw=overall_pinaw,
-        miou=overall_miou,
-        picp_per_horizon=picp_h,
-        pinaw_per_horizon=pinaw_h,
-        miou_per_horizon=miou_h if refs else None,
+        picp=float(np.mean(hits)),
+        pinaw=float(np.mean(widths) / span),
+        miou=None if ious is None else float(np.mean(ious)),
+        picp_per_horizon=[float(np.mean(hits[idx])) for idx in steps],
+        pinaw_per_horizon=[float(np.mean(widths[idx]) / span) for idx in steps],
+        miou_per_horizon=None if ious is None else [float(np.mean(ious[idx])) for idx in steps],
     )
 
 

@@ -282,24 +282,40 @@ class TestIntervalsCsvAndEval:
         assert main(["eval", "--intervals", intervals, "--oracle", str(oracle)]) == 2
         assert capsys.readouterr().out == ""
 
+    # the JSON text of each array
     @pytest.mark.parametrize("lower, upper", [
-        (["a"] + [0.0] * 119, [1.0] * 120),
+        (json.dumps(["a"] + [0.0] * 119), json.dumps([1.0] * 120)),
         # the test segment targets positions 110-119
-        ([0.0] * 120, [1.0] * 115 + [None] + [1.0] * 4),
-        ([[0.0]] * 120, [[1.0]] * 120),
-    ], ids=["string", "one-sided-null", "nested"])
+        (json.dumps([0.0] * 120), json.dumps([1.0] * 115 + [None] + [1.0] * 4)),
+        (json.dumps([[0.0]] * 120), json.dumps([[1.0]] * 120)),
+        # text that reads as a number is still text, and true is not 1.0
+        (json.dumps(["-1e9"] * 120), json.dumps([1.0] * 120)),
+        (json.dumps([0.0] * 120), json.dumps([True] * 120)),
+        (json.dumps([0.0] * 120), "[" + ", ".join(["1" + "0" * 400] * 120) + "]"),
+        # JSON has no NaN or Infinity; a NaN literal is not null
+        (json.dumps([float("nan")] * 120), json.dumps([float("nan")] * 120)),
+        (json.dumps([0.0] * 120), json.dumps([float("inf")] * 120)),
+    ], ids=["string", "one-sided-null", "nested", "numeric-string", "boolean",
+            "integer-beyond-float", "nan-literal", "infinity-literal"])
     def test_eval_rejects_sidecar_bounds_that_are_not_numbers(self, tmp_path, capsys,
                                                               lower, upper):
         out = str(tmp_path / "run")
         cmd_run(fast_config(), out)  # seed 3, length 120
         intervals = os.path.join(out, "intervals.csv")
         oracle = tmp_path / "bad.oracle.json"
-        oracle.write_text(json.dumps({"id": "synthetic-3", "lower": lower, "upper": upper}))
+        oracle.write_text(f'{{"id": "synthetic-3", "lower": {lower}, "upper": {upper}}}')
         with pytest.raises(ConfigError, match="bad.oracle.json needs reference bounds that "
                                               "are numbers, or null on the warmup in both"):
             cmd_eval(intervals, oracle_path=str(oracle))
         assert main(["eval", "--intervals", intervals, "--oracle", str(oracle)]) == 2
         assert "bad.oracle.json" in capsys.readouterr().err
+
+    def test_sidecar_bound_rule(self):
+        # an entry passes if it is null or a JSON number with a finite float value
+        for entry in (None, 0, -3, 0.5, -1e308, 10 ** 300, 5e-324):
+            assert cli._is_bound(entry), entry
+        for entry in ("1", True, False, [1.0], {}, float("nan"), float("inf"), 10 ** 400):
+            assert not cli._is_bound(entry), entry
 
     def test_eval_rejects_sidecar_that_is_not_json(self, tmp_path, capsys):
         out = str(tmp_path / "run")
@@ -449,6 +465,19 @@ class TestIntervalsCsvAndEval:
         assert captured.out == ""
         assert message in captured.err
 
+    def test_eval_reads_a_file_that_starts_with_a_byte_order_mark(self, tmp_path, capsys):
+        # with the mark read as part of its name, the series column went unseen
+        text = ("series,origin,h,lower,upper,y,covered\n"
+                "a,1,1,0.0,2.0,1.0,1\n" "a,1,2,0.0,2.0,3.0,0\n"
+                "b,1,1,0.0,1.0,0.5,1\n" "b,1,2,0.0,1.0,2.0,0\n")
+        plain, marked = tmp_path / "plain.csv", tmp_path / "bom.csv"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text("\ufeff" + text, encoding="utf-8")
+        payload = cmd_eval(str(marked))
+        assert payload == cmd_eval(str(plain))
+        assert list(payload["per_series"]) == ["a", "b"]
+        capsys.readouterr()
+
     @pytest.mark.parametrize("method", ["aenbmimocqr", "mimocqr", "enbpi", "enbcqr"])
     def test_intervals_csv_round_trips_floats(self, tmp_path, method):
         cfg = fast_config(method=method)
@@ -555,6 +584,11 @@ class TestConfigFile:
         args = build_parser().parse_args(
             ["run", "--synthetic", "--hidden", " 6 , 4 ", "--out", str(tmp_path / "o")])
         assert _resolve_run_config(args)[0].hidden == (6, 4)
+
+    def test_byte_order_mark_is_not_part_of_the_first_key(self, tmp_path):
+        cfg_file = tmp_path / "bom.cfg"
+        cfg_file.write_text("\ufeffmethod = enbpi\nseed = 5\n", encoding="utf-8")
+        assert parse_config_file(cfg_file) == {"method": "enbpi", "seed": "5"}
 
     def test_comments_and_blanks_ignored(self, tmp_path):
         cfg_file = tmp_path / "ok.cfg"

@@ -287,6 +287,19 @@ class TestCsv:
                 load_csv(path, layout)
             assert (excinfo.value.row, excinfo.value.col) == (row, col), text
 
+    @pytest.mark.parametrize("layout, text", [
+        ("wide", "a,b\n1.0,2.0\n3.0,4.0\n"),
+        ("long", "id,t,value\na,1,1.0\nb,1,2.0\na,2,3.0\nb,2,4.0\n"),
+    ], ids=["wide", "long"])
+    def test_byte_order_mark_is_not_part_of_the_header(self, tmp_path, layout, text):
+        plain, marked = tmp_path / "plain.csv", tmp_path / "bom.csv"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text("\ufeff" + text, encoding="utf-8")
+        loaded = load_csv(marked, layout)
+        assert [s.id for s in loaded] == ["a", "b"]
+        for got, want in zip(loaded, load_csv(plain, layout)):
+            np.testing.assert_array_equal(got.values, want.values)
+
     def test_ragged_wide_row_rejected(self, tmp_path):
         path = tmp_path / "ragged.csv"
         path.write_text("a,b\n1.0,2.0\n3.0\n")

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from conformalts import metrics
 from conformalts.errors import EmptyInput, InvalidInterval, LengthMismatch, ZeroRange
 from conformalts.metrics import EvalReport, aggregate_star, evaluate, miou, picp, pinaw
 
@@ -167,6 +168,59 @@ class TestEvaluate:
             evaluate(*ivs([(0.0, 1.0)]), [0.5, 0.7], [1])
         with pytest.raises(LengthMismatch):
             evaluate(*ivs([(0.0, 1.0)]), [0.5], [1], reference=ivs([(0.0, 1.0), (0.0, 2.0)]))
+
+
+@st.composite
+def scored_rows(draw):
+    """Aligned (lower, upper, y, horizons, reference) arrays: every step from
+    1 to the largest appears, and y has a non-zero range."""
+    n_steps = draw(st.integers(1, 6))
+    extra = draw(st.lists(st.integers(1, n_steps), min_size=1, max_size=20))
+    horizons = draw(st.permutations(list(range(1, n_steps + 1)) + extra))
+    n = len(horizons)
+
+    def column(values):
+        return np.asarray(draw(st.lists(values, min_size=n, max_size=n)))
+
+    lower, ref_lower = column(st.floats(-100, 100)), column(st.floats(-100, 100))
+    upper, ref_upper = lower + column(st.floats(0, 50)), ref_lower + column(st.floats(0, 50))
+    y = column(st.floats(-100, 100))
+    assume(np.max(y) > np.min(y))
+    return lower, upper, y, np.asarray(horizons), (ref_lower, ref_upper)
+
+
+class TestEvaluateIsOnePass:
+    @given(scored_rows())
+    def test_every_field_is_the_public_metric_on_its_rows(self, rows):
+        lower, upper, y, horizons, reference = rows
+        steps = [np.flatnonzero(horizons == h) for h in range(1, horizons.max() + 1)]
+        span = float(np.max(y) - np.min(y))
+        report = evaluate(lower, upper, y, horizons, reference)
+        assert report.picp == picp(lower, upper, y)
+        assert report.pinaw == pinaw(lower, upper, y)
+        assert report.miou == miou(lower, upper, *reference)
+        assert report.picp_per_horizon == [picp(lower[i], upper[i], y[i]) for i in steps]
+        assert report.pinaw_per_horizon == [float(np.mean((upper - lower)[i]) / span)
+                                            for i in steps]
+        assert report.miou_per_horizon == [miou(lower[i], upper[i], *(r[i] for r in reference))
+                                           for i in steps]
+        assert evaluate(lower, upper, y, horizons) == EvalReport(
+            report.picp, report.pinaw, None, report.picp_per_horizon,
+            report.pinaw_per_horizon, None)
+
+    def test_inputs_are_aligned_and_checked_once(self, monkeypatch):
+        calls = []
+        original = metrics._aligned
+
+        def spy(name, *columns):
+            calls.append(name)
+            return original(name, *columns)
+
+        monkeypatch.setattr(metrics, "_aligned", spy)
+        horizons = np.tile(np.arange(1, 31), 4)
+        lower = np.linspace(0.0, 1.0, horizons.size)
+        evaluate(lower, lower + 1.0, lower + 0.5, horizons, (lower, lower + 2.0))
+        assert calls == ["evaluate"]
 
 
 class TestAggregateStar:
