@@ -38,7 +38,7 @@ from .data import (
     save_wide_csv,
     split_train_test,
 )
-from .errors import ConfigError, ConformalTSError, ParseError
+from .errors import ConfigError, ConformalTSError, MissingValue, ParseError
 from .framing import covered
 from .metrics import aggregate_star, evaluate
 from .pipelines import FeedbackStream, RunDefaults
@@ -386,6 +386,8 @@ def _read_intervals_csv(path):
         if len(row) != len(header):
             raise ParseError(f"expected {len(header)} cells, found {len(row)}", row=r)
         sid = row[sid_col].strip() if sid_col is not None else "series"
+        if sid == "":
+            raise MissingValue("blank series id", row=r, col=sid_col + 1)
         entry = grouped.setdefault(sid, {"origin": [], "h": [], "lower": [], "upper": [], "y": []})
         try:
             origin, h = int(row[idx["origin"]]), int(row[idx["h"]])
@@ -423,7 +425,7 @@ def cmd_eval(intervals_path, oracle_path=None, out_path=None) -> dict:
     grouped, keyed = _read_intervals_csv(intervals_path)
     oracle = None
     if oracle_path is not None:
-        with open(oracle_path, "r", encoding="utf-8") as fh:
+        with open(oracle_path, "r", encoding="utf-8-sig") as fh:
             try:
                 oracle = json.load(fh)
             except ValueError as exc:

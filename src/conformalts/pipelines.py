@@ -139,7 +139,9 @@ class BootstrapEnsemble:
     (n_lags,) to a (horizon,) prediction. They are stacked once, here
     (``_layers``), and every mean prediction is one ``forward`` pass over
     the stack, bit for bit equal to the member loop (see the
-    ``quantile_net`` docstring).
+    ``quantile_net`` docstring). There is one method per inference rule,
+    and both take rows: ``predict_mean`` runs one single-window product
+    per (member, row), ``predict_mean_batch`` one gemm per member.
     """
 
     members: list
@@ -157,12 +159,8 @@ class BootstrapEnsemble:
     def n_members(self) -> int:
         return len(self.members)
 
-    def predict_mean(self, x: np.ndarray) -> np.ndarray:
-        """Mean prediction of all members at one lag window."""
-        return self.predict_mean_rows(np.asarray(x, dtype=float).reshape(1, -1))[0]
-
-    def predict_mean_rows(self, X: np.ndarray) -> np.ndarray:
-        """Mean prediction of all members at each row of X, (n_rows, n_out)."""
+    def predict_mean(self, X: np.ndarray) -> np.ndarray:
+        """Mean of the members' ``predict`` at each row of X, (n_rows, n_out)."""
         preds = forward(self._layers, self._rows(X)[:, None, None, :])[:, :, 0]
         return np.add.reduce(preds, axis=1) / self.n_members
 
@@ -568,14 +566,14 @@ def _recursive_walk(train_series, stream, frame, horizon, alpha, ensembles):
     def emit(history):
         nonlocal lo_steps, hi_steps
         last = np.asarray(history[-n_lags:], dtype=float)
-        path = recursive_forecast(lambda x: float(med_ens.predict_mean(x)[0]), last, horizon)
+        path = recursive_forecast(lambda x: med_ens.predict_mean(x[None])[0, 0], last, horizon)
         lo_steps = hi_steps = path
         if len(ensembles) > 1:
             # the lag window of step h + 1: the last observations, then path[:h]
             windows = np.lib.stride_tricks.sliding_window_view(
                 np.concatenate([last, path[:-1]]), n_lags)
             lo_steps, hi_steps = _ordered_bounds(
-                *(ens.predict_mean_rows(windows)[:, 0] for ens in (lo_ens, hi_ens)))
+                *(ens.predict_mean(windows)[:, 0] for ens in (lo_ens, hi_ens)))
         return lo_steps, hi_steps, qhat
 
     def observe(lower, upper, y, history):

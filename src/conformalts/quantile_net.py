@@ -120,8 +120,6 @@ class QuantileNet:
             )
         return self.predict_batch(x[None, :])[0]
 
-    __call__ = predict
-
 
 def forward(layers, a: np.ndarray) -> np.ndarray:
     """``layers``, a sequence of (weights, biases), applied to ``a`` along its

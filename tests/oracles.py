@@ -3,9 +3,9 @@
 Everything here is deliberately written the slow, obvious way: explicit
 loops, sorted lists, no imports from the package under test. Test modules
 compare the production pipelines against these on small instances with
-injected predictors. The oracles only call a predictor on a lag window and
-read its step predictions back, so they never depend on what it is; the
-tests inject one-layer QuantileNets, which are callable. Score windows are
+injected predictors. The oracles only call a predictor's ``predict`` on a
+lag window and read its step predictions back, so they never depend on
+what it is; the tests inject one-layer QuantileNets. Score windows are
 kept as Python lists; the adaptive simulation requires the window capacity
 to cover the whole initial score set so that no random subsampling is
 involved.
@@ -60,7 +60,7 @@ def oob_mean_predictions(members, index_sets, rows):
         preds = []
         for member, idx in zip(members, index_sets):
             if i not in set(int(j) for j in idx):
-                preds.append([float(v) for v in member(x)])
+                preds.append([float(v) for v in member.predict(x)])
         if not preds:
             out.append(None)
             continue
@@ -70,7 +70,7 @@ def oob_mean_predictions(members, index_sets, rows):
 
 
 def full_mean_prediction(members, x):
-    preds = [[float(v) for v in member(x)] for member in members]
+    preds = [[float(v) for v in member.predict(x)] for member in members]
     H = len(preds[0])
     return [sum(pr[h] for pr in preds) / len(preds) for h in range(H)]
 
@@ -175,8 +175,8 @@ def sim_mimocqr(train_values, test_values, p, H, alpha, f_lo, f_hi, cal_fraction
 
     score_sets = [[] for _ in range(H)]
     for x, y in cal_rows:
-        plo = [float(v) for v in f_lo(x)]
-        phi = [float(v) for v in f_hi(x)]
+        plo = [float(v) for v in f_lo.predict(x)]
+        phi = [float(v) for v in f_hi.predict(x)]
         for h in range(H):
             blo, bhi = _ordered(plo[h], phi[h])
             score_sets[h].append(max(blo - y[h], y[h] - bhi))
@@ -186,8 +186,8 @@ def sim_mimocqr(train_values, test_values, p, H, alpha, f_lo, f_hi, cal_fraction
     blocks = []
     for b in range(len(test_values) // H):
         x = history[-p:]
-        plo = [float(v) for v in f_lo(x)]
-        phi = [float(v) for v in f_hi(x)]
+        plo = [float(v) for v in f_lo.predict(x)]
+        phi = [float(v) for v in f_hi.predict(x)]
         intervals = []
         for h in range(H):
             blo, bhi = _ordered(plo[h], phi[h])

@@ -4,8 +4,8 @@ An injected member is a QuantileNet from a lag window (length p) to a
 length-H prediction, which is what the ensembles and runners accept. Each
 builder here is a one-layer net, an affine map of the lag window: seeded
 random coefficients give varied, reproducible predictors without any
-training, and zero weights give constants and exact lag echoes. A net is
-callable, so the oracles call these members like plain functions.
+training, and zero weights give constants and exact lag echoes. The
+oracles call these members through ``predict``.
 """
 
 import numpy as np

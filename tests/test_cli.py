@@ -21,7 +21,7 @@ from conformalts.cli import (
     sidecar_path_for,
 )
 from conformalts.data import SyntheticConfig, gen_synthetic, load_csv, save_wide_csv
-from conformalts.errors import ConfigError, InvalidInterval, ParseError
+from conformalts.errors import ConfigError, InvalidInterval, MissingValue, ParseError
 from conformalts.framing import TimeSeries
 
 FAST = dict(
@@ -264,6 +264,22 @@ class TestIntervalsCsvAndEval:
         (sid,) = results["per_series"].keys()
         assert payload["per_series"][sid]["miou"] == results["per_series"][sid]["miou"]
 
+    def test_eval_reads_a_sidecar_that_starts_with_a_byte_order_mark(self, tmp_path, capsys):
+        csv_path = tmp_path / "bench.csv"
+        cmd_synth(3, csv_path, length=120)
+        out = str(tmp_path / "run")
+        cmd_run(fast_config(), out)  # seed 3
+        intervals = os.path.join(out, "intervals.csv")
+        plain = sidecar_path_for(csv_path)
+        marked = tmp_path / "bom.oracle.json"
+        with open(plain, encoding="utf-8") as fh:
+            marked.write_text("\ufeff" + fh.read(), encoding="utf-8")
+        payload = cmd_eval(intervals, oracle_path=str(marked))
+        assert payload == cmd_eval(intervals, oracle_path=plain)
+        assert payload["per_series"]["synthetic-3"]["miou"] is not None
+        capsys.readouterr()
+        assert main(["eval", "--intervals", intervals, "--oracle", str(marked)]) == 0
+
     @pytest.mark.parametrize("sidecar, missing", [
         ({"id": "synthetic-3", "upper": [1.0]}, "'lower'"),
         ({"id": "synthetic-3", "lower": [0.0]}, "'upper'"),
@@ -461,6 +477,20 @@ class TestIntervalsCsvAndEval:
         with pytest.raises(ParseError, match=re.escape(message)):
             cmd_eval(path)
         assert main(["eval", "--intervals", path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+
+    @pytest.mark.parametrize("cell", ["", "  "], ids=["empty", "spaces"])
+    def test_eval_rejects_a_blank_series_id(self, tmp_path, capsys, cell):
+        path = tmp_path / "intervals.csv"
+        path.write_text("origin,h,lower,upper,y,covered,series\n"
+                        "1,1,0.0,2.0,1.0,1,s\n"
+                        f"1,2,0.0,2.0,3.0,0,{cell}\n")
+        message = "blank series id (row 3, col 7)"
+        with pytest.raises(MissingValue, match=re.escape(message)):
+            cmd_eval(str(path))
+        assert main(["eval", "--intervals", str(path)]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert message in captured.err

@@ -150,7 +150,7 @@ class TestBootstrapEnsemble:
             [make_constant_member([1.0, 3.0], p=2), make_constant_member([3.0, 5.0], p=2)],
             [np.array([0]), np.array([0])],
         )
-        np.testing.assert_array_equal(ens.predict_mean(np.zeros(2)), [2.0, 4.0])
+        np.testing.assert_array_equal(ens.predict_mean(np.zeros((1, 2))), [[2.0, 4.0]])
 
 
 def trained_ensemble(horizon, hidden):
@@ -181,11 +181,11 @@ class TestStackedMembers:
     def test_bitwise_equal_to_member_loop(self, rng, hidden, horizon):
         ens = trained_ensemble(horizon, hidden)
         X = rng.normal(size=(7, 6)).cumsum(axis=1)
-        rows = ens.predict_mean_rows(X)
+        rows = ens.predict_mean(X)
         assert rows.shape == (7, horizon)
         for x, row in zip(X, rows):
             expected = np.mean([m.predict(x) for m in ens.members], axis=0)
-            assert np.array_equal(ens.predict_mean(x), expected)
+            assert np.array_equal(ens.predict_mean(x[None]), expected[None])
             assert np.array_equal(row, expected)
         assert ens._layers
 
@@ -203,9 +203,11 @@ class TestStackedMembers:
     def test_wrong_width_window_rejected(self):
         ens = trained_ensemble(2, (4,))
         with pytest.raises(DimensionMismatch):
-            ens.predict_mean(np.zeros(7))
+            ens.predict_mean(np.zeros((1, 7)))
         with pytest.raises(DimensionMismatch):
-            ens.predict_mean_rows(np.zeros((3, 5)))
+            ens.predict_mean(np.zeros((3, 5)))
+        with pytest.raises(DimensionMismatch):
+            ens.predict_mean(np.zeros(6))
         with pytest.raises(DimensionMismatch):
             ens.predict_mean_batch(np.zeros((3, 5)))
         with pytest.raises(DimensionMismatch):
@@ -225,8 +227,8 @@ class TestStackedMembers:
         assert all(w.flags.c_contiguous for w in fortran.weights)
         ens = BootstrapEnsemble([net, fortran], [np.array([0])] * 2)
         X = rng.normal(size=(7, 6)).cumsum(axis=1)
-        assert np.array_equal(ens.predict_mean(X[0]), member_loop(ens, X[:1])[0])
-        assert np.array_equal(ens.predict_mean_rows(X), member_loop(ens, X))
+        assert np.array_equal(ens.predict_mean(X[:1]), member_loop(ens, X[:1]))
+        assert np.array_equal(ens.predict_mean(X), member_loop(ens, X))
         assert np.array_equal(ens.predict_mean_batch(X), member_loop(ens, X, batch=True))
 
     def test_recursive_runners_equal_generic_path(self, monkeypatch):
@@ -249,7 +251,7 @@ class TestStackedMembers:
             ]
 
         stacked = runs()
-        monkeypatch.setattr(BootstrapEnsemble, "predict_mean_rows", member_loop)
+        monkeypatch.setattr(BootstrapEnsemble, "predict_mean", member_loop)
         monkeypatch.setattr(BootstrapEnsemble, "predict_mean_batch",
                             lambda ens, X: member_loop(ens, X, batch=True))
         for fast, generic in zip(stacked, runs()):
@@ -868,6 +870,35 @@ class TestEnbcqrRunner:
                 train, FeedbackStream(rng.uniform(size=2)),
                 n_lags=p, horizon=1, alpha=0.1, ensembles=(a, b, a),
             )
+
+
+class TestRecursiveWalkPredictions:
+    """Every ensemble prediction of a recursive walk is a ``predict_mean``
+    call: one per recursion step, plus enbcqr's two band calls per block."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+        for name in ("predict_mean", "predict_mean_batch"):
+            def spy(ens, X, _name=name, _method=getattr(BootstrapEnsemble, name)):
+                calls.append((_name, np.shape(X)))
+                return _method(ens, X)
+            monkeypatch.setattr(BootstrapEnsemble, name, spy)
+        return calls
+
+    @pytest.mark.parametrize("H", [1, 3])
+    def test_call_counts(self, calls, rng, H):
+        p, n_blocks = 2, 4
+        train, test = TimeSeries(rng.normal(size=20).cumsum()), rng.normal(size=n_blocks * H)
+        ens = [BootstrapEnsemble(make_affine_members(2, p, 1, seed),
+                                 [np.arange(0, 9), np.arange(9, 18)]) for seed in (1, 2, 3)]
+        common = dict(n_lags=p, horizon=H, alpha=0.2)
+        run_enbpi(train, FeedbackStream(test), ensembles=ens[1:2], **common)
+        assert calls == [("predict_mean", (1, p))] * (n_blocks * H)
+        calls.clear()
+        run_enbcqr(train, FeedbackStream(test), ensembles=ens, **common)
+        block = [("predict_mean", (1, p))] * H + [("predict_mean", (H, p))] * 2
+        assert calls == block * n_blocks
 
 
 @pytest.fixture

@@ -77,11 +77,6 @@ class TestQuantileNet:
         )
         np.testing.assert_array_equal(net.predict([7.0, 8.0]), [5.0, -1.0])
 
-    def test_call_is_predict(self):
-        net = init_net(2, 1, (4,), 0.5, seed=0)
-        x = np.array([0.3, -0.7])
-        np.testing.assert_array_equal(net(x), net.predict(x))
-
     def test_layer_sizes(self):
         net = init_net(5, 3, (8, 4), None, seed=0)
         assert net.layer_sizes == (5, 8, 4, 3)
