@@ -31,6 +31,7 @@ import numpy as np
 
 from .data import (
     LAYOUTS,
+    WARMUP,
     SyntheticConfig,
     gen_synthetic,
     load_csv,
@@ -288,6 +289,8 @@ def cmd_run(cfg: ExperimentConfig, out_dir) -> dict:
         jobs = [(cfg, series, (oracle.lower, oracle.upper))]
     else:
         jobs = [(cfg, series, None) for series in load_csv(cfg.data, cfg.layout)]
+    # an --out that cannot be a directory fails here, before any net trains
+    os.makedirs(out_dir, exist_ok=True)
 
     if cfg.workers > 1 and len(jobs) > 1:
         # imported here: a single-series run never loads the pool machinery
@@ -314,7 +317,6 @@ def cmd_run(cfg: ExperimentConfig, out_dir) -> dict:
             "wall_time_sec": perf_counter() - t0,
         },
     }
-    os.makedirs(out_dir, exist_ok=True)
     results_path = os.path.join(out_dir, "results.json")
     with open(results_path, "w", encoding="utf-8") as fh:
         json.dump(results, fh, indent=2, sort_keys=True)
@@ -344,9 +346,8 @@ def cmd_synth(seed: int, out_path, length: int = SyntheticConfig.length,
         "id": series.id,
         "seed": seed,
         "length": length,
-        "warmup": config.warmup,
+        "warmup": WARMUP,
         "alpha": alpha,
-        "noise_scale": config.noise_scale,
         "mu": _json_array(oracle.mu),
         "sigma": _json_array(oracle.sigma),
         "lower": _json_array(oracle.lower),

@@ -1,11 +1,12 @@
 """Data sources: a synthetic nonstationary benchmark and CSV ingestion.
 
-The synthetic process starts from 40 uniform draws. From then on each value
-is Gaussian around the log of the sum of the squared last ``warmup`` values,
-with a noise scale that grows linearly in time, so both the level and the
-spread drift. Because the generator knows mu_t and sigma_t it also returns
-the exact central (1 - alpha) interval per step, which downstream code uses
-as the reference when judging predicted intervals.
+The synthetic process starts from ``WARMUP`` (40) uniform draws. From then
+on each value is Gaussian around the log of the sum of the squared last
+``WARMUP`` values, with a standard deviation that grows linearly in time,
+so both the level and the spread drift. Because the generator knows mu_t
+and sigma_t it also returns the exact central (1 - alpha) interval per
+step, which downstream code uses as the reference when judging predicted
+intervals.
 """
 
 from __future__ import annotations
@@ -37,8 +38,9 @@ _D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
       3.754408661907416e+00)
 _P_LOW = 0.02425
 
-# The synthetic noise scale at 1-based step t is c_t * mu_t with
-# c_t = NOISE_C0 + NOISE_SLOPE * t.
+# The synthetic warmup length, and the noise standard deviation c_t * mu_t
+# at 1-based step t with c_t = NOISE_C0 + NOISE_SLOPE * t.
+WARMUP = 40
 NOISE_C0 = 0.1
 NOISE_SLOPE = 0.001
 
@@ -66,29 +68,19 @@ def norm_quantile(p: float) -> float:
 
 @dataclass(frozen=True)
 class SyntheticConfig:
-    """Parameters of the synthetic benchmark series.
-
-    ``noise_scale`` controls how c_t * mu_t is read: "stdev" (the default)
-    uses it as the standard deviation, "variance" as the variance.
-    """
+    """Parameters of the synthetic benchmark series."""
 
     seed: int
     length: int = 1041
-    warmup: int = 40
     oracle_alpha: float = 0.1
-    noise_scale: str = "stdev"
 
     def __post_init__(self):
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if self.warmup < 1:
-            raise ValueError("warmup must be >= 1")
-        if self.length <= self.warmup:
-            raise ValueError("length must exceed warmup")
+        if self.length <= WARMUP:
+            raise ValueError(f"length must exceed the warmup of {WARMUP}")
         if not 0.0 < self.oracle_alpha < 1.0:
             raise ValueError("oracle_alpha must be in (0, 1)")
-        if self.noise_scale not in ("stdev", "variance"):
-            raise ValueError('noise_scale must be "stdev" or "variance"')
 
 
 @dataclass(frozen=True)
@@ -108,14 +100,14 @@ class OracleIntervalSet:
 def gen_synthetic(config: SyntheticConfig) -> tuple[TimeSeries, OracleIntervalSet]:
     """Generate one benchmark series and its oracle intervals.
 
-    y_t ~ Normal(mu_t, sd_t) for t > warmup (1-based), where mu_t is the log
-    of the sum of the squared previous ``warmup`` values and sd_t comes from
-    c_t * mu_t with c_t = NOISE_C0 + NOISE_SLOPE * t. Gaussian draws are the
-    normal quantile transform of open-interval uniforms from the seeded
-    generator, so the trace is reproducible bit for bit from the seed.
+    y_t ~ Normal(mu_t, sd_t) for t > WARMUP (1-based), where mu_t is the log
+    of the sum of the squared previous ``WARMUP`` values and sd_t = c_t * mu_t
+    with c_t = NOISE_C0 + NOISE_SLOPE * t. Gaussian draws are the normal
+    quantile transform of open-interval uniforms from the seeded generator,
+    so the trace is reproducible bit for bit from the seed.
     """
     rng = np.random.default_rng(config.seed)
-    n, w = config.length, config.warmup
+    n, w = config.length, WARMUP
     y = np.empty(n, dtype=float)
     y[:w] = rng.random(w)
     # uniforms on (0, 1), both endpoints excluded, one per generated step
@@ -127,8 +119,7 @@ def gen_synthetic(config: SyntheticConfig) -> tuple[TimeSeries, OracleIntervalSe
         m = math.log(math.fsum(squares[t - w:t]))
         if m <= 0.0:
             raise NonPositiveMean(f"mu_{t + 1} = {m} <= 0; cannot scale noise")
-        scale = (NOISE_C0 + NOISE_SLOPE * (t + 1)) * m
-        sd = scale if config.noise_scale == "stdev" else math.sqrt(scale)
+        sd = (NOISE_C0 + NOISE_SLOPE * (t + 1)) * m
         mu[t] = m
         sigma[t] = sd
         yt = m + sd * norm_quantile(uniforms[t - w])
@@ -167,11 +158,11 @@ def _parse_float(cell: str, row: int, col: int) -> float:
 
 
 def numbered_rows(fh):
-    """Yield (line, cells) for each non-blank row of an open CSV file, where
-    ``line`` is the reader's 1-based file line, so blank lines count."""
+    """Yield (line, cells) for each row of an open CSV file but blank lines,
+    which still count in ``line``; a line of delimiters is a row."""
     reader = csv.reader(fh)
     for row in reader:
-        if any(cell.strip() for cell in row):
+        if len(row) > 1 or any(cell.strip() for cell in row):
             yield reader.line_num, row
 
 

@@ -338,6 +338,15 @@ def _oob_band_scores(lo_ens, hi_ens, frame: SupervisedFrame):
     return score_cqr(lo_cal, hi_cal, frame.targets[kept]), int(frame.n_rows - kept.sum())
 
 
+def _check_widths(nets, frame):
+    """Raise DimensionMismatch unless each injected net maps a lag window of
+    the frame to one value per target step."""
+    for sizes in (net.layer_sizes for net in nets):
+        if (sizes[0], sizes[-1]) != (frame.n_lags, frame.horizon):
+            raise DimensionMismatch(f"an injected net maps {sizes[0]} inputs to {sizes[-1]} "
+                                    f"outputs; the frame needs {frame.n_lags} to {frame.horizon}")
+
+
 def _fit_or_take(frame, taus, n_models, seed, config, ensembles):
     """``fit_ensemble``'s list for the levels ``taus``, or the injected
     ``ensembles``, checked to be that: one per level, all on one set of bags."""
@@ -345,6 +354,7 @@ def _fit_or_take(frame, taus, n_models, seed, config, ensembles):
         return fit_ensemble(frame, taus, n_models, seed, config)
     if len(ensembles) != len(taus):
         raise ValueError(f"expected {len(taus)} ensembles, one per level, got {len(ensembles)}")
+    _check_widths([net for ens in ensembles for net in ens.members], frame)
     first = ensembles[0].index_sets
     if any(len(e.index_sets) != len(first) or not all(map(np.array_equal, first, e.index_sets))
            for e in ensembles[1:]):
@@ -475,6 +485,7 @@ def run_mimocqr(
             _train_net(frame, slice(n_fit), tau, derive_seed(seed, "mimocqr", side), config)
             for tau, side in ((alpha / 2.0, "lo"), (1.0 - alpha / 2.0, "hi")))
     else:
+        _check_widths(models, frame)
         f_lo, f_hi = models
 
     cal_X = frame.covariates[n_fit:]

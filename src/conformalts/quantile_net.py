@@ -113,12 +113,8 @@ class QuantileNet:
         return forward(list(zip(self.weights, self.biases)), X)
 
     def predict(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float).reshape(-1)
-        if x.size != self.layer_sizes[0]:
-            raise DimensionMismatch(
-                f"expected {self.layer_sizes[0]} covariates, got {x.size}"
-            )
-        return self.predict_batch(x[None, :])[0]
+        # predict_batch checks the window's width
+        return self.predict_batch(np.asarray(x, dtype=float).reshape(1, -1))[0]
 
 
 def forward(layers, a: np.ndarray) -> np.ndarray:

@@ -357,7 +357,7 @@ def ref_fit(covariates, targets, tau, epochs, lr, seed, hidden):
     return weights, biases, losses
 
 
-def ref_gen_synthetic(seed, length, warmup, noise_scale, oracle_alpha, quantile):
+def ref_gen_synthetic(seed, length, warmup, oracle_alpha, quantile):
     """The synthetic series the slow way: one scalar uniform per step from
     ``default_rng(seed)`` (after ``warmup`` uniforms for the warmup values),
     a fresh fsum over the window for every mean. ``quantile`` is the
@@ -371,8 +371,7 @@ def ref_gen_synthetic(seed, length, warmup, noise_scale, oracle_alpha, quantile)
     sigma = np.full(length, np.nan)
     for t in range(warmup, length):
         m = math.log(math.fsum(v * v for v in y[t - warmup:t]))
-        scale = (0.1 + 0.001 * (t + 1)) * m
-        sd = scale if noise_scale == "stdev" else math.sqrt(scale)
+        sd = (0.1 + 0.001 * (t + 1)) * m
         mu[t] = m
         sigma[t] = sd
         u = float(rng.integers(1, 2**53)) / 2**53

@@ -36,6 +36,20 @@ def fast_config(**overrides):
     return ExperimentConfig(**kw)
 
 
+@pytest.fixture
+def trained(monkeypatch):
+    """The nets trained while it is in use; training any fails the test."""
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        raise AssertionError("a net was trained")
+
+    for name in ("train", "mse_train"):
+        monkeypatch.setattr(pipelines, name, spy)
+    return calls
+
+
 def read_results(out_dir):
     with open(os.path.join(out_dir, "results.json"), "r", encoding="utf-8") as fh:
         return json.load(fh)
@@ -541,6 +555,7 @@ class TestCmdSynth:
         np.testing.assert_array_equal(loaded.values, series.values)
         assert loaded.id == "synthetic-9"
         assert sidecar["mu"][:40] == [None] * 40
+        assert sidecar["warmup"] == 40 and "noise_scale" not in sidecar
         np.testing.assert_allclose(sidecar["lower"][40:], oracle.lower[40:])
         with open(sidecar_path_for(csv_path), encoding="utf-8") as fh:
             assert json.load(fh) == sidecar
@@ -766,18 +781,10 @@ class TestMainExitCodes:
         assert not out.exists()
 
     @pytest.mark.parametrize("method, span", [("aenbmimocqr", 7), ("enbpi", 6), ("enbcqr", 6)])
-    def test_one_row_frame_is_one_before_any_training(self, tmp_path, capsys, monkeypatch,
+    def test_one_row_frame_is_one_before_any_training(self, tmp_path, capsys, trained,
                                                       method, span):
         # at p 5 and H 2 a MIMO frame row spans p + H = 7 values and a
         # recursive one p + 1 = 6, so n-test 4 leaves exactly one row
-        trained = []
-
-        def spy(*args, **kwargs):
-            trained.append(args)
-            raise AssertionError("a net was trained")
-
-        for name in ("train", "mse_train"):
-            monkeypatch.setattr(pipelines, name, spy)
         data = tmp_path / "series.csv"
         save_wide_csv([TimeSeries(np.arange(1.0, span + 5.0), id="s")], data)
         assert main([
@@ -787,6 +794,18 @@ class TestMainExitCodes:
         assert ("bagging needs at least 2 frame rows, the training frame has 1"
                 in capsys.readouterr().err)
         assert trained == []
+
+    @pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
+    def test_out_that_cannot_be_a_directory_is_one_before_any_training(
+            self, tmp_path, capsys, trained, under):
+        taken = tmp_path / "taken"
+        taken.write_text("kept\n")
+        out = taken / "run" if under else taken
+        assert main(["run", "--synthetic", "--length", "60", "--p", "5", "--H", "2",
+                     "--n-test", "4", "--B", "2", "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert trained == []
+        assert taken.read_text() == "kept\n"
 
     def test_run_flags_are_the_config_keys(self):
         (sub,) = [a for a in build_parser()._actions if a.dest == "command"]

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
+from conformalts import data
 from conformalts.data import (
     OracleIntervalSet,
     SyntheticConfig,
@@ -58,14 +59,11 @@ class TestNormQuantile:
 
 class TestSyntheticConfig:
     def test_validation(self):
+        # the length must exceed the 40-value warmup
         with pytest.raises(ValueError):
-            SyntheticConfig(seed=0, warmup=0)
-        with pytest.raises(ValueError):
-            SyntheticConfig(seed=0, length=40, warmup=40)
+            SyntheticConfig(seed=0, length=40)
         with pytest.raises(ValueError):
             SyntheticConfig(seed=0, oracle_alpha=0.0)
-        with pytest.raises(ValueError):
-            SyntheticConfig(seed=0, noise_scale="sd")
 
 
 class TestGenSynthetic:
@@ -109,16 +107,6 @@ class TestGenSynthetic:
             c = 0.1 + 0.001 * (t + 1)
             assert oracle.sigma[t] == c * mu
 
-    def test_variance_convention_takes_square_root(self):
-        # the first generated step depends on the warmup alone, so both
-        # conventions share its mu
-        kw = dict(seed=11, length=130)
-        _, o_sd = gen_synthetic(SyntheticConfig(noise_scale="stdev", **kw))
-        _, o_var = gen_synthetic(SyntheticConfig(noise_scale="variance", **kw))
-        t = 40
-        assert o_var.mu[t] == o_sd.mu[t]
-        assert o_var.sigma[t] == pytest.approx(math.sqrt(o_sd.sigma[t]), rel=1e-15)
-
     def test_oracle_interval_is_symmetric_normal_band(self):
         _, oracle = gen_synthetic(SyntheticConfig(seed=2, length=120))
         z = norm_quantile(0.95)
@@ -152,19 +140,19 @@ class TestGenSynthetic:
     @pytest.mark.parametrize("seed", [1, 2, 12345, 1331523251])
     def test_bitwise_equal_to_scalar_draw_reference(self, seed):
         for length in (41, 300, 1041):
-            for noise_scale in ("stdev", "variance"):
-                cfg = SyntheticConfig(seed=seed, length=length, noise_scale=noise_scale)
-                series, oracle = gen_synthetic(cfg)
-                expected = oracles.ref_gen_synthetic(
-                    seed, length, cfg.warmup, noise_scale, cfg.oracle_alpha, norm_quantile)
-                got = (series.values, oracle.mu, oracle.sigma, oracle.lower, oracle.upper)
-                for a, b in zip(got, expected):
-                    assert np.array_equal(a, b, equal_nan=True), (length, noise_scale)
+            cfg = SyntheticConfig(seed=seed, length=length)
+            series, oracle = gen_synthetic(cfg)
+            expected = oracles.ref_gen_synthetic(
+                seed, length, 40, cfg.oracle_alpha, norm_quantile)
+            got = (series.values, oracle.mu, oracle.sigma, oracle.lower, oracle.upper)
+            for a, b in zip(got, expected):
+                assert np.array_equal(a, b, equal_nan=True), length
 
-    def test_nonpositive_mean_raises(self):
+    def test_nonpositive_mean_raises(self, monkeypatch):
         # a single warmup draw in (0, 1) has log(y^2) < 0
+        monkeypatch.setattr(data, "WARMUP", 1)
         with pytest.raises(NonPositiveMean):
-            gen_synthetic(SyntheticConfig(seed=0, length=3, warmup=1))
+            gen_synthetic(SyntheticConfig(seed=0, length=3))
 
 
 class TestSplitTrainTest:
@@ -280,6 +268,9 @@ class TestCsv:
         # blank lines are skipped but still count as file lines
         cases.append(("wide", "a,b\n\n1.0,2.0\n\noops,4.0\n", 5, 1))
         cases.append(("long", "id,t,value\n\na,1,1.0\n\na,2,nan\n", 5, 3))
+        # a line of delimiters is a row of blank cells, not a blank line
+        cases.append(("wide", "a,b\n1.0,2.0\n,\n3.0,4.0\n", 3, 1))
+        cases.append(("long", "id,t,value\na,1,1.0\n,,\na,2,2.0\n", 3, 1))
         path = tmp_path / "bad.csv"
         for layout, text, row, col in cases:
             path.write_text(text)

@@ -1062,3 +1062,25 @@ class TestInjectedEnsembles:
             runner(train, stream, n_lags=self.P, horizon=self.H, alpha=self.ALPHA,
                    ensembles=(e,) * count)
         assert stream.events == []
+
+
+class TestInjectedWidths:
+    @pytest.mark.parametrize("runner", RUNNERS)
+    @pytest.mark.parametrize("wrong", ["inputs", "outputs"])
+    def test_rejected_before_any_block(self, training_calls, rng, runner, wrong):
+        # at p 3 and H 4 a MIMO net maps 3 lags to 4 steps, a recursive one to 1
+        width = 4 if runner in (run_aenbmimocqr, run_mimocqr) else 1
+        n_in, n_out = (2, width) if wrong == "inputs" else (3, width + 1)
+        nets = make_affine_members(2, n_in, n_out, 5)
+        if runner is run_mimocqr:
+            injected = dict(models=tuple(nets))
+        else:
+            n_levels = {run_aenbmimocqr: 2, run_enbpi: 1, run_enbcqr: 3}[runner]
+            ens = BootstrapEnsemble(nets, random_index_sets(2, 30, rng))
+            injected = dict(ensembles=[ens] * n_levels)
+        stream = FeedbackStream(rng.uniform(size=4))
+        with pytest.raises(DimensionMismatch, match=f"maps {n_in} inputs to {n_out} outputs; "
+                                                    f"the frame needs 3 to {width}"):
+            runner(TimeSeries(rng.uniform(size=40)), stream,
+                   n_lags=3, horizon=4, alpha=0.1, **injected)
+        assert stream.n_submitted == 0
