@@ -35,11 +35,12 @@ from .data import (
     SyntheticConfig,
     gen_synthetic,
     load_csv,
-    numbered_rows,
+    parse_cell,
+    read_table,
     save_wide_csv,
     split_train_test,
 )
-from .errors import ConfigError, ConformalTSError, MissingValue, ParseError
+from .errors import ConfigError, ConformalTSError, ParseError
 from .framing import covered
 from .metrics import aggregate_star, evaluate
 from .pipelines import FeedbackStream, RunDefaults
@@ -49,6 +50,8 @@ from .quantile_net import TrainConfig
 from .seeding import derive_seed
 
 SCHEMA_VERSION = 1
+# the columns of intervals.csv, one row per forecast step
+INTERVAL_COLUMNS = ("series", "origin", "h", "lower", "upper", "y", "covered")
 # method -> (multi-output: a frame row spans p + H values, else p + 1; the
 # ExperimentConfig fields that run_<method> takes as keywords)
 METHODS = {
@@ -324,7 +327,7 @@ def cmd_run(cfg: ExperimentConfig, out_dir) -> dict:
     intervals_path = os.path.join(out_dir, "intervals.csv")
     with open(intervals_path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["series", "origin", "h", "lower", "upper", "y", "covered"])
+        writer.writerow(INTERVAL_COLUMNS)
         # the bounds and y are Python floats, which csv writes with repr
         for sid, _, _, columns in outcomes:
             writer.writerows(zip(repeat(sid), *(c.tolist() for c in columns)))
@@ -370,40 +373,30 @@ def sidecar_path_for(csv_path) -> str:
 def _read_intervals_csv(path):
     """Interval columns grouped by series id, and whether the file names its
     series (a file without a ``series`` column is one series)."""
-    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-        rows = list(numbered_rows(fh))
-    if len(rows) < 2:
-        raise ParseError(f"{path} has no interval rows")
-    header = [c.strip().lower() for c in rows[0][1]]
-    required = ["origin", "h", "lower", "upper", "y"]
-    missing = [c for c in required if c not in header]
+    _, header, body = read_table(path)
+    header = [name.lower() for name in header]
+    # series is optional and covered is recomputed
+    kinds = dict(zip(INTERVAL_COLUMNS[1:-1], (int, int, float, float, float)))
+    missing = [name for name in kinds if name not in header]
     if missing:
         raise ParseError(f"intervals file lacks columns: {', '.join(missing)}")
-    idx = {name: header.index(name) for name in required}
-    sid_col = header.index("series") if "series" in header else None
+    cols = {name: header.index(name) + 1 for name in kinds}
+    sid_col = header.index("series") + 1 if "series" in header else None
     grouped: dict[str, dict[str, list]] = {}
     first_row: dict[tuple[str, int, int], int] = {}  # (series, origin, h) -> row
-    for r, row in rows[1:]:
-        if len(row) != len(header):
-            raise ParseError(f"expected {len(header)} cells, found {len(row)}", row=r)
-        sid = row[sid_col].strip() if sid_col is not None else "series"
-        if sid == "":
-            raise MissingValue("blank series id", row=r, col=sid_col + 1)
-        entry = grouped.setdefault(sid, {"origin": [], "h": [], "lower": [], "upper": [], "y": []})
-        try:
-            origin, h = int(row[idx["origin"]]), int(row[idx["h"]])
-            lower, upper, y = (float(row[idx[name]]) for name in ("lower", "upper", "y"))
-        except ValueError:
-            raise ParseError("cannot parse interval row", row=r) from None
+    for r, cells in body:
+        sid = "series" if sid_col is None else parse_cell(cells, r, sid_col, str, "series id")
+        values = [parse_cell(cells, r, cols[name], kind, f"{name} cell")
+                  for name, kind in kinds.items()]
+        origin, h = values[:2]
         if h < 1:
-            raise ParseError(f"horizon step h must be >= 1, got {h}", row=r)
-        if not math.isfinite(y):
-            raise ParseError(f"realized y must be finite, got {y}", row=r)
+            raise ParseError(f"horizon step h must be >= 1, got {h}", row=r, col=cols["h"])
         earlier = first_row.setdefault((sid, origin, h), r)
         if earlier != r:
             raise ParseError(
                 f"series {sid!r}, origin {origin}, step {h} repeats row {earlier}", row=r)
-        for name, value in zip(required, (origin, h, lower, upper, y)):
+        entry = grouped.setdefault(sid, {name: [] for name in kinds})
+        for name, value in zip(kinds, values):
             entry[name].append(value)
     return grouped, sid_col is not None
 

@@ -144,26 +144,58 @@ def split_train_test(series: TimeSeries, n_test: int) -> tuple[TimeSeries, TimeS
     )
 
 
-def _parse_float(cell: str, row: int, col: int) -> float:
+def read_table(path):
+    """The header line, the stripped header names and the body rows
+    ``(line, cells)`` of a CSV file, rows numbered by their line.
+
+    A leading UTF-8 byte-order mark is not part of the first name. Blank
+    lines are skipped, but a line of delimiters is a row of blank cells, and
+    in a one-column table a blank line before the last row is that row's
+    blank cell. A blank or repeated name, or a row whose width is not the
+    header's, is a ParseError at its line; no body row is EmptyFile.
+    """
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+        reader = csv.reader(fh)
+        lines = [(reader.line_num, cells) for cells in reader]
+    filled = [i for i, (_, cells) in enumerate(lines)
+              if len(cells) > 1 or any(cell.strip() for cell in cells)]
+    if len(filled) < 2:
+        raise EmptyFile(f"{path} has no data rows")
+    header_line, header = lines[filled[0]]
+    names = [cell.strip() for cell in header]
+    first_col: dict[str, int] = {}
+    for col, name in enumerate(names, start=1):
+        if name == "":
+            raise ParseError("blank name in header", row=header_line, col=col)
+        if first_col.setdefault(name, col) != col:
+            raise ParseError(f"repeated name {name!r} in header", row=header_line, col=col)
+    kept = range(filled[0] + 1, filled[-1] + 1) if len(names) == 1 else filled[1:]
+    # a blank line kept in a one-column body is its one blank cell
+    body = [(lines[i][0], lines[i][1] or [""]) for i in kept]
+    for r, cells in body:
+        if len(cells) != len(names):
+            raise ParseError(f"expected {len(names)} cells, found {len(cells)}", row=r)
+    return header_line, names, body
+
+
+def parse_cell(cells, row: int, col: int, kind: type, what: str):
+    """Cell ``col`` (1-based) of a row as ``kind``: str (the stripped text),
+    int or a finite float. A blank cell is MissingValue("blank <what>") and
+    a bad one a ParseError, both at (row, col)."""
+    cell = cells[col - 1]
     text = cell.strip()
     if text == "":
-        raise MissingValue("blank cell", row=row, col=col)
+        raise MissingValue(f"blank {what}", row=row, col=col)
+    if kind is str:
+        return text
     try:
-        value = float(text)
+        value = kind(text)
     except ValueError:
-        raise ParseError(f"cannot parse {cell!r} as a number", row=row, col=col) from None
-    if not math.isfinite(value):
+        expected = "an integer" if kind is int else "a number"
+        raise ParseError(f"cannot parse {cell!r} as {expected}", row=row, col=col) from None
+    if kind is float and not math.isfinite(value):
         raise ParseError(f"{cell!r} is not a finite number", row=row, col=col)
     return value
-
-
-def numbered_rows(fh):
-    """Yield (line, cells) for each row of an open CSV file but blank lines,
-    which still count in ``line``; a line of delimiters is a row."""
-    reader = csv.reader(fh)
-    for row in reader:
-        if len(row) > 1 or any(cell.strip() for cell in row):
-            yield reader.line_num, row
 
 
 def load_csv(path, layout: str) -> list[TimeSeries]:
@@ -176,47 +208,21 @@ def load_csv(path, layout: str) -> list[TimeSeries]:
     """
     if layout not in LAYOUTS:
         raise ValueError(f"layout must be one of {', '.join(LAYOUTS)}")
-    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-        rows = list(numbered_rows(fh))
-    if len(rows) < 2:
-        raise EmptyFile(f"{path} has no data rows")
-    (header_line, header), body = rows[0], rows[1:]
+    header_line, names, body = read_table(path)
 
     if layout == "wide":
-        ids = [c.strip() for c in header]
-        if any(i == "" for i in ids):
-            raise ParseError("blank series id in header", row=header_line)
-        if len(set(ids)) != len(ids):
-            raise ParseError("duplicate series ids in header", row=header_line)
-        columns: list[list[float]] = [[] for _ in ids]
-        for r, row in body:
-            if len(row) != len(ids):
-                raise ParseError(
-                    f"expected {len(ids)} cells, found {len(row)}", row=r
-                )
-            for c, cell in enumerate(row, start=1):
-                columns[c - 1].append(_parse_float(cell, r, c))
-        return [TimeSeries(np.asarray(col), id=i) for i, col in zip(ids, columns)]
+        rows = [[parse_cell(cells, r, c, float, "cell") for c in range(1, len(names) + 1)]
+                for r, cells in body]
+        return [TimeSeries(np.asarray(col), id=i) for i, col in zip(names, zip(*rows))]
 
-    names = [c.strip().lower() for c in header]
-    if names != ["id", "t", "value"]:
+    if [name.lower() for name in names] != ["id", "t", "value"]:
         raise ParseError('long layout needs header "id,t,value"', row=header_line)
     by_id: dict[str, list[tuple[int, float, int]]] = {}  # id -> (t, value, line)
     first_line: dict[tuple[str, int], int] = {}  # (series, t) -> line
-    for r, row in body:
-        if len(row) != 3:
-            raise ParseError(f"expected 3 cells, found {len(row)}", row=r)
-        sid = row[0].strip()
-        if sid == "":
-            raise MissingValue("blank series id", row=r, col=1)
-        t_text = row[1].strip()
-        if t_text == "":
-            raise MissingValue("blank time index", row=r, col=2)
-        try:
-            t = int(t_text)
-        except ValueError:
-            raise ParseError(f"cannot parse {row[1]!r} as an integer", row=r, col=2) from None
-        value = _parse_float(row[2], r, 3)
+    for r, cells in body:
+        sid = parse_cell(cells, r, 1, str, "series id")
+        t = parse_cell(cells, r, 2, int, "time index")
+        value = parse_cell(cells, r, 3, float, "cell")
         earlier = first_line.setdefault((sid, t), r)
         if earlier != r:
             raise ParseError(

@@ -448,21 +448,23 @@ class TestIntervalsCsvAndEval:
     @pytest.mark.parametrize("cells, error, message", [
         pytest.param("1,2.0,1.0,1.5", InvalidInterval, "lower 2.0 exceeds upper 1.0",
                      id="2.0,1.0-lower 2.0 exceeds upper 1.0"),
-        pytest.param("1,nan,1.0,1.5", InvalidInterval, "finite", id="nan,1.0-finite"),
-        # a bad realized value or step fails as a parse error naming the row
-        pytest.param("1,0.0,2.0,nan", ParseError, "realized y must be finite, got nan (row 3)",
+        # a non-finite cell or a bad step fails as a parse error naming the
+        # row and column
+        pytest.param("1,nan,1.0,1.5", ParseError, "'nan' is not a finite number (row 3, col 4)",
+                     id="nan,1.0-finite"),
+        pytest.param("1,0.0,2.0,nan", ParseError, "'nan' is not a finite number (row 3, col 6)",
                      id="y-nan"),
-        pytest.param("1,0.0,2.0,inf", ParseError, "realized y must be finite, got inf (row 3)",
+        pytest.param("1,0.0,2.0,inf", ParseError, "'inf' is not a finite number (row 3, col 6)",
                      id="y-inf"),
-        pytest.param("1,0.0,2.0,-inf", ParseError, "realized y must be finite, got -inf (row 3)",
-                     id="y-minus-inf"),
-        pytest.param("0,0.0,2.0,1.5", ParseError, "horizon step h must be >= 1, got 0 (row 3)",
-                     id="h-zero"),
-        pytest.param("-1,0.0,2.0,1.5", ParseError, "horizon step h must be >= 1, got -1 (row 3)",
-                     id="h-negative"),
+        pytest.param("1,0.0,2.0,-inf", ParseError,
+                     "'-inf' is not a finite number (row 3, col 6)", id="y-minus-inf"),
+        pytest.param("0,0.0,2.0,1.5", ParseError,
+                     "horizon step h must be >= 1, got 0 (row 3, col 3)", id="h-zero"),
+        pytest.param("-1,0.0,2.0,1.5", ParseError,
+                     "horizon step h must be >= 1, got -1 (row 3, col 3)", id="h-negative"),
         # a good row, a blank line, then the bad row: blank lines count
         pytest.param("1,0.0,2.0,1.5,0\n\ns,3,1,0.0,2.0,nan", ParseError,
-                     "realized y must be finite, got nan (row 5)", id="y-nan-after-blank-line"),
+                     "'nan' is not a finite number (row 5, col 6)", id="y-nan-after-blank-line"),
     ])
     def test_eval_rejects_a_bad_interval(self, tmp_path, capsys, cells, error, message):
         path = tmp_path / "intervals.csv"
@@ -472,6 +474,41 @@ class TestIntervalsCsvAndEval:
             f"s,2,{cells},0\n"
         )
         with pytest.raises(error, match=re.escape(message)):
+            cmd_eval(str(path))
+        assert main(["eval", "--intervals", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+
+    @pytest.mark.parametrize("col, name", enumerate(["origin", "h", "lower", "upper", "y"], 2))
+    @pytest.mark.parametrize("cell, error, message", [
+        ("", MissingValue, "blank {name} cell"),
+        (" x ", ParseError, "cannot parse ' x ' as {expected}"),
+    ], ids=["blank", "unparsable"])
+    def test_eval_locates_a_bad_cell(self, tmp_path, capsys, col, name, cell, error, message):
+        cells = ["s", "2", "1", "0.0", "2.0", "1.5", "1"]
+        cells[col - 1] = cell
+        path = tmp_path / "intervals.csv"
+        path.write_text("series,origin,h,lower,upper,y,covered\n"
+                        "s,1,1,0.0,2.0,1.0,1\n" + ",".join(cells) + "\n")
+        expected = "an integer" if name in ("origin", "h") else "a number"
+        message = message.format(name=name, expected=expected) + f" (row 3, col {col})"
+        with pytest.raises(error, match=re.escape(message)) as excinfo:
+            cmd_eval(str(path))
+        assert (excinfo.value.row, excinfo.value.col) == (3, col)
+        assert isinstance(excinfo.value, MissingValue) == (cell == "")
+        assert main(["eval", "--intervals", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+
+    def test_eval_rejects_a_repeated_column_name(self, tmp_path, capsys):
+        # the first y column used to be scored and the second ignored
+        path = tmp_path / "intervals.csv"
+        path.write_text("series,origin,h,lower,upper,y,y\n"
+                        "s,1,1,0.0,2.0,1.0,1.0\n" "s,1,2,0.0,2.0,3.0,3.0\n")
+        message = "repeated name 'y' in header (row 1, col 7)"
+        with pytest.raises(ParseError, match=re.escape(message)):
             cmd_eval(str(path))
         assert main(["eval", "--intervals", str(path)]) == 1
         captured = capsys.readouterr()

@@ -271,6 +271,8 @@ class TestCsv:
         # a line of delimiters is a row of blank cells, not a blank line
         cases.append(("wide", "a,b\n1.0,2.0\n,\n3.0,4.0\n", 3, 1))
         cases.append(("long", "id,t,value\na,1,1.0\n,,\na,2,2.0\n", 3, 1))
+        # a blank line inside a one-column body is that row's blank cell
+        cases.append(("wide", "a\n1.0\n\n3.0\n4.0\n", 3, 1))
         path = tmp_path / "bad.csv"
         for layout, text, row, col in cases:
             path.write_text(text)
@@ -300,8 +302,9 @@ class TestCsv:
     def test_duplicate_wide_ids_rejected(self, tmp_path):
         path = tmp_path / "dupid.csv"
         path.write_text("a,a\n1.0,2.0\n")
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError, match="repeated name 'a' in header") as excinfo:
             load_csv(path, "wide")
+        assert (excinfo.value.row, excinfo.value.col) == (1, 2)
 
     def test_header_only_file(self, tmp_path):
         path = tmp_path / "empty.csv"
@@ -311,9 +314,17 @@ class TestCsv:
 
     def test_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "blank.csv"
-        path.write_text("a\n\n1.0\n\n2.0\n")
-        (loaded,) = load_csv(path, "wide")
-        np.testing.assert_array_equal(loaded.values, [1.0, 2.0])
+        cases = [
+            # a blank row of a wider table is written as delimiters, so a
+            # blank line inside its body is no row
+            ("a,b\n\n1.0,2.0\n\n3.0,4.0\n\n", [[1.0, 3.0], [2.0, 4.0]]),
+            # a one-column table writes a blank value as a blank line, so
+            # only blank lines after its last row are skipped
+            ("a\n1.0\n2.0\n\n\n", [[1.0, 2.0]]),
+        ]
+        for text, values in cases:
+            path.write_text(text)
+            assert [s.values.tolist() for s in load_csv(path, "wide")] == values, text
 
     def test_unknown_layout(self, tmp_path):
         path = tmp_path / "x.csv"
