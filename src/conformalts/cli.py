@@ -373,8 +373,13 @@ def sidecar_path_for(csv_path) -> str:
 def _read_intervals_csv(path):
     """Interval columns grouped by series id, and whether the file names its
     series (a file without a ``series`` column is one series)."""
-    _, header, body = read_table(path)
-    header = [name.lower() for name in header]
+    header_line, names, body = read_table(path)
+    header = [name.lower() for name in names]
+    for col, name in enumerate(header, start=1):
+        first = header.index(name) + 1
+        if first != col:
+            raise ParseError(f"names {names[first - 1]!r} (col {first}) and {names[col - 1]!r} "
+                             "differ only in case in header", row=header_line, col=col)
     # series is optional and covered is recomputed
     kinds = dict(zip(INTERVAL_COLUMNS[1:-1], (int, int, float, float, float)))
     missing = [name for name in kinds if name not in header]

@@ -8,24 +8,32 @@ levels, conformal corrections) therefore happen strictly between blocks.
 
 Every runner checks its inputs, fits (or takes) its models, each net by
 ``_train_net`` on rows of the runner's frame (a bagged runner's in one
-``fit_ensemble`` call over all its levels), calibrates on held-out scores
-and hands the test segment to ``_walk``, the one block loop.
-A runner supplies two callbacks: ``emit(history)`` returns the next block's
-(lower band, upper band, correction) from the values seen so far, and
-``observe(lower, upper, y, history)`` updates the runner's state once the
-block's values ``y`` are revealed. ``_walk`` owns the rest: the history, the
-block's CQR bounds (one ``cqr_interval`` call) and their check,
-``submit``/``reveal``, and the run's ``(n_blocks, horizon)`` bound and value
-arrays. Every score is the package's CQR score (``score_cqr``).
+``fit_ensemble`` call over all its levels), scores its calibration rows and
+hands the test segment to ``_walk``, the one block loop, as four parts:
 
-The recursive runners share one walk, ``_recursive_walk``: enbpi is enbcqr
-with the path as a zero-width band. That is exact: the CQR score of the
-band [p, p], max(p - y, y - p), is the absolute residual |p - y| bit for
-bit, because IEEE subtraction is sign-symmetric.
+- a band source, ``band(history)``: the next block's ordered band;
+- the calibration scores, one row per correction (one per step, or one
+  row that every step shares);
+- a slide, or None to freeze the corrections: a ``SlidingScoreWindow`` and
+  the rescoring of the emitted band against the revealed block;
+- a level: the target, or ACI's ``aci_update`` at rate ``gamma``.
 
-The sliding runners keep their scores in one fixed-width
-``SlidingScoreWindow`` (one row, or one per step for aenbmimocqr): a block
-pushes one batch and the corrections are one row-wise quantile call.
+The walk owns the rest: the history, the levels, the corrections (one
+row-wise ``conformal_quantile`` call over every calibration score, then one
+over the window per block), the CQR bounds (``cqr_interval``) and their
+check, ``submit``/``reveal`` and the push. Every score is the package's
+CQR score (``score_cqr``). The four methods are four settings:
+
+runner       band                   calibration  slide                level
+aenbmimocqr  MIMO ensemble means    out-of-bag   per step, T sampled  ACI
+mimocqr      MIMO net pair          split        frozen               target
+enbcqr       bands along the path   out-of-bag   one row, all scores  target
+enbpi        the path, zero width   out-of-bag   one row, all scores  target
+
+enbpi is enbcqr with the path as a zero-width band (``_recursive_walk``).
+That is exact: the CQR score of the band [p, p], max(p - y, y - p), is the
+absolute residual |p - y| bit for bit, because IEEE subtraction is
+sign-symmetric.
 
 Every model is a QuantileNet, injected ones included. An ensemble's
 members share one shape: it stacks their layers once, when it is built
@@ -35,18 +43,6 @@ equal to the per-member loop under the inference exactness rule of the
 ``quantile_net`` docstring. Out-of-bag scoring calls each member's
 ``predict_batch``: a stacked pass over the training frame would hold B
 frames of activations.
-
-Methods
--------
-run_aenbmimocqr  bagged multi-output quantile pair, per-step score windows,
-                 online miscoverage correction (the adaptive method)
-run_mimocqr      single multi-output quantile pair, split calibration,
-                 corrections frozen before the test segment
-run_enbpi        bagged point forecaster rolled forward recursively,
-                 symmetric absolute-residual intervals: enbcqr's walk with
-                 the path as its band, sliding scores
-run_enbcqr       three bagged one-step quantile models (lower, median,
-                 upper), recursion through the median, sliding scores
 """
 
 from __future__ import annotations
@@ -295,24 +291,43 @@ def _check_run(stream: FeedbackStream, horizon: int, alpha: float) -> None:
         )
 
 
-def _walk(train_series: TimeSeries, stream: FeedbackStream, horizon: int, emit, observe):
-    """The block loop of every runner (see the module docstring); returns
-    the read-only ``origins, lower, upper, y`` of a RunResult. ``emit`` may
-    give one correction or one per step."""
+def _walk(train_series: TimeSeries, stream: FeedbackStream, horizon: int, alpha: float,
+          band, scores, slide=None, gamma=None):
+    """The block loop of every runner over its parts (see the module
+    docstring); returns a RunResult's read-only ``origins, lower, upper,
+    y`` and its ``alpha_traces``.
+
+    The (rows, n) calibration ``scores`` give the first corrections. With a
+    ``slide`` ``(window, rescore)``, each block pushes ``rescore(lo, hi, y,
+    history)``, the scores of the emitted band against the revealed block,
+    and the corrections come from the window; a ``gamma`` first moves the
+    levels by one ``aci_update``, and their (rows, n_blocks + 1) trace is
+    returned, else None.
+    """
     history = list(train_series.values)
     n_blocks = len(stream) // horizon
     lower, upper, y = (np.empty((n_blocks, horizon)) for _ in range(3))
+    alphas = np.full(len(scores), float(alpha))
+    trace = [alphas]
+    qhat = conformal_quantile(scores, alphas)
     for b in range(n_blocks):
-        lower[b], upper[b] = cqr_interval(*emit(history))
+        lo, hi = band(history)
+        lower[b], upper[b] = cqr_interval(lo, hi, qhat)
         check_bounds(lower[b], upper[b])
         stream.submit(horizon)
         y[b] = stream.reveal(horizon)
         history.extend(y[b])
-        observe(lower[b], upper[b], y[b], history)
+        if slide is not None:
+            window, rescore = slide
+            window.push(rescore(lo, hi, y[b], history))
+            if gamma is not None:
+                alphas = aci_update(alphas, alpha, gamma, covered(lower[b], upper[b], y[b]))
+                trace.append(alphas)
+            qhat = conformal_quantile(window.values(), alphas)
     origins = len(train_series) + 1 + horizon * np.arange(n_blocks)
     for a in (origins, lower, upper, y):
         a.flags.writeable = False
-    return origins, lower, upper, y
+    return origins, lower, upper, y, None if gamma is None else np.asarray(trace).T
 
 
 def _ordered_bounds(lo, hi):
@@ -379,10 +394,10 @@ def run_aenbmimocqr(
     """Adaptive bagged multi-output conformalized quantile regression.
 
     Fits lower/upper multi-output quantile ensembles over shared bootstrap
-    resamples, calibrates per-step corrections on out-of-bag conformity
-    scores, then walks the test segment block by block: emit corrected
-    intervals, observe the block, rescore, update every step's working
-    miscoverage level in one ``aci_update``, and recompute the corrections.
+    resamples and walks the test segment with these parts: the ordered
+    mean band at each block's origin; every out-of-bag score as the
+    per-step calibration; per-step windows of ``window_size`` sampled
+    out-of-bag scores that slide; and ACI levels at rate ``gamma``.
 
     Rescoring follows the ensemble-batch rule of EnbPI (Xu & Xie 2021,
     arXiv 2010.09107): a block of ``horizon`` revealed values slides
@@ -413,9 +428,7 @@ def run_aenbmimocqr(
 
     scores, skipped = _oob_band_scores(lo_ens, hi_ens, frame)
     gamma = init_gamma(window_size, len(scores)) if gamma_override is None else gamma_override
-    alphas = np.full(horizon, float(alpha))
-    qhat = conformal_quantile(scores.T, alphas)
-    windows = SlidingScoreWindow([
+    window = SlidingScoreWindow([
         sample_without_replacement(scores[:, h], window_size, derive_seed(seed, "window", h + 1))
         for h in range(horizon)
     ])
@@ -427,25 +440,18 @@ def run_aenbmimocqr(
     # in the previous and new bands stacked, row horizon - 1 + j - h is the
     # origin whose step h + 1 forecast targets the block's j-th value
     score_rows = horizon - 1 + steps[None, :] - steps[:, None]
-    alpha_rows = [alphas]
 
-    def emit(history):
-        return lo_band[-1], hi_band[-1], qhat
-
-    def observe(lower, upper, y, history):
-        nonlocal lo_band, hi_band, qhat, alphas
+    def rescore(lo, hi, y, history):
+        nonlocal lo_band, hi_band
         new_lo, new_hi = _trailing_bands(lo_ens, hi_ens, history, n_lags, horizon)
         lo_t = np.vstack([lo_band, new_lo])[score_rows, steps[:, None]]
         hi_t = np.vstack([hi_band, new_hi])[score_rows, steps[:, None]]
-        windows.push(score_cqr(lo_t, hi_t, y))  # (step, target)
-        alphas = aci_update(alphas, alpha, gamma, covered(lower, upper, y))
-        qhat = conformal_quantile(windows.values(), alphas)
         lo_band, hi_band = new_lo, new_hi
-        alpha_rows.append(alphas)
+        return score_cqr(lo_t, hi_t, y)  # (step, target)
 
     return RunResult(
-        *_walk(train_series, stream, horizon, emit, observe),
-        alpha_traces=np.asarray(alpha_rows).T,
+        *_walk(train_series, stream, horizon, alpha, lambda history: (lo_band[-1], hi_band[-1]),
+               scores.T, (window, rescore), gamma),
         skipped_oob_rows=skipped,
     )
 
@@ -491,15 +497,12 @@ def run_mimocqr(
     cal_X = frame.covariates[n_fit:]
     lo_cal, hi_cal = _ordered_bounds(f_lo.predict_batch(cal_X), f_hi.predict_batch(cal_X))
     scores = score_cqr(lo_cal, hi_cal, frame.targets[n_fit:])
-    qhat = conformal_quantile(scores.T, alpha)
 
-    def emit(history):
+    def band(history):
         x = np.asarray(history[-n_lags:], dtype=float)
-        lo, hi = _ordered_bounds(f_lo.predict(x), f_hi.predict(x))
-        return lo, hi, qhat
+        return _ordered_bounds(f_lo.predict(x), f_hi.predict(x))
 
-    return RunResult(*_walk(train_series, stream, horizon, emit,
-                            lambda lower, upper, y, history: None))
+    return RunResult(*_walk(train_series, stream, horizon, alpha, band, scores.T))
 
 
 def run_enbpi(
@@ -569,28 +572,18 @@ def _recursive_walk(train_series, stream, frame, horizon, alpha, ensembles):
     """
     lo_ens, med_ens, hi_ens = ensembles[0], ensembles[len(ensembles) // 2], ensembles[-1]
     scores, skipped = _oob_band_scores(lo_ens, hi_ens, frame)
-    window = SlidingScoreWindow(scores[:, 0])
-    qhat = conformal_quantile(window.values()[0], alpha)
     n_lags = frame.n_lags
-    lo_steps = hi_steps = None
 
-    def emit(history):
-        nonlocal lo_steps, hi_steps
+    def band(history):
         last = np.asarray(history[-n_lags:], dtype=float)
         path = recursive_forecast(lambda x: med_ens.predict_mean(x[None])[0, 0], last, horizon)
-        lo_steps = hi_steps = path
-        if len(ensembles) > 1:
-            # the lag window of step h + 1: the last observations, then path[:h]
-            windows = np.lib.stride_tricks.sliding_window_view(
-                np.concatenate([last, path[:-1]]), n_lags)
-            lo_steps, hi_steps = _ordered_bounds(
-                *(ens.predict_mean(windows)[:, 0] for ens in (lo_ens, hi_ens)))
-        return lo_steps, hi_steps, qhat
+        if len(ensembles) == 1:
+            return path, path
+        # the lag window of step h + 1: the last observations, then path[:h]
+        windows = np.lib.stride_tricks.sliding_window_view(
+            np.concatenate([last, path[:-1]]), n_lags)
+        return _ordered_bounds(*(ens.predict_mean(windows)[:, 0] for ens in (lo_ens, hi_ens)))
 
-    def observe(lower, upper, y, history):
-        nonlocal qhat
-        window.push(score_cqr(lo_steps, hi_steps, y))
-        qhat = conformal_quantile(window.values()[0], alpha)
-
-    return RunResult(*_walk(train_series, stream, horizon, emit, observe),
+    slide = (SlidingScoreWindow(scores.T), lambda lo, hi, y, history: score_cqr(lo, hi, y))
+    return RunResult(*_walk(train_series, stream, horizon, alpha, band, scores.T, slide),
                      skipped_oob_rows=skipped)

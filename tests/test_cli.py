@@ -515,6 +515,19 @@ class TestIntervalsCsvAndEval:
         assert captured.out == ""
         assert message in captured.err
 
+    def test_eval_rejects_a_column_name_repeated_in_another_case(self, tmp_path, capsys):
+        # names are matched case-blind, so Y and y used to collide unseen
+        path = tmp_path / "intervals.csv"
+        path.write_text("series,origin,h,lower,upper,y,Y\n"
+                        "s,1,1,0.0,2.0,1.0,5.0\n" "s,1,2,0.0,2.0,3.0,1.0\n")
+        message = "names 'y' (col 6) and 'Y' differ only in case in header (row 1, col 7)"
+        with pytest.raises(ParseError, match=re.escape(message)):
+            cmd_eval(str(path))
+        assert main(["eval", "--intervals", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+
     def test_eval_rejects_a_repeated_row(self, tmp_path, capsys):
         out = str(tmp_path / "run")
         cmd_run(fast_config(method="enbcqr"), out)

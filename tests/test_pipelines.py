@@ -901,6 +901,41 @@ class TestRecursiveWalkPredictions:
         assert calls == block * n_blocks
 
 
+class TestCorrectionCount:
+    """The walk takes one row-wise conformal quantile before the first
+    block, and a sliding runner one more after each block; a frozen one
+    takes no more."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+
+        def spy(scores, alpha, _quantile=pipelines.conformal_quantile):
+            calls.append(np.shape(scores))
+            return _quantile(scores, alpha)
+        monkeypatch.setattr(pipelines, "conformal_quantile", spy)
+        return calls
+
+    @pytest.mark.parametrize("method, after_each_block", [
+        ("aenbmimocqr", True), ("mimocqr", False), ("enbpi", True), ("enbcqr", True)])
+    def test_one_quantile_call_per_correction(self, calls, rng, method, after_each_block):
+        p, H, n_blocks = 2, 3, 4
+        train, test = TimeSeries(rng.normal(size=30).cumsum()), rng.normal(size=n_blocks * H)
+        sets = random_index_sets(2, frame_recursive(train, p).n_rows, rng)
+        injected = {
+            "aenbmimocqr": dict(ensembles=affine_ensembles(
+                p, H, frame_mimo(train, p, H).n_rows, 31, rng)[:2]),
+            "mimocqr": dict(models=tuple(make_affine_members(2, p, H, 5))),
+            "enbpi": dict(ensembles=[BootstrapEnsemble(make_affine_members(2, p, 1, 1), sets)]),
+            "enbcqr": dict(ensembles=[BootstrapEnsemble(make_affine_members(2, p, 1, s), sets)
+                                      for s in (1, 2, 3)]),
+        }[method]
+        runner = getattr(pipelines, f"run_{method}")
+        result = runner(train, FeedbackStream(test), n_lags=p, horizon=H, alpha=0.2, **injected)
+        assert result.n_blocks == n_blocks
+        assert len(calls) == (n_blocks + 1 if after_each_block else 1)
+
+
 @pytest.fixture
 def training_calls(monkeypatch):
     """Every training call a runner makes; each one fails the test."""
