@@ -292,46 +292,52 @@ def cmd_run(cfg: ExperimentConfig, out_dir) -> dict:
         jobs = [(cfg, series, (oracle.lower, oracle.upper))]
     else:
         jobs = [(cfg, series, None) for series in load_csv(cfg.data, cfg.layout)]
-    # an --out that cannot be a directory fails here, before any net trains
+    # an --out that cannot be a directory fails here, before any net trains,
+    # and a run that fails later removes it again if it made it and it is empty
+    made_out = not os.path.lexists(out_dir)
     os.makedirs(out_dir, exist_ok=True)
+    try:
+        if cfg.workers > 1 and len(jobs) > 1:
+            # imported here: a single-series run never loads the pool machinery
+            from concurrent.futures import ProcessPoolExecutor
 
-    if cfg.workers > 1 and len(jobs) > 1:
-        # imported here: a single-series run never loads the pool machinery
-        from concurrent.futures import ProcessPoolExecutor
+            # fork starts every worker up front, so start no more than one per series
+            with ProcessPoolExecutor(max_workers=min(cfg.workers, len(jobs))) as pool:
+                outcomes = list(pool.map(_series_job, jobs))
+        else:
+            outcomes = [_series_job(job) for job in jobs]
 
-        # fork starts every worker up front, so start no more than one per series
-        with ProcessPoolExecutor(max_workers=min(cfg.workers, len(jobs))) as pool:
-            outcomes = list(pool.map(_series_job, jobs))
-    else:
-        outcomes = [_series_job(job) for job in jobs]
-
-    summary = _summary([
-        (sid, report, {"skipped_oob_rows": result.skipped_oob_rows,
-                       "n_blocks": result.n_blocks, "n_test": cfg.n_test})
-        for sid, report, result, _ in outcomes
-    ])
-    results = {
-        **summary,
-        "config": cfg.to_json_dict(),
-        "traces": {sid: None if result.alpha_traces is None else result.alpha_traces.tolist()
-                   for sid, _, result, _ in outcomes},
-        "timestamp": {
-            "run_at": started,
-            "wall_time_sec": perf_counter() - t0,
-        },
-    }
-    results_path = os.path.join(out_dir, "results.json")
-    with open(results_path, "w", encoding="utf-8") as fh:
-        json.dump(results, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    intervals_path = os.path.join(out_dir, "intervals.csv")
-    with open(intervals_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(INTERVAL_COLUMNS)
-        # the bounds and y are Python floats, which csv writes with repr
-        for sid, _, _, columns in outcomes:
-            writer.writerows(zip(repeat(sid), *(c.tolist() for c in columns)))
-    return results
+        summary = _summary([
+            (sid, report, {"skipped_oob_rows": result.skipped_oob_rows,
+                           "n_blocks": result.n_blocks, "n_test": cfg.n_test})
+            for sid, report, result, _ in outcomes
+        ])
+        results = {
+            **summary,
+            "config": cfg.to_json_dict(),
+            "traces": {sid: None if result.alpha_traces is None else result.alpha_traces.tolist()
+                       for sid, _, result, _ in outcomes},
+            "timestamp": {
+                "run_at": started,
+                "wall_time_sec": perf_counter() - t0,
+            },
+        }
+        results_path = os.path.join(out_dir, "results.json")
+        with open(results_path, "w", encoding="utf-8") as fh:
+            json.dump(results, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        intervals_path = os.path.join(out_dir, "intervals.csv")
+        with open(intervals_path, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(INTERVAL_COLUMNS)
+            # the bounds and y are Python floats, which csv writes with repr
+            for sid, _, _, columns in outcomes:
+                writer.writerows(zip(repeat(sid), *(c.tolist() for c in columns)))
+        return results
+    except BaseException:
+        if made_out and not os.listdir(out_dir):
+            os.rmdir(out_dir)
+        raise
 
 
 def _json_array(values: np.ndarray) -> list:

@@ -57,9 +57,8 @@ def norm_quantile(p: float) -> float:
         return (((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q + _C[5]) / \
             ((((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1.0)
     if p > 1.0 - _P_LOW:
-        q = math.sqrt(-2.0 * math.log(1.0 - p))
-        return -(((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q + _C[5]) / \
-            ((((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1.0)
+        # the lower tail mirrored, bit for bit: here 1 - p is exact and below _P_LOW
+        return -norm_quantile(1.0 - p)
     q = p - 0.5
     r = q * q
     return (((((_A[0] * r + _A[1]) * r + _A[2]) * r + _A[3]) * r + _A[4]) * r + _A[5]) * q / \
@@ -249,5 +248,5 @@ def save_wide_csv(series_list, path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow([s.id for s in series_list])
-        for i in range(lengths.pop()):
-            writer.writerow([repr(float(s.values[i])) for s in series_list])
+        # the cells are Python floats, which csv writes with repr
+        writer.writerows(zip(*(s.values.tolist() for s in series_list)))

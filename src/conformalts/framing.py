@@ -82,19 +82,13 @@ def covered(lower, upper, y) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PredictionInterval:
+    """One checked interval; ``covered`` and ``upper - lower`` score it."""
+
     lower: float
     upper: float
 
     def __post_init__(self):
         check_bounds(self.lower, self.upper)
-
-    def covers(self, y: float) -> bool:
-        """Closed-interval membership."""
-        return self.lower <= y <= self.upper
-
-    @property
-    def width(self) -> float:
-        return self.upper - self.lower
 
 
 def frame_recursive(series: TimeSeries, n_lags: int) -> SupervisedFrame:

@@ -327,9 +327,8 @@ def _fit(frame: SupervisedFrame, tau: float | None, config: TrainConfig,
 def train(frame: SupervisedFrame, tau: float, config: TrainConfig,
           seed: int = 0) -> QuantileNet:
     """Fit a quantile network at level tau on the frame (full-batch Adam),
-    from the initial weights of ``seed``."""
-    if not 0.0 < tau < 1.0:
-        raise InvalidTau(f"tau must be in (0, 1), got {tau}")
+    from the initial weights of ``seed``. A tau outside (0, 1) is the
+    initial net's InvalidTau, raised before the first epoch."""
     return _fit(frame, tau, config, seed)
 
 

@@ -857,6 +857,21 @@ class TestMainExitCodes:
         assert trained == []
         assert taken.read_text() == "kept\n"
 
+    @pytest.mark.parametrize("premade", [False, True], ids=["new", "premade"])
+    def test_failed_run_removes_only_the_out_it_made(self, tmp_path, capsys, rng, premade):
+        data = tmp_path / "flat.csv"
+        save_wide_csv([TimeSeries(rng.normal(size=60), id="noise"),
+                       TimeSeries(np.full(60, 5.0), id="flat")], data)
+        out = tmp_path / "run"
+        if premade:
+            out.mkdir()
+        assert main(["run", "--data", str(data), "--method", "enbpi", "--epochs", "2",
+                     "--p", "5", "--H", "2", "--n-test", "10", "--B", "2",
+                     "--hidden", "4", "--out", str(out)]) == 1
+        assert "realized values have zero range" in capsys.readouterr().err
+        assert out.is_dir() == premade
+        assert not premade or list(out.iterdir()) == []
+
     def test_run_flags_are_the_config_keys(self):
         (sub,) = [a for a in build_parser()._actions if a.dest == "command"]
         flags = {opt for action in sub.choices["run"]._actions for opt in action.option_strings}

@@ -39,6 +39,32 @@ class TestNormQuantile:
         for p in (0.001, 0.01, 0.2, 0.4, 0.77, 0.999):
             assert norm_quantile(p) == pytest.approx(-norm_quantile(1.0 - p), abs=1e-9)
 
+    @staticmethod
+    def _upper_tail(p):
+        # Acklam's upper tail written out: -C(q) / D(q) at q = sqrt(-2 log(1 - p))
+        c, d = data._C, data._D
+        q = math.sqrt(-2.0 * math.log(1.0 - p))
+        return -(((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / \
+            ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0)
+
+    def test_upper_tail_is_bitwise_the_written_out_formula(self):
+        edge = 1.0 - data._P_LOW
+        k0 = math.floor(edge * 2**53) + 1  # the first k/2^53 of the upper branch
+        rng = np.random.default_rng(0)
+        ks = np.concatenate([np.arange(k0, k0 + 500), np.arange(2**53 - 500, 2**53),
+                             rng.integers(k0, 2**53, 2000)])
+        ps = np.concatenate([ks / 2**53, rng.uniform(edge, 1.0, 2000),
+                             [np.nextafter(edge, 1.0)]])
+        ps = ps[(ps > edge) & (ps < 1.0)]
+        assert ps.size > 4900
+        ours = np.array([norm_quantile(p) for p in ps.tolist()])
+        written = np.array([self._upper_tail(p) for p in ps.tolist()])
+        np.testing.assert_array_equal(ours.view(np.int64), written.view(np.int64))
+        # the branch starts strictly above 1 - _P_LOW: its edge and the double
+        # below it take the central branch, which differs there by about 4e-9
+        for p in (edge, float(np.nextafter(edge, -1.0))):
+            assert norm_quantile(p) != self._upper_tail(p)
+
     def test_tail_accuracy(self):
         # well into the lower branch of the approximation
         assert norm_quantile(0.001) == pytest.approx(-3.090232306167814, abs=1e-8)

@@ -54,18 +54,6 @@ class TestPredictionInterval:
         with pytest.raises(InvalidInterval):
             PredictionInterval(np.nan, 1.0)
 
-    def test_covers_is_closed(self):
-        iv = PredictionInterval(1.0, 2.0)
-        assert iv.covers(1.0)
-        assert iv.covers(2.0)
-        assert iv.covers(1.5)
-        assert not iv.covers(0.999)
-        assert not iv.covers(2.001)
-
-    def test_width(self):
-        assert PredictionInterval(1.0, 4.0).width == 3.0
-        assert PredictionInterval(5.0, 5.0).width == 0.0
-
 
 class TestCheckBounds:
     @pytest.mark.parametrize("pair", [(2.0, 1.0), (np.nan, 1.0), (0.0, -np.inf)])

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import oracles
+from conformalts import quantile_net
 from conformalts.errors import DimensionMismatch, InvalidTau, NonFiniteLoss
 from conformalts.framing import SupervisedFrame, TimeSeries, frame_mimo, frame_recursive
 from conformalts.quantile_net import (
@@ -204,6 +205,20 @@ class TestTraining:
         frame = small_frame(rng)
         with pytest.raises(InvalidTau):
             train(frame, 0.0, TrainConfig(epochs=1))
+
+    @pytest.mark.parametrize("tau", [0.0, 1.0, float("nan")])
+    def test_tau_out_of_range_takes_no_step(self, rng, monkeypatch, tau):
+        steps = []
+        real_step = quantile_net._Kernel.adam_step
+
+        def spy(kernel, step, lr):
+            steps.append(step)
+            return real_step(kernel, step, lr)
+
+        monkeypatch.setattr(quantile_net._Kernel, "adam_step", spy)
+        with pytest.raises(InvalidTau, match=r"tau must be in \(0, 1\), got "):
+            train(small_frame(rng), tau, TrainConfig(epochs=3))
+        assert steps == []
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_absurd_learning_rate_diverges(self, rng):
