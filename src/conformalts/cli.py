@@ -293,8 +293,11 @@ def cmd_run(cfg: ExperimentConfig, out_dir) -> dict:
     else:
         jobs = [(cfg, series, None) for series in load_csv(cfg.data, cfg.layout)]
     # an --out that cannot be a directory fails here, before any net trains,
-    # and a run that fails later removes it again if it made it and it is empty
-    made_out = not os.path.lexists(out_dir)
+    # and a run that fails later removes the directories it made while empty
+    made, path = [], os.path.abspath(out_dir)
+    while not os.path.lexists(path):  # deepest first
+        made.append(path)
+        path = os.path.dirname(path)
     os.makedirs(out_dir, exist_ok=True)
     try:
         if cfg.workers > 1 and len(jobs) > 1:
@@ -335,8 +338,10 @@ def cmd_run(cfg: ExperimentConfig, out_dir) -> dict:
                 writer.writerows(zip(repeat(sid), *(c.tolist() for c in columns)))
         return results
     except BaseException:
-        if made_out and not os.listdir(out_dir):
-            os.rmdir(out_dir)
+        for path in made:
+            if os.listdir(path):
+                break
+            os.rmdir(path)
         raise
 
 

@@ -12,11 +12,11 @@ and seed produce bitwise identical parameters.
 Training runs on one private kernel (``_Kernel``) built once per fit for
 the layer sizes and row count. It owns flat parameter, gradient and Adam
 moment vectors with per-layer views, and preallocated output, delta and
-mask arrays, so an epoch allocates nothing: every product is a
-``np.matmul(..., out=)`` on the same operands a plain ``a @ W`` would use,
-biases, ReLU and masks are applied in place, and one elementwise Adam
-update covers every parameter. ``loss_and_gradients`` runs the same kernel
-once, so the gradient check tests the code training runs.
+mask arrays, so an epoch allocates nothing: its forward pass is
+``forward`` writing into the preallocated outputs, every backward product
+is a ``np.matmul(..., out=)``, masks apply in place, and one elementwise
+Adam update covers every parameter. ``loss_and_gradients`` runs the same
+kernel once, so the gradient check tests the code training runs.
 
 Exactness rule: the kernel keeps every element's sequence of float64
 operations, so its results equal a straightforward per-array
@@ -27,10 +27,11 @@ as an extra input column, float32 arithmetic, a different reduction shape
 (for example summing bias gradients in another order or layout), and
 reassociating the Adam step (``lr * m / c1`` instead of ``lr * (m / c1)``).
 
-Inference is one pass, ``forward``, over (weights, biases) layers along the
-last axis of its input: a net's own (in, out) layers in ``predict_batch``,
-or the (B, in, out) stack that ``stack_layers`` builds from B nets of one
-shape. Every net stores C-ordered float64 arrays, so every ensemble stacks.
+One pass, ``forward``, runs (weights, biases) layers along the last axis of
+its input: a net's own (in, out) layers in ``predict_batch`` and in the
+training kernel, or the (B, in, out) stack that ``stack_layers`` builds
+from B nets of one shape. Every net stores C-ordered float64 arrays, so
+every ensemble stacks.
 Inference exactness rule: a stacked pass runs, per net, the product the
 net's own method runs, one (1, in) @ (in, out) per window for ``predict``
 and (n, in) @ (in, out) for ``predict_batch``, so it equals the per-net
@@ -117,13 +118,16 @@ class QuantileNet:
         return self.predict_batch(np.asarray(x, dtype=float).reshape(1, -1))[0]
 
 
-def forward(layers, a: np.ndarray) -> np.ndarray:
+def forward(layers, a: np.ndarray, outs=None) -> np.ndarray:
     """``layers``, a sequence of (weights, biases), applied to ``a`` along its
-    last axis: ReLU after every layer but the last."""
-    for W, b in layers[:-1]:
-        a = np.maximum(a @ W + b, 0.0)
-    W, b = layers[-1]
-    return a @ W + b
+    last axis: ReLU after every layer but the last. Layer k's output goes
+    into ``outs[k]`` if given (else a new array); ``a`` is never written."""
+    for k, (W, b) in enumerate(layers):
+        a = np.matmul(a, W, out=None if outs is None else outs[k])
+        a += b
+        if k < len(layers) - 1:
+            np.maximum(a, 0.0, out=a)
+    return a
 
 
 def stack_layers(nets) -> tuple:
@@ -170,12 +174,13 @@ class _Kernel:
         self.params = np.zeros(size)
         self.grads = np.zeros(size)
         self.weights, self.biases = _layer_views(self.params, shapes)
+        self._layers = list(zip(self.weights, self.biases))
         self.grad_w, self.grad_b = _layer_views(self.grads, shapes)
         self._m = np.zeros(size)
         self._v = np.zeros(size)
         self._step_num = np.empty(size)
         self._step_den = np.empty(size)
-        # _outs[k] is layer k's output (ReLU applied in place on hidden layers)
+        # _outs[k] is layer k's output, written by forward (ReLU on hidden layers)
         self._outs = [np.empty((n_rows, o)) for _, o in shapes]
         self._deltas = [np.empty((n_rows, o)) for _, o in shapes]
         self._masks = [np.empty((n_rows, o), dtype=bool) for _, o in shapes]
@@ -188,16 +193,8 @@ class _Kernel:
 
     def loss(self, X: np.ndarray, Y: np.ndarray, tau: float | None) -> float:
         """Forward pass over X and the mean loss against Y."""
-        a = X
-        last = len(self.weights) - 1
-        for k, (W, b, z) in enumerate(zip(self.weights, self.biases, self._outs)):
-            np.matmul(a, W, out=z)
-            z += b
-            if k < last:
-                np.maximum(z, 0.0, out=z)
-            a = z
         u, terms = self._resid, self._terms
-        np.subtract(Y, a, out=u)
+        np.subtract(Y, forward(self._layers, X, self._outs), out=u)
         if tau is None:
             np.multiply(u, u, out=terms)
         else:
@@ -301,18 +298,15 @@ def _fit(frame: SupervisedFrame, tau: float | None, config: TrainConfig,
     init = init_net(frame.n_lags, frame.horizon, tuple(config.hidden), tau, seed)
     kernel = _Kernel(init.layer_sizes, X.shape[0])
     kernel.load(init.weights, init.biases)
-    history = []
-    for step in range(1, config.epochs + 1):
+    history = []  # the loss before every Adam step and after the last
+    for step in range(1, config.epochs + 2):
         loss = kernel.loss(X, Y, tau)
         if not np.isfinite(loss):
-            raise NonFiniteLoss(f"loss became {loss} at epoch {step}")
+            raise NonFiniteLoss(f"loss became {loss} after {step - 1} of {config.epochs} epochs")
         history.append(loss)
-        kernel.backward(X, Y, tau)
-        kernel.adam_step(step, config.learning_rate)
-    final_loss = kernel.loss(X, Y, tau)
-    if not np.isfinite(final_loss):
-        raise NonFiniteLoss("loss became non-finite after the last epoch")
-    history.append(final_loss)
+        if step <= config.epochs:
+            kernel.backward(X, Y, tau)
+            kernel.adam_step(step, config.learning_rate)
     w, b = kernel.weights, kernel.biases
     net = QuantileNet(
         [w[0] / scale, *(wk.copy() for wk in w[1:-1]), w[-1] * scale],

@@ -857,20 +857,25 @@ class TestMainExitCodes:
         assert trained == []
         assert taken.read_text() == "kept\n"
 
-    @pytest.mark.parametrize("premade", [False, True], ids=["new", "premade"])
-    def test_failed_run_removes_only_the_out_it_made(self, tmp_path, capsys, rng, premade):
+    # (--out under tmp_path, the directory made before the run or None)
+    @pytest.mark.parametrize("out_name, premade", [
+        ("run", None), ("run", "run"), ("deep/a/run", None), ("deep/a/run", "deep"),
+    ], ids=["new", "premade", "nested", "premade-ancestor"])
+    def test_failed_run_removes_only_the_out_it_made(
+            self, tmp_path, capsys, rng, out_name, premade):
         data = tmp_path / "flat.csv"
         save_wide_csv([TimeSeries(rng.normal(size=60), id="noise"),
                        TimeSeries(np.full(60, 5.0), id="flat")], data)
-        out = tmp_path / "run"
         if premade:
-            out.mkdir()
+            (tmp_path / premade).mkdir()
         assert main(["run", "--data", str(data), "--method", "enbpi", "--epochs", "2",
                      "--p", "5", "--H", "2", "--n-test", "10", "--B", "2",
-                     "--hidden", "4", "--out", str(out)]) == 1
+                     "--hidden", "4", "--out", str(tmp_path / out_name)]) == 1
         assert "realized values have zero range" in capsys.readouterr().err
-        assert out.is_dir() == premade
-        assert not premade or list(out.iterdir()) == []
+        # every directory the run made is gone; one made before the run stays, empty
+        kept = {"flat.csv"} | ({premade} if premade else set())
+        assert {p.name for p in tmp_path.iterdir()} == kept
+        assert not premade or list((tmp_path / premade).iterdir()) == []
 
     def test_run_flags_are_the_config_keys(self):
         (sub,) = [a for a in build_parser()._actions if a.dest == "command"]

@@ -101,6 +101,50 @@ class TestQuantileNet:
         np.testing.assert_array_equal(net.biases[0], 0.0)
 
 
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+class TestForwardBuffers:
+    """``forward(layers, X, outs)`` writes layer k's output into ``outs[k]``
+    and returns ``outs[-1]``: bit for bit the allocating call, with ``X``
+    left as it was."""
+
+    @staticmethod
+    def _nets(rng, count):
+        # random biases, so the in-place bias add is seen
+        return [QuantileNet(net.weights, [rng.normal(size=b.shape) for b in net.biases], 0.5)
+                for net in (init_net(5, 3, (8, 4), 0.5, seed=s) for s in range(count))]
+
+    @staticmethod
+    def _check(layers, X):
+        X_bits = _bits(X).copy()
+        want = quantile_net.forward(layers, X)
+        # layer k's output is the first k + 1 layers' pass, ReLU'd but for the last
+        prefixes = [quantile_net.forward(layers[:k + 1], X) for k in range(len(layers))]
+        expected = [np.maximum(z, 0.0) for z in prefixes[:-1]] + [prefixes[-1]]
+        outs = [np.full(z.shape, np.nan) for z in prefixes]
+        got = quantile_net.forward(layers, X, outs)
+        assert got is outs[-1]
+        assert np.array_equal(_bits(got), _bits(want))
+        for out, z in zip(outs, expected):
+            assert np.array_equal(_bits(out), _bits(z))
+        assert np.array_equal(_bits(X), X_bits)
+        assert np.any(outs[0] == 0.0) and np.any(outs[0] > 0.0)  # the ReLU acted
+
+    def test_single_net_rows(self, rng):
+        (net,) = self._nets(rng, 1)
+        self._check(list(zip(net.weights, net.biases)), rng.normal(size=(7, 5)))
+
+    def test_stack_given_windows(self, rng):
+        layers = quantile_net.stack_layers(self._nets(rng, 3))
+        self._check(layers, rng.normal(size=(7, 1, 1, 5)))
+
+    def test_stack_given_rows(self, rng):
+        layers = quantile_net.stack_layers(self._nets(rng, 3))
+        self._check(layers, rng.normal(size=(7, 5)))
+
+
 class TestGradients:
     # the ids name the loss each tau selects
     @pytest.mark.parametrize("tau", [0.1, 0.5, 0.9, None],
