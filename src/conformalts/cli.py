@@ -292,57 +292,51 @@ def cmd_run(cfg: ExperimentConfig, out_dir) -> dict:
         jobs = [(cfg, series, (oracle.lower, oracle.upper))]
     else:
         jobs = [(cfg, series, None) for series in load_csv(cfg.data, cfg.layout)]
-    # an --out that cannot be a directory fails here, before any net trains,
-    # and a run that fails later removes the directories it made while empty
-    made, path = [], os.path.abspath(out_dir)
-    while not os.path.lexists(path):  # deepest first
-        made.append(path)
+    # an --out that cannot be a directory fails here, before any net trains;
+    # it is made only to write the two files, so a run that fails writes nothing
+    path = os.path.abspath(out_dir)
+    while not os.path.lexists(path):
         path = os.path.dirname(path)
+    if not (os.path.isdir(path) and os.access(path, os.W_OK)):
+        raise OSError(f"--out {out_dir}: {path} is not a writable directory")
+    if cfg.workers > 1 and len(jobs) > 1:
+        # imported here: a single-series run never loads the pool machinery
+        from concurrent.futures import ProcessPoolExecutor
+
+        # fork starts every worker up front, so start no more than one per series
+        with ProcessPoolExecutor(max_workers=min(cfg.workers, len(jobs))) as pool:
+            outcomes = list(pool.map(_series_job, jobs))
+    else:
+        outcomes = [_series_job(job) for job in jobs]
+
+    summary = _summary([
+        (sid, report, {"skipped_oob_rows": result.skipped_oob_rows,
+                       "n_blocks": result.n_blocks, "n_test": cfg.n_test})
+        for sid, report, result, _ in outcomes
+    ])
+    results = {
+        **summary,
+        "config": cfg.to_json_dict(),
+        "traces": {sid: None if result.alpha_traces is None else result.alpha_traces.tolist()
+                   for sid, _, result, _ in outcomes},
+        "timestamp": {
+            "run_at": started,
+            "wall_time_sec": perf_counter() - t0,
+        },
+    }
     os.makedirs(out_dir, exist_ok=True)
-    try:
-        if cfg.workers > 1 and len(jobs) > 1:
-            # imported here: a single-series run never loads the pool machinery
-            from concurrent.futures import ProcessPoolExecutor
-
-            # fork starts every worker up front, so start no more than one per series
-            with ProcessPoolExecutor(max_workers=min(cfg.workers, len(jobs))) as pool:
-                outcomes = list(pool.map(_series_job, jobs))
-        else:
-            outcomes = [_series_job(job) for job in jobs]
-
-        summary = _summary([
-            (sid, report, {"skipped_oob_rows": result.skipped_oob_rows,
-                           "n_blocks": result.n_blocks, "n_test": cfg.n_test})
-            for sid, report, result, _ in outcomes
-        ])
-        results = {
-            **summary,
-            "config": cfg.to_json_dict(),
-            "traces": {sid: None if result.alpha_traces is None else result.alpha_traces.tolist()
-                       for sid, _, result, _ in outcomes},
-            "timestamp": {
-                "run_at": started,
-                "wall_time_sec": perf_counter() - t0,
-            },
-        }
-        results_path = os.path.join(out_dir, "results.json")
-        with open(results_path, "w", encoding="utf-8") as fh:
-            json.dump(results, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        intervals_path = os.path.join(out_dir, "intervals.csv")
-        with open(intervals_path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(INTERVAL_COLUMNS)
-            # the bounds and y are Python floats, which csv writes with repr
-            for sid, _, _, columns in outcomes:
-                writer.writerows(zip(repeat(sid), *(c.tolist() for c in columns)))
-        return results
-    except BaseException:
-        for path in made:
-            if os.listdir(path):
-                break
-            os.rmdir(path)
-        raise
+    results_path = os.path.join(out_dir, "results.json")
+    with open(results_path, "w", encoding="utf-8") as fh:
+        json.dump(results, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    intervals_path = os.path.join(out_dir, "intervals.csv")
+    with open(intervals_path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(INTERVAL_COLUMNS)
+        # the bounds and y are Python floats, which csv writes with repr
+        for sid, _, _, columns in outcomes:
+            writer.writerows(zip(repeat(sid), *(c.tolist() for c in columns)))
+    return results
 
 
 def _json_array(values: np.ndarray) -> list:
@@ -454,7 +448,8 @@ def cmd_eval(intervals_path, oracle_path=None, out_path=None) -> dict:
             raise ConfigError(f"sidecar {oracle_path} needs reference bounds that are numbers, "
                               "or null on the warmup in both arrays")
         bounds = np.array([lower, upper], dtype=float)  # null reads as NaN
-        if keyed and oracle.get("id") not in grouped:
+        # an id that is not a string (a JSON list, say) names no series
+        if keyed and not (isinstance(oracle.get("id"), str) and oracle["id"] in grouped):
             raise ConfigError(
                 f"sidecar {oracle_path} is for series {oracle.get('id')!r}, but "
                 f"{intervals_path} holds series {', '.join(map(repr, grouped))}"

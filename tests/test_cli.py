@@ -385,6 +385,18 @@ class TestIntervalsCsvAndEval:
         assert main(["eval", "--intervals", intervals, "--oracle", oracle]) == 2
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize("sid", [["synthetic-0"], {"a": 1}], ids=["list", "object"])
+    def test_eval_rejects_sidecar_id_that_is_not_a_string(self, tmp_path, capsys, sid):
+        out = str(tmp_path / "run")
+        cmd_run(fast_config(), out)  # seed 3, length 120
+        intervals = os.path.join(out, "intervals.csv")
+        oracle = tmp_path / "odd.oracle.json"
+        oracle.write_text(json.dumps({"id": sid, "lower": [0.0] * 120, "upper": [1.0] * 120}))
+        with pytest.raises(ConfigError, match="sidecar .*odd.oracle.json is for series"):
+            cmd_eval(intervals, oracle_path=str(oracle))
+        assert main(["eval", "--intervals", intervals, "--oracle", str(oracle)]) == 2
+        assert capsys.readouterr().out == ""
+
     def test_eval_file_without_series_column_pairs_with_sidecar(self, tmp_path, capsys):
         csv_path = tmp_path / "bench.csv"
         cmd_synth(3, csv_path, length=120)
@@ -860,7 +872,8 @@ class TestMainExitCodes:
     # (--out under tmp_path, the directory made before the run or None)
     @pytest.mark.parametrize("out_name, premade", [
         ("run", None), ("run", "run"), ("deep/a/run", None), ("deep/a/run", "deep"),
-    ], ids=["new", "premade", "nested", "premade-ancestor"])
+        ("x/../run", None),
+    ], ids=["new", "premade", "nested", "premade-ancestor", "dotdot"])
     def test_failed_run_removes_only_the_out_it_made(
             self, tmp_path, capsys, rng, out_name, premade):
         data = tmp_path / "flat.csv"
@@ -876,6 +889,23 @@ class TestMainExitCodes:
         kept = {"flat.csv"} | ({premade} if premade else set())
         assert {p.name for p in tmp_path.iterdir()} == kept
         assert not premade or list((tmp_path / premade).iterdir()) == []
+
+    def test_out_is_made_only_after_every_series_job(self, tmp_path, monkeypatch):
+        out = tmp_path / "deep" / "run"
+        jobs = []
+
+        def spy(job):
+            assert not (tmp_path / "deep").exists()
+            jobs.append(job)
+            return series_job(job)
+
+        series_job = cli._series_job
+        monkeypatch.setattr(cli, "_series_job", spy)
+        assert main(["run", "--synthetic", "--length", "120", "--p", "5", "--H", "2",
+                     "--n-test", "10", "--B", "2", "--epochs", "2", "--hidden", "4",
+                     "--out", str(out)]) == 0
+        assert len(jobs) == 1
+        assert sorted(p.name for p in out.iterdir()) == ["intervals.csv", "results.json"]
 
     def test_run_flags_are_the_config_keys(self):
         (sub,) = [a for a in build_parser()._actions if a.dest == "command"]

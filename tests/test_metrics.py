@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given
@@ -162,6 +164,18 @@ class TestEvaluate:
         # max step is 2 but no interval carries step 1
         with pytest.raises(LengthMismatch):
             evaluate(*ivs([(0.0, 1.0), (0.0, 1.0)]), [0.5, 0.8], [2, 2])
+
+    def test_missing_step_found_without_a_per_step_index(self):
+        # two rows at steps 1 and 10**6: the gap is found from the steps
+        # present, not from one index array per step up to the largest
+        tracemalloc.start()
+        try:
+            with pytest.raises(LengthMismatch, match="step 2$"):
+                evaluate(*ivs([(0.0, 1.0), (0.0, 1.0)]), [0.5, 0.8], [1, 10**6])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_alignment_checked(self):
         with pytest.raises(LengthMismatch):
