@@ -41,7 +41,7 @@ from .data import (
     split_train_test,
 )
 from .errors import ConfigError, ConformalTSError, ParseError
-from .framing import covered
+from .framing import band_levels, covered
 from .metrics import aggregate_star, evaluate
 from .pipelines import FeedbackStream, RunDefaults
 # the runners, each called by name in _series_job
@@ -87,8 +87,7 @@ class ExperimentConfig:
     def validate(self) -> None:
         if self.method not in METHODS:
             raise ConfigError(f"method must be one of {', '.join(METHODS)}")
-        if not 0.0 < self.alpha < 1.0:
-            raise ConfigError("alpha must be in (0, 1)")
+        band_levels(self.alpha)
         if self.n_lags < 1:
             raise ConfigError("p must be >= 1")
         if self.horizon < 1:
@@ -99,12 +98,8 @@ class ExperimentConfig:
             raise ConfigError("T must be >= 1")
         if self.n_test < self.horizon or self.n_test % self.horizon != 0:
             raise ConfigError("n-test must be a positive multiple of H")
-        if self.epochs < 1:
-            raise ConfigError("epochs must be >= 1")
-        if not self.hidden or any(w < 1 for w in self.hidden):
-            raise ConfigError("hidden must be positive widths like 64,64")
-        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
-            raise ConfigError(f"lr must be a positive finite number, got {self.learning_rate}")
+        # the training settings are checked where they are used, by TrainConfig
+        TrainConfig(epochs=self.epochs, learning_rate=self.learning_rate, hidden=self.hidden)
         if not 0.0 < self.cal_fraction < 1.0:
             raise ConfigError("cal-fraction must be in (0, 1)")
         if self.workers < 1:
@@ -114,7 +109,7 @@ class ExperimentConfig:
         if self.synthetic == (self.data is not None):
             raise ConfigError("give exactly one data source: --data PATH or --synthetic")
         if self.synthetic:
-            _synthetic_config(self.seed, self.length, self.alpha)
+            SyntheticConfig(seed=self.seed, length=self.length, oracle_alpha=self.alpha)
             # every method needs two frame rows (a bag that misses one, or a
             # split in two)
             mimo, fields = METHODS[self.method]
@@ -140,15 +135,6 @@ class ExperimentConfig:
         body = {key.replace("-", "_"): getattr(self, attr)
                 for key, (attr, *_) in _RUN_KEYS.items()}
         return {**body, "hidden": list(self.hidden)}
-
-
-def _synthetic_config(seed: int, length: int, alpha: float) -> SyntheticConfig:
-    """The synthetic series of a seed and length, its oracle at level alpha;
-    a bad value is a ConfigError."""
-    try:
-        return SyntheticConfig(seed=seed, length=length, oracle_alpha=alpha)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
 
 
 _EXPECTS = {int: "an integer", float: "a number", bool: "true/false",
@@ -288,13 +274,15 @@ def cmd_run(cfg: ExperimentConfig, out_dir) -> dict:
     started = datetime.now(timezone.utc).isoformat()
     t0 = perf_counter()
     if cfg.synthetic:
-        series, oracle = gen_synthetic(_synthetic_config(cfg.seed, cfg.length, cfg.alpha))
+        series, oracle = gen_synthetic(
+            SyntheticConfig(seed=cfg.seed, length=cfg.length, oracle_alpha=cfg.alpha))
         jobs = [(cfg, series, (oracle.lower, oracle.upper))]
     else:
         jobs = [(cfg, series, None) for series in load_csv(cfg.data, cfg.layout)]
     # an --out that cannot be a directory fails here, before any net trains;
-    # it is made only to write the two files, so a run that fails writes nothing
-    path = os.path.abspath(out_dir)
+    # it is made only to write the two files, so a run that fails writes nothing.
+    # The walk keeps each "..", for the OS to resolve: afile/../run stops at afile
+    path = os.path.join(os.getcwd(), out_dir)
     while not os.path.lexists(path):
         path = os.path.dirname(path)
     if not (os.path.isdir(path) and os.access(path, os.W_OK)):
@@ -346,8 +334,7 @@ def _json_array(values: np.ndarray) -> list:
 def cmd_synth(seed: int, out_path, length: int = SyntheticConfig.length,
               alpha: float = SyntheticConfig.oracle_alpha) -> dict:
     """Generate the benchmark series; write a wide CSV and a sidecar JSON."""
-    config = _synthetic_config(seed, length, alpha)
-    series, oracle = gen_synthetic(config)
+    series, oracle = gen_synthetic(SyntheticConfig(seed=seed, length=length, oracle_alpha=alpha))
     save_wide_csv([series], out_path)
     sidecar = {
         "schema_version": SCHEMA_VERSION,

@@ -18,13 +18,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    ConfigError,
     EmptyFile,
     MissingValue,
     NonPositiveMean,
     ParseError,
     SeriesTooShort,
 )
-from .framing import TimeSeries
+from .framing import TimeSeries, band_levels
 
 # Rational approximation of the standard normal quantile (Acklam's
 # coefficients, absolute relative error below 1.2e-9).
@@ -67,7 +68,7 @@ def norm_quantile(p: float) -> float:
 
 @dataclass(frozen=True)
 class SyntheticConfig:
-    """Parameters of the synthetic benchmark series."""
+    """Parameters of the synthetic benchmark series; a bad one is a ConfigError."""
 
     seed: int
     length: int = 1041
@@ -75,11 +76,10 @@ class SyntheticConfig:
 
     def __post_init__(self):
         if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.length <= WARMUP:
-            raise ValueError(f"length must exceed the warmup of {WARMUP}")
-        if not 0.0 < self.oracle_alpha < 1.0:
-            raise ValueError("oracle_alpha must be in (0, 1)")
+            raise ConfigError(f"length must exceed the warmup of {WARMUP}")
+        band_levels(self.oracle_alpha)
 
 
 @dataclass(frozen=True)
@@ -124,7 +124,7 @@ def gen_synthetic(config: SyntheticConfig) -> tuple[TimeSeries, OracleIntervalSe
         yt = m + sd * norm_quantile(uniforms[t - w])
         y[t] = yt
         squares.append(yt * yt)
-    z = norm_quantile(1.0 - config.oracle_alpha / 2.0)
+    z = norm_quantile(band_levels(config.oracle_alpha)[1])
     oracle = OracleIntervalSet(mu=mu, sigma=sigma, lower=mu - z * sigma, upper=mu + z * sigma)
     return TimeSeries(y, id=f"synthetic-{config.seed}"), oracle
 

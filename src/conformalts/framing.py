@@ -7,7 +7,7 @@ multi-output framing pairs it with the next ``horizon`` values, so one model
 call yields a whole forecast path with no error feedback between steps.
 
 Intervals travel as ``lower``/``upper`` bound arrays, from the walk to the
-metrics; ``check_bounds`` and ``covered`` hold the rules.
+metrics; ``check_bounds``, ``covered`` and ``band_levels`` hold the rules.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import InvalidInterval, SeriesTooShort
+from .errors import ConfigError, InvalidInterval, SeriesTooShort
 
 
 @dataclass(frozen=True)
@@ -62,6 +62,17 @@ class SupervisedFrame:
     @property
     def horizon(self) -> int:
         return self.targets.shape[1]
+
+
+def band_levels(alpha: float) -> tuple[float, float]:
+    """The levels ``(alpha / 2, 1 - alpha / 2)`` that bound the central
+    1 - alpha band; a ConfigError unless 0 < lo < hi < 1 as floats, so an
+    alpha whose 1 - alpha / 2 rounds to 1.0 is rejected."""
+    lo, hi = alpha / 2.0, 1.0 - alpha / 2.0
+    if not 0.0 < lo < hi < 1.0:
+        raise ConfigError(f"alpha must leave both band levels alpha/2 and 1 - alpha/2 "
+                          f"strictly inside (0, 1), got {alpha}")
+    return lo, hi
 
 
 def check_bounds(lower, upper) -> None:

@@ -62,6 +62,7 @@ from .errors import AllRowsInBag, DimensionMismatch, SeriesTooShort
 from .framing import (
     SupervisedFrame,
     TimeSeries,
+    band_levels,
     check_bounds,
     covered,
     frame_mimo,
@@ -277,10 +278,9 @@ class RunResult:
         return self.lower.shape[1]
 
 
-def _check_run(stream: FeedbackStream, horizon: int, alpha: float) -> None:
-    """Reject a bad level, horizon or stream before any model is trained."""
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+def _check_run(stream: FeedbackStream, horizon: int, alpha: float) -> tuple[float, float]:
+    """Reject a bad horizon, stream or level before any model is trained;
+    returns the level's ``band_levels``."""
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
     if stream.n_submitted or stream.n_revealed:
@@ -289,6 +289,7 @@ def _check_run(stream: FeedbackStream, horizon: int, alpha: float) -> None:
         raise ValueError(
             f"test length {len(stream)} is not a multiple of horizon {horizon}"
         )
+    return band_levels(alpha)
 
 
 def _walk(train_series: TimeSeries, stream: FeedbackStream, horizon: int, alpha: float,
@@ -417,14 +418,13 @@ def run_aenbmimocqr(
     training; ``gamma_override`` pins the adaptation rate, a finite value
     >= 0 (0 disables adaptation), both mainly for equivalence testing.
     """
-    _check_run(stream, horizon, alpha)
+    levels = _check_run(stream, horizon, alpha)
     if gamma_override is not None and not 0.0 <= gamma_override < np.inf:
         raise ValueError(f"gamma must be a finite number >= 0, got {gamma_override}")
     if window_size < 1:
         raise ValueError(f"window_size must be >= 1, got {window_size}")
     frame = frame_mimo(train_series, n_lags, horizon)
-    lo_ens, hi_ens = _fit_or_take(frame, (alpha / 2.0, 1.0 - alpha / 2.0), n_models, seed,
-                                  config, ensembles)
+    lo_ens, hi_ens = _fit_or_take(frame, levels, n_models, seed, config, ensembles)
 
     scores, skipped = _oob_band_scores(lo_ens, hi_ens, frame)
     gamma = init_gamma(window_size, len(scores)) if gamma_override is None else gamma_override
@@ -476,7 +476,7 @@ def run_mimocqr(
     whole test segment. ``models`` injects a (lower, upper) pair of
     QuantileNets in place of training.
     """
-    _check_run(stream, horizon, alpha)
+    levels = _check_run(stream, horizon, alpha)
     if not 0.0 < cal_fraction <= 1.0:
         raise ValueError("cal_fraction must be in (0, 1]")
     frame = frame_mimo(train_series, n_lags, horizon)
@@ -489,7 +489,7 @@ def run_mimocqr(
             raise SeriesTooShort("training split is empty")
         f_lo, f_hi = (
             _train_net(frame, slice(n_fit), tau, derive_seed(seed, "mimocqr", side), config)
-            for tau, side in ((alpha / 2.0, "lo"), (1.0 - alpha / 2.0, "hi")))
+            for tau, side in zip(levels, ("lo", "hi")))
     else:
         _check_widths(models, frame)
         f_lo, f_hi = models
@@ -553,9 +553,9 @@ def run_enbcqr(
     the lower/upper ensembles evaluated on those covariates give the band,
     widened by the conformal quantile of a sliding window of band scores.
     """
-    _check_run(stream, horizon, alpha)
+    lo_tau, hi_tau = _check_run(stream, horizon, alpha)
     frame = frame_recursive(train_series, n_lags)
-    taus = (alpha / 2.0, 0.5, 1.0 - alpha / 2.0)
+    taus = (lo_tau, 0.5, hi_tau)
     return _recursive_walk(train_series, stream, frame, horizon, alpha,
                            _fit_or_take(frame, taus, n_models, seed, config, ensembles))
 

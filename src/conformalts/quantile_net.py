@@ -47,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidTau, NonFiniteLoss
+from .errors import ConfigError, DimensionMismatch, InvalidTau, NonFiniteLoss
 from .framing import SupervisedFrame
 
 ADAM_BETA1 = 0.9
@@ -69,7 +69,7 @@ def pinball_loss(y, y_hat, tau: float):
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Optimizer settings. ``hidden`` fixes the widths of the ReLU layers."""
+    """Optimizer settings; ``hidden`` fixes the ReLU widths. A bad one is a ConfigError."""
 
     epochs: int = 1000
     learning_rate: float = 1e-3
@@ -77,13 +77,13 @@ class TrainConfig:
 
     def __post_init__(self):
         if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
+            raise ConfigError("epochs must be >= 1")
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
-            raise ValueError(
+            raise ConfigError(
                 f"learning_rate must be positive and finite, got {self.learning_rate}"
             )
         if len(self.hidden) == 0 or any(w < 1 for w in self.hidden):
-            raise ValueError("hidden widths must be positive")
+            raise ConfigError("hidden widths must be positive")
 
 
 class QuantileNet:

@@ -78,6 +78,13 @@ class TestExperimentConfig:
         for overrides in (
             dict(method="magic"),
             dict(alpha=1.0),
+            dict(alpha=1e-17),       # 1 - alpha / 2 rounds to 1.0
+            dict(n_lags=0),
+            dict(horizon=0),
+            dict(window_size=0),
+            dict(epochs=0),
+            dict(hidden=(0,)),
+            dict(hidden=()),
             dict(n_models=1),
             dict(n_test=7),          # not a multiple of horizon=2
             dict(cal_fraction=0.0),
@@ -114,7 +121,7 @@ class TestExperimentConfig:
 
     @pytest.mark.parametrize("lr", ["nan", "inf", "-inf"])
     def test_non_finite_lr_rejected_before_training(self, tmp_path, capsys, lr):
-        with pytest.raises(ConfigError, match=f"lr .*got {lr}"):
+        with pytest.raises(ConfigError, match=f"learning_rate .*got {lr}"):
             fast_config(learning_rate=float(lr)).validate()
         out = tmp_path / "run"
         assert main(["run", "--synthetic", "--method", "mimocqr", "--epochs", "3",
@@ -124,7 +131,7 @@ class TestExperimentConfig:
         assert main(["run", "--config", str(cfg_file), "--synthetic", "--method", "mimocqr",
                      "--epochs", "3", "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert err.count(f"lr must be a positive finite number, got {lr}") == 2
+        assert err.count(f"learning_rate must be positive and finite, got {lr}") == 2
         assert not out.exists()
 
 
@@ -857,17 +864,44 @@ class TestMainExitCodes:
                 in capsys.readouterr().err)
         assert trained == []
 
-    @pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
+    # (--out under tmp_path, where taken is a file); taken/../run climbs out of
+    # the file, which the OS refuses (ENOTDIR) though a lexical .. would not
+    @pytest.mark.parametrize("out_name", ["taken", "taken/run", "taken/../run"],
+                             ids=["file", "under-file", "dotdot-out-of-file"])
     def test_out_that_cannot_be_a_directory_is_one_before_any_training(
-            self, tmp_path, capsys, trained, under):
+            self, tmp_path, capsys, trained, out_name):
         taken = tmp_path / "taken"
         taken.write_text("kept\n")
-        out = taken / "run" if under else taken
+        out = os.path.join(tmp_path, out_name)
         assert main(["run", "--synthetic", "--length", "60", "--p", "5", "--H", "2",
-                     "--n-test", "4", "--B", "2", "--out", str(out)]) == 1
+                     "--n-test", "4", "--B", "2", "--out", out]) == 1
         assert capsys.readouterr().err.startswith("error: ")
         assert trained == []
         assert taken.read_text() == "kept\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["taken"]
+
+    # at alpha 1e-17 the upper band level 1 - alpha / 2 rounds to 1.0
+    @pytest.mark.parametrize("method", list(cli.METHODS))
+    def test_alpha_whose_level_rounds_to_one_is_two_before_any_training(
+            self, tmp_path, capsys, trained, rng, method):
+        data = tmp_path / "series.csv"
+        save_wide_csv([TimeSeries(rng.normal(size=60).cumsum(), id="s")], data)
+        out = tmp_path / "run"
+        assert main(["run", "--data", str(data), "--method", method, "--alpha", "1e-17",
+                     "--p", "5", "--H", "2", "--n-test", "10", "--B", "2",
+                     "--out", str(out)]) == 2
+        assert "alpha must leave both band levels" in capsys.readouterr().err
+        assert trained == []
+        assert not out.exists()
+
+    def test_synthetic_alpha_whose_level_rounds_to_one_is_two(self, tmp_path, capsys, trained):
+        out, series_csv = tmp_path / "run", tmp_path / "s.csv"
+        assert main(["run", "--synthetic", "--alpha", "1e-17", "--method", "mimocqr",
+                     "--epochs", "2", "--out", str(out)]) == 2
+        assert main(["synth", "--seed", "1", "--alpha", "1e-17", "--out", str(series_csv)]) == 2
+        assert capsys.readouterr().err.count("alpha must leave both band levels") == 2
+        assert trained == []
+        assert list(tmp_path.iterdir()) == []
 
     # (--out under tmp_path, the directory made before the run or None)
     @pytest.mark.parametrize("out_name, premade", [

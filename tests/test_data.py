@@ -15,6 +15,7 @@ from conformalts.data import (
     split_train_test,
 )
 from conformalts.errors import (
+    ConfigError,
     EmptyFile,
     MissingValue,
     NonPositiveMean,
@@ -86,10 +87,15 @@ class TestNormQuantile:
 class TestSyntheticConfig:
     def test_validation(self):
         # the length must exceed the 40-value warmup
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             SyntheticConfig(seed=0, length=40)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             SyntheticConfig(seed=0, oracle_alpha=0.0)
+        with pytest.raises(ConfigError):
+            SyntheticConfig(seed=-1)
+        # 1 - 1e-17 / 2 is 1.0 as a float, an upper level band_levels rejects
+        with pytest.raises(ConfigError, match="alpha"):
+            SyntheticConfig(seed=0, oracle_alpha=1e-17)
 
 
 class TestGenSynthetic:

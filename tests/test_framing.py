@@ -1,12 +1,15 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from conformalts.errors import InvalidInterval, SeriesTooShort
+from conformalts.errors import ConfigError, InvalidInterval, SeriesTooShort
 from conformalts.framing import (
     PredictionInterval,
     TimeSeries,
+    band_levels,
     check_bounds,
     covered,
     frame_mimo,
@@ -60,6 +63,23 @@ class TestCheckBounds:
     def test_rejects_a_bad_pair(self, pair):
         with pytest.raises(InvalidInterval):
             check_bounds([0.0, pair[0]], [1.0, pair[1]])
+
+
+class TestBandLevels:
+    # from 2.3e-16 up, 1 - alpha / 2 rounds below 1.0
+    @given(st.floats(min_value=2.3e-16, max_value=1.0, exclude_max=True))
+    @example(2.3e-16)
+    @example(math.nextafter(1.0, 0.0))
+    def test_levels_are_the_halves_bit_for_bit(self, alpha):
+        lo, hi = band_levels(alpha)
+        assert (lo.hex(), hi.hex()) == ((alpha / 2.0).hex(), (1.0 - alpha / 2.0).hex())
+        assert 0.0 < lo < hi < 1.0
+
+    # 5e-324 halves to 0.0; below about 1.1e-16, 1 - alpha / 2 rounds to 1.0
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, -0.1, 1.5, math.nan, 5e-324, 1e-17, 1.1e-16])
+    def test_a_level_outside_the_open_unit_interval_is_a_config_error(self, alpha):
+        with pytest.raises(ConfigError, match="alpha"):
+            band_levels(alpha)
 
 
 class TestCovered:

@@ -9,7 +9,13 @@ import oracles
 from conformalts import pipelines, quantile_net
 from conformalts.adaptive import aci_update, init_gamma
 from conformalts.data import SyntheticConfig, gen_synthetic, split_train_test
-from conformalts.errors import AllRowsInBag, DimensionMismatch, InvalidInterval, SeriesTooShort
+from conformalts.errors import (
+    AllRowsInBag,
+    ConfigError,
+    DimensionMismatch,
+    InvalidInterval,
+    SeriesTooShort,
+)
 from conformalts.framing import (
     SupervisedFrame,
     TimeSeries,
@@ -955,9 +961,10 @@ RUNNERS = [run_aenbmimocqr, run_mimocqr, run_enbpi, run_enbcqr]
 
 class TestAlphaCheck:
     @pytest.mark.parametrize("runner", RUNNERS)
-    @pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5, -0.1])
+    # at 1e-17 the upper level 1 - alpha / 2 rounds to 1.0
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5, -0.1, 1e-17])
     def test_rejected_before_any_training(self, training_calls, rng, runner, alpha):
-        with pytest.raises(ValueError, match="alpha"):
+        with pytest.raises(ConfigError, match="alpha"):
             runner(
                 TimeSeries(rng.uniform(size=40)), FeedbackStream(rng.uniform(size=4)),
                 n_lags=3, horizon=2, alpha=alpha,

@@ -3,7 +3,7 @@ import pytest
 
 import oracles
 from conformalts import quantile_net
-from conformalts.errors import DimensionMismatch, InvalidTau, NonFiniteLoss
+from conformalts.errors import ConfigError, DimensionMismatch, InvalidTau, NonFiniteLoss
 from conformalts.framing import SupervisedFrame, TimeSeries, frame_mimo, frame_recursive
 from conformalts.quantile_net import (
     QuantileNet,
@@ -54,18 +54,18 @@ class TestTrainConfig:
         assert cfg.hidden == (64, 64)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             TrainConfig(epochs=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             TrainConfig(learning_rate=0.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             TrainConfig(hidden=())
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             TrainConfig(hidden=(64, 0))
 
     @pytest.mark.parametrize("lr", ["nan", "inf", "-inf"])
     def test_non_finite_learning_rate_rejected(self, lr):
-        with pytest.raises(ValueError, match=f"learning_rate .*got {lr}"):
+        with pytest.raises(ConfigError, match=f"learning_rate .*got {lr}"):
             TrainConfig(learning_rate=float(lr))
 
 
