@@ -40,10 +40,10 @@ from .data import (
     save_wide_csv,
     split_train_test,
 )
-from .errors import ConfigError, ConformalTSError, ParseError
-from .framing import band_levels, covered
+from .errors import ConfigError, ConformalTSError, ParseError, SeriesTooShort
+from .framing import covered
 from .metrics import aggregate_star, evaluate
-from .pipelines import FeedbackStream, RunDefaults
+from .pipelines import METHODS, FeedbackStream, RunDefaults, check_run
 # the runners, each called by name in _series_job
 from .pipelines import run_aenbmimocqr, run_enbcqr, run_enbpi, run_mimocqr  # noqa: F401
 from .quantile_net import TrainConfig
@@ -52,14 +52,6 @@ from .seeding import derive_seed
 SCHEMA_VERSION = 1
 # the columns of intervals.csv, one row per forecast step
 INTERVAL_COLUMNS = ("series", "origin", "h", "lower", "upper", "y", "covered")
-# method -> (multi-output: a frame row spans p + H values, else p + 1; the
-# ExperimentConfig fields that run_<method> takes as keywords)
-METHODS = {
-    "aenbmimocqr": (True, ("n_models", "window_size")),
-    "mimocqr": (True, ("cal_fraction",)),
-    "enbpi": (False, ("n_models",)),
-    "enbcqr": (False, ("n_models",)),
-}
 
 
 @dataclass
@@ -85,50 +77,27 @@ class ExperimentConfig:
     length: int = SyntheticConfig.length
 
     def validate(self) -> None:
+        """Check every setting; the library's own objects hold each run rule."""
         if self.method not in METHODS:
             raise ConfigError(f"method must be one of {', '.join(METHODS)}")
-        band_levels(self.alpha)
-        if self.n_lags < 1:
-            raise ConfigError("p must be >= 1")
-        if self.horizon < 1:
-            raise ConfigError("H must be >= 1")
-        if self.n_models < 2:
-            raise ConfigError("B must be >= 2")
-        if self.window_size < 1:
-            raise ConfigError("T must be >= 1")
-        if self.n_test < self.horizon or self.n_test % self.horizon != 0:
-            raise ConfigError("n-test must be a positive multiple of H")
-        # the training settings are checked where they are used, by TrainConfig
-        TrainConfig(epochs=self.epochs, learning_rate=self.learning_rate, hidden=self.hidden)
-        if not 0.0 < self.cal_fraction < 1.0:
-            raise ConfigError("cal-fraction must be in (0, 1)")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
         if self.layout not in LAYOUTS:
             raise ConfigError(f"layout must be one of {', '.join(LAYOUTS)}")
         if self.synthetic == (self.data is not None):
             raise ConfigError("give exactly one data source: --data PATH or --synthetic")
+        TrainConfig(epochs=self.epochs, learning_rate=self.learning_rate, hidden=self.hidden)
         if self.synthetic:
             SyntheticConfig(seed=self.seed, length=self.length, oracle_alpha=self.alpha)
-            # every method needs two frame rows (a bag that misses one, or a
-            # split in two)
-            mimo, fields = METHODS[self.method]
-            span = self.n_lags + (self.horizon if mimo else 1)
-            n_train = self.length - self.n_test
-            n_rows = n_train - span + 1
-            if n_rows < 2:
-                raise ConfigError(
-                    f"length {self.length} minus n-test {self.n_test} leaves {n_train} "
-                    f"training values; {self.method} needs at least "
-                    f"{'p + H + 1' if mimo else 'p + 2'} = {span + 1} "
-                    f"(p={self.n_lags}, H={self.horizon})"
-                )
-            if "cal_fraction" in fields and int(n_rows * self.cal_fraction) < 1:
-                raise ConfigError(
-                    f"cal-fraction {self.cal_fraction} of the {n_rows} frame rows that length "
-                    f"{self.length} minus n-test {self.n_test} leaves calibrates none "
-                    f"(p={self.n_lags}, H={self.horizon})"
-                )
+        n_train = self.length - self.n_test if self.synthetic else None
+        try:
+            check_run(self.method, self.n_test, n_train, n_lags=self.n_lags,
+                      horizon=self.horizon, alpha=self.alpha, n_models=self.n_models,
+                      window_size=self.window_size, cal_fraction=self.cal_fraction)
+        except SeriesTooShort as exc:
+            # the synthetic series is too short for its frame: its length is a setting
+            raise ConfigError(f"length {self.length} minus n-test {self.n_test} leaves {n_train} "
+                              f"values (p={self.n_lags}, H={self.horizon}): {exc}", "length")
 
     def to_json_dict(self) -> dict:
         """The settings under their config-file keys, "-" written as "_"."""
@@ -213,7 +182,12 @@ def _resolve_run_config(args) -> tuple[ExperimentConfig, str]:
     out = args.out if args.out is not None else file_values.get("out")
     if not out:
         raise ConfigError("an output directory is required (--out)")
-    cfg.validate()
+    try:
+        cfg.validate()
+    except ConfigError as exc:
+        # a rule on one setting starts with its keyword (learning_rate); say its key (lr)
+        key = {(attr,): key for key, (attr, *_) in _RUN_KEYS.items()}.get(exc.args[1:])
+        raise exc if key is None else ConfigError(key + str(exc)[len(exc.args[1]):], key)
     return cfg, out
 
 

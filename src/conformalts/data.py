@@ -76,9 +76,9 @@ class SyntheticConfig:
 
     def __post_init__(self):
         if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+            raise ConfigError(f"seed must be >= 0, got {self.seed}", "seed")
         if self.length <= WARMUP:
-            raise ConfigError(f"length must exceed the warmup of {WARMUP}")
+            raise ConfigError(f"length must exceed the warmup of {WARMUP}", "length")
         band_levels(self.oracle_alpha)
 
 

@@ -81,4 +81,7 @@ class EmptyFile(ConformalTSError, ValueError):
 
 
 class ConfigError(ConformalTSError, ValueError):
-    """Invalid experiment configuration (bad flag value, unknown key, ...)."""
+    """Invalid experiment configuration; a rule on one setting adds its keyword to ``args``."""
+
+    def __str__(self):
+        return self.args[0]

@@ -71,7 +71,7 @@ def band_levels(alpha: float) -> tuple[float, float]:
     lo, hi = alpha / 2.0, 1.0 - alpha / 2.0
     if not 0.0 < lo < hi < 1.0:
         raise ConfigError(f"alpha must leave both band levels alpha/2 and 1 - alpha/2 "
-                          f"strictly inside (0, 1), got {alpha}")
+                          f"strictly inside (0, 1), got {alpha}", "alpha")
     return lo, hi
 
 

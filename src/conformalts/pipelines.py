@@ -6,8 +6,8 @@ for a block of ``horizon`` steps only after the intervals for that block
 have been submitted. All state updates (score windows, working miscoverage
 levels, conformal corrections) therefore happen strictly between blocks.
 
-Every runner checks its inputs, fits (or takes) its models, each net by
-``_train_net`` on rows of the runner's frame (a bagged runner's in one
+Every runner checks its run (``check_run``), fits (or takes) its models,
+each net by ``_train_net`` on rows of the runner's frame (a bagged runner's in one
 ``fit_ensemble`` call over all its levels), scores its calibration rows and
 hands the test segment to ``_walk``, the one block loop, as four parts:
 
@@ -58,7 +58,7 @@ from .adaptive import (
     sample_without_replacement,
 )
 from .conformal import conformal_quantile, cqr_interval, score_cqr
-from .errors import AllRowsInBag, DimensionMismatch, SeriesTooShort
+from .errors import AllRowsInBag, ConfigError, DimensionMismatch, SeriesTooShort
 from .framing import (
     SupervisedFrame,
     TimeSeries,
@@ -181,6 +181,16 @@ def _train_net(frame: SupervisedFrame, rows, tau: float | None, seed: int,
     return mse_train(sub, config, seed) if tau is None else train(sub, tau, config, seed)
 
 
+def _check_bags(n_models: int, n_rows: int | None = None) -> None:
+    """A ConfigError unless ``n_models`` >= 2, and SeriesTooShort unless a frame
+    of ``n_rows`` has two: one row is in every bag, so it has no out-of-bag score."""
+    if n_models < 2:
+        raise ConfigError(f"n_models must be >= 2, got {n_models}", "n_models")
+    if n_rows is not None and n_rows < 2:
+        raise SeriesTooShort(
+            f"bagging needs at least 2 frame rows, the training frame has {n_rows}")
+
+
 def fit_ensemble(
     frame: SupervisedFrame,
     taus: tuple[float | None, ...],
@@ -196,12 +206,8 @@ def fit_ensemble(
     b, "mse" or str(tau))``, so the ensembles pair up member for member.
     The bags depend only on ``seed`` and the frame's row count.
     """
-    if n_models < 2:
-        raise ValueError(f"n_models must be >= 2, got {n_models}")
+    _check_bags(n_models, frame.n_rows)
     n = frame.n_rows
-    if n < 2:
-        # one row is in every bag, so no row would have an out-of-bag score
-        raise SeriesTooShort(f"bagging needs at least 2 frame rows, the training frame has {n}")
     rng = spawn_rng(seed, "bootstrap")
     index_sets = [rng.integers(0, n, size=n) for _ in range(n_models)]
     ensembles = []
@@ -237,6 +243,16 @@ def oob_predict(ensemble: BootstrapEnsemble, frame: SupervisedFrame):
     out = np.full((n, frame.horizon), np.nan)
     out[kept] = total[kept] / counts[kept, None]
     return out, kept
+
+
+# method -> (multi-output: a frame row spans p + H values, else p + 1; the
+# settings that run_<method> takes as keywords, ExperimentConfig fields too)
+METHODS = {
+    "aenbmimocqr": (True, ("n_models", "window_size")),
+    "mimocqr": (True, ("cal_fraction",)),
+    "enbpi": (False, ("n_models",)),
+    "enbcqr": (False, ("n_models",)),
+}
 
 
 @dataclass(frozen=True)
@@ -278,18 +294,30 @@ class RunResult:
         return self.lower.shape[1]
 
 
-def _check_run(stream: FeedbackStream, horizon: int, alpha: float) -> tuple[float, float]:
-    """Reject a bad horizon, stream or level before any model is trained;
-    returns the level's ``band_levels``."""
-    if horizon < 1:
-        raise ValueError(f"horizon must be >= 1, got {horizon}")
-    if stream.n_submitted or stream.n_revealed:
-        raise ValueError("stream has already been consumed")
-    if len(stream) % horizon != 0:
-        raise ValueError(
-            f"test length {len(stream)} is not a multiple of horizon {horizon}"
-        )
-    return band_levels(alpha)
+def check_run(method: str, n_test: int, n_train: int | None = None, *, n_lags: int,
+              horizon: int, alpha: float, trains: bool = True, **settings):
+    """Check a run of ``method`` on ``n_test`` test and, if given, ``n_train``
+    training values before any net trains; returns ``band_levels(alpha)``.
+    A bad setting (any given ``METHODS`` one) is a ConfigError; only injected
+    nets (``trains`` False) calibrate on every row. Too few frame rows are SeriesTooShort."""
+    mimo, names = METHODS[method]
+    for name, value in (("n_lags", n_lags), ("horizon", horizon),
+                        ("window_size", settings.get("window_size", 1))):
+        if value < 1:
+            raise ConfigError(f"{name} must be >= 1, got {value}", name)
+    levels = band_levels(alpha)
+    if n_test < horizon or n_test % horizon:
+        raise ConfigError(f"n_test must be a positive multiple of horizon {horizon}, "
+                          f"got {n_test}", "n_test")
+    cal_fraction = settings.get("cal_fraction", RunDefaults.cal_fraction)
+    if not (0.0 < cal_fraction < 1.0 or cal_fraction == 1.0 and not trains):
+        raise ConfigError(f"cal_fraction must be in (0, 1), or 1 with injected nets, "
+                          f"got {cal_fraction}", "cal_fraction")
+    n_rows = None if n_train is None else max(n_train - n_lags - (horizon if mimo else 1) + 1, 0)
+    _check_bags(settings.get("n_models", 2), n_rows if trains and "n_models" in names else None)
+    if n_rows is not None and "cal_fraction" in names and int(n_rows * cal_fraction) < 1:
+        raise SeriesTooShort(f"calibration split, {cal_fraction} of {n_rows} frame rows, is empty")
+    return levels
 
 
 def _walk(train_series: TimeSeries, stream: FeedbackStream, horizon: int, alpha: float,
@@ -305,6 +333,8 @@ def _walk(train_series: TimeSeries, stream: FeedbackStream, horizon: int, alpha:
     levels by one ``aci_update``, and their (rows, n_blocks + 1) trace is
     returned, else None.
     """
+    if stream.n_submitted:
+        raise ValueError("stream has already been consumed")
     history = list(train_series.values)
     n_blocks = len(stream) // horizon
     lower, upper, y = (np.empty((n_blocks, horizon)) for _ in range(3))
@@ -418,11 +448,11 @@ def run_aenbmimocqr(
     training; ``gamma_override`` pins the adaptation rate, a finite value
     >= 0 (0 disables adaptation), both mainly for equivalence testing.
     """
-    levels = _check_run(stream, horizon, alpha)
+    levels = check_run("aenbmimocqr", len(stream), len(train_series), n_lags=n_lags,
+                       horizon=horizon, alpha=alpha, trains=ensembles is None,
+                       n_models=n_models, window_size=window_size)
     if gamma_override is not None and not 0.0 <= gamma_override < np.inf:
         raise ValueError(f"gamma must be a finite number >= 0, got {gamma_override}")
-    if window_size < 1:
-        raise ValueError(f"window_size must be >= 1, got {window_size}")
     frame = frame_mimo(train_series, n_lags, horizon)
     lo_ens, hi_ens = _fit_or_take(frame, levels, n_models, seed, config, ensembles)
 
@@ -476,17 +506,11 @@ def run_mimocqr(
     whole test segment. ``models`` injects a (lower, upper) pair of
     QuantileNets in place of training.
     """
-    levels = _check_run(stream, horizon, alpha)
-    if not 0.0 < cal_fraction <= 1.0:
-        raise ValueError("cal_fraction must be in (0, 1]")
+    levels = check_run("mimocqr", len(stream), len(train_series), n_lags=n_lags, horizon=horizon,
+                       alpha=alpha, trains=models is None, cal_fraction=cal_fraction)
     frame = frame_mimo(train_series, n_lags, horizon)
-    n_cal = int(frame.n_rows * cal_fraction)
-    if n_cal < 1:
-        raise SeriesTooShort("calibration split is empty")
-    n_fit = frame.n_rows - n_cal
+    n_fit = frame.n_rows - int(frame.n_rows * cal_fraction)
     if models is None:
-        if n_fit < 1:
-            raise SeriesTooShort("training split is empty")
         f_lo, f_hi = (
             _train_net(frame, slice(n_fit), tau, derive_seed(seed, "mimocqr", side), config)
             for tau, side in zip(levels, ("lo", "hi")))
@@ -528,10 +552,8 @@ def run_enbpi(
     bit: IEEE subtraction is sign-symmetric, so the band's CQR score
     max(p - y, y - p) is |p - y| exactly.
     """
-    _check_run(stream, horizon, alpha)
-    frame = frame_recursive(train_series, n_lags)
-    return _recursive_walk(train_series, stream, frame, horizon, alpha,
-                           _fit_or_take(frame, (None,), n_models, seed, config, ensembles))
+    return _recursive_walk("enbpi", train_series, stream, n_lags, horizon, alpha, n_models,
+                           seed, config, ensembles)
 
 
 def run_enbcqr(
@@ -553,26 +575,28 @@ def run_enbcqr(
     the lower/upper ensembles evaluated on those covariates give the band,
     widened by the conformal quantile of a sliding window of band scores.
     """
-    lo_tau, hi_tau = _check_run(stream, horizon, alpha)
-    frame = frame_recursive(train_series, n_lags)
-    taus = (lo_tau, 0.5, hi_tau)
-    return _recursive_walk(train_series, stream, frame, horizon, alpha,
-                           _fit_or_take(frame, taus, n_models, seed, config, ensembles))
+    return _recursive_walk("enbcqr", train_series, stream, n_lags, horizon, alpha, n_models,
+                           seed, config, ensembles)
 
 
-def _recursive_walk(train_series, stream, frame, horizon, alpha, ensembles):
-    """The walk of the recursive runners.
+def _recursive_walk(method, train_series, stream, n_lags, horizon, alpha, n_models, seed,
+                    config, ensembles):
+    """The run of the recursive methods, enbpi and enbcqr.
 
-    ``ensembles`` is enbpi's ``(point,)`` or enbcqr's ``(lower, median,
-    upper)``. Each block's path is the point or median ensemble rolled
+    They fit (or take) enbpi's ``(point,)`` ensembles or enbcqr's ``(lower,
+    median, upper)``. Each block's path is the point or median ensemble rolled
     forward ``horizon`` steps. The band is the lower and upper ensembles'
     mean at the path's lag windows, or the path itself for a point
     ensemble. One sliding window of CQR band scores, out-of-bag first and
     then ``horizon`` per block, sets the one correction of every step.
     """
+    levels = check_run(method, len(stream), len(train_series), n_lags=n_lags, horizon=horizon,
+                       alpha=alpha, trains=ensembles is None, n_models=n_models)
+    frame = frame_recursive(train_series, n_lags)
+    taus = (None,) if method == "enbpi" else (levels[0], 0.5, levels[1])
+    ensembles = _fit_or_take(frame, taus, n_models, seed, config, ensembles)
     lo_ens, med_ens, hi_ens = ensembles[0], ensembles[len(ensembles) // 2], ensembles[-1]
     scores, skipped = _oob_band_scores(lo_ens, hi_ens, frame)
-    n_lags = frame.n_lags
 
     def band(history):
         last = np.asarray(history[-n_lags:], dtype=float)

@@ -63,15 +63,22 @@ class TestExperimentConfig:
         assert (cfg.n_models, cfg.window_size, cfg.n_test) == (10, 100, 390)
 
     def test_run_defaults_are_the_runners_defaults(self):
+        # the method table is the library's, and names each runner's own settings:
+        # its keyword-only parameters but the common and the injected ones
         cfg = ExperimentConfig()
-        runners = (pipelines.run_aenbmimocqr, pipelines.run_mimocqr,
-                   pipelines.run_enbpi, pipelines.run_enbcqr)
+        assert cli.METHODS is pipelines.METHODS
+        common = {"n_lags", "horizon", "alpha", "seed", "config",
+                  "ensembles", "models", "gamma_override"}
+        attrs = {attr for attr, *_ in _RUN_KEYS.values()}
         checked = set()
-        for runner in runners:
-            for name, param in inspect.signature(runner).parameters.items():
-                if name in ("n_models", "window_size", "cal_fraction"):
-                    assert param.default == getattr(cfg, name), (runner.__name__, name)
-                    checked.add(name)
+        for method, (_, settings) in pipelines.METHODS.items():
+            params = inspect.signature(getattr(pipelines, f"run_{method}")).parameters
+            own = {name for name, param in params.items() if param.kind is param.KEYWORD_ONLY}
+            assert own - common == set(settings), method
+            for name in settings:
+                assert name in attrs, (method, name)  # a run key sets it
+                assert params[name].default == getattr(cfg, name), (method, name)
+                checked.add(name)
         assert checked == {"n_models", "window_size", "cal_fraction"}
 
     def test_validate_catches_bad_values(self):
@@ -115,6 +122,26 @@ class TestExperimentConfig:
     def test_fast_config_is_valid(self):
         fast_config().validate()
 
+    # one bad value per run rule, with the method whose runner checks it
+    ONE_TEXT = [dict(n_lags=0), dict(horizon=0), dict(n_models=1), dict(window_size=0),
+                dict(n_test=7), dict(alpha=1.0), dict(method="mimocqr", cal_fraction=0.0),
+                dict(method="mimocqr", cal_fraction=1.0)]
+
+    @pytest.mark.parametrize("overrides", ONE_TEXT, ids=["p", "H", "B", "T", "n-test", "alpha",
+                                                         "cal-fraction-0", "cal-fraction-1"])
+    def test_validate_and_the_runner_give_one_text(self, trained, rng, overrides):
+        cfg = fast_config(**overrides)
+        with pytest.raises(ConfigError) as checked:
+            cfg.validate()
+        runner = getattr(pipelines, f"run_{cfg.method}")
+        with pytest.raises(ConfigError) as ran:
+            runner(TimeSeries(rng.uniform(size=40)),
+                   pipelines.FeedbackStream(rng.uniform(size=cfg.n_test)),
+                   n_lags=cfg.n_lags, horizon=cfg.horizon, alpha=cfg.alpha,
+                   **{name: getattr(cfg, name) for name in pipelines.METHODS[cfg.method][1]})
+        assert str(ran.value) == str(checked.value)
+        assert trained == []
+
     def test_negative_seed_allowed_for_csv_data(self):
         # a CSV run only hashes the seed into derived seeds
         fast_config(seed=-1, synthetic=False, data="x.csv").validate()
@@ -131,7 +158,8 @@ class TestExperimentConfig:
         assert main(["run", "--config", str(cfg_file), "--synthetic", "--method", "mimocqr",
                      "--epochs", "3", "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert err.count(f"learning_rate must be positive and finite, got {lr}") == 2
+        # the CLI names the key, lr, where the library names its keyword
+        assert err.count(f"error: lr must be positive and finite, got {lr}") == 2
         assert not out.exists()
 
 
@@ -800,8 +828,38 @@ class TestMainExitCodes:
         fast_config(length=122, n_test=114).validate()
         fast_config(method="mimocqr", length=122, n_test=114).validate()
         fast_config(method="enbpi", length=121, n_test=114).validate()
-        with pytest.raises(ConfigError, match=r"cal-fraction 0.3 of the 2 frame rows .* 122 "):
+        with pytest.raises(ConfigError, match=r"length 122 minus n-test 114 .*: calibration "
+                                              r"split, 0.3 of 2 frame rows, is empty"):
             fast_config(method="mimocqr", length=122, n_test=114, cal_fraction=0.3).validate()
+
+    # (key, a value its rule rejects): every run key that has a rule, at a
+    # method that ignores B and T, so a setting's rule holds whatever the method
+    RULED = [("p", "0"), ("H", "0"), ("B", "1"), ("T", "0"), ("n-test", "7"), ("epochs", "0"),
+             ("hidden", "0"), ("lr", "nan"), ("alpha", "1.0"), ("cal-fraction", "1.0"),
+             ("seed", "-1"), ("length", "40")]
+
+    @pytest.mark.parametrize("key, value", RULED, ids=[key for key, _ in RULED])
+    def test_each_rule_names_its_key(self, tmp_path, capsys, trained, key, value):
+        out = tmp_path / "run"
+        assert main(["run", "--synthetic", "--method", "mimocqr", f"--{key}={value}",
+                     "--out", str(out)]) == 2
+        assert f"error: {key} " in capsys.readouterr().err
+        assert trained == []
+        assert not out.exists()
+
+    def test_cal_fraction_one_is_two_on_csv_and_synthetic_data(self, tmp_path, capsys, trained,
+                                                                rng):
+        data = tmp_path / "series.csv"
+        save_wide_csv([TimeSeries(rng.normal(size=60).cumsum(), id="s")], data)
+        out = tmp_path / "run"
+        for source in (["--data", str(data), "--p", "5", "--H", "2", "--n-test", "10"],
+                       ["--synthetic"]):
+            assert main(["run", *source, "--method", "mimocqr", "--cal-fraction", "1.0",
+                         "--out", str(out)]) == 2
+        rule = "error: cal-fraction must be in (0, 1), or 1 with injected nets, got 1.0"
+        assert capsys.readouterr().err.count(rule) == 2
+        assert trained == []
+        assert not out.exists()
 
     def test_missing_out_is_two(self):
         assert main(["run", "--synthetic"]) == 2

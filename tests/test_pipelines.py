@@ -1,4 +1,5 @@
 import dataclasses
+import pickle
 
 import numpy as np
 import pytest
@@ -1005,6 +1006,22 @@ class TestWindowSizeCheck:
         assert training_calls == []
 
 
+class TestCalFractionRange:
+    def test_only_injected_nets_calibrate_on_every_row(self, training_calls, rng):
+        train, test = TimeSeries(rng.uniform(size=20)), rng.uniform(size=2)
+        common = dict(n_lags=2, horizon=1, alpha=0.1, cal_fraction=1.0)
+        with pytest.raises(ConfigError, match=r"cal_fraction must be in \(0, 1\)") as excinfo:
+            run_mimocqr(train, FeedbackStream(test), **common)
+        assert excinfo.value.args[1:] == ("cal_fraction",)
+        # the keyword survives a worker pool's pickling
+        restored = pickle.loads(pickle.dumps(excinfo.value))
+        assert (str(restored), restored.args) == (str(excinfo.value), excinfo.value.args)
+        assert training_calls == []
+        members = make_affine_members(2, 2, 1, 5)
+        result = run_mimocqr(train, FeedbackStream(test), models=tuple(members), **common)
+        assert result.n_blocks == 2
+
+
 class TestTrainedRunners:
     """End-to-end smoke runs with real (tiny) network training."""
 
@@ -1076,6 +1093,18 @@ class TestInjectedEnsembles:
         "enbpi": (run_enbpi, 1, (None,)),
         "enbcqr": (run_enbcqr, 1, (LO, 0.5, HI)),
     }
+
+    @pytest.mark.parametrize("method", BAGGED)
+    def test_one_model_is_rejected_with_injected_ensembles_too(self, training_calls, method):
+        runner, width, taus = self.BAGGED[method]
+        sets = [np.arange(3), np.arange(1, 4)]
+        ensembles = [BootstrapEnsemble(make_affine_members(2, self.P, width, 7), sets)
+                     for _ in taus]
+        values = np.random.default_rng(5).normal(size=60).cumsum()
+        with pytest.raises(ConfigError, match="n_models must be >= 2, got 1"):
+            runner(TimeSeries(values[:50]), FeedbackStream(values[50:]), n_lags=self.P,
+                   horizon=self.H, alpha=self.ALPHA, n_models=1, ensembles=ensembles)
+        assert training_calls == []
 
     @pytest.mark.parametrize("method", BAGGED)
     def test_injected_fit_is_the_trained_run(self, method):
