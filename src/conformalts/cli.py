@@ -30,7 +30,6 @@ from time import perf_counter
 import numpy as np
 
 from .data import (
-    LAYOUTS,
     WARMUP,
     SyntheticConfig,
     gen_synthetic,
@@ -72,7 +71,6 @@ class ExperimentConfig:
     seed: int = 0
     workers: int = 1
     data: str | None = None
-    layout: str = "wide"
     synthetic: bool = False
     length: int = SyntheticConfig.length
 
@@ -81,9 +79,7 @@ class ExperimentConfig:
         if self.method not in METHODS:
             raise ConfigError(f"method must be one of {', '.join(METHODS)}")
         if self.workers < 1:
-            raise ConfigError("workers must be >= 1")
-        if self.layout not in LAYOUTS:
-            raise ConfigError(f"layout must be one of {', '.join(LAYOUTS)}")
+            raise ConfigError(f"workers must be >= 1, got {self.workers}", "workers")
         if self.synthetic == (self.data is not None):
             raise ConfigError("give exactly one data source: --data PATH or --synthetic")
         TrainConfig(epochs=self.epochs, learning_rate=self.learning_rate, hidden=self.hidden)
@@ -140,15 +136,15 @@ _RUN_KEYS = {
     "seed": ("seed", int, "run seed, also the synthetic series seed"),
     "workers": ("workers", int, "worker processes for multi-series data"),
     "data": ("data", str, "CSV dataset path"),
-    "layout": ("layout", str, f"CSV layout, one of {', '.join(LAYOUTS)}"),
     "synthetic": ("synthetic", bool, "use the built-in synthetic benchmark series"),
     "length": ("length", int, "synthetic series length"),
 }
 
 
 def parse_config_file(path) -> dict[str, str]:
-    """Flat ``key = value`` lines; blank lines and # comments are ignored."""
+    """Flat ``key = value`` lines, each key once; blank lines and # comments are ignored."""
     values: dict[str, str] = {}
+    first_line: dict[str, int] = {}  # key -> line
     try:
         with open(path, "r", encoding="utf-8-sig") as fh:
             lines = fh.readlines()
@@ -165,6 +161,8 @@ def parse_config_file(path) -> dict[str, str]:
         raw = raw.strip().strip('"').strip("'")
         if key not in _RUN_KEYS and key != "out":
             raise ConfigError(f"unknown config key {key!r} (line {lineno})")
+        if first_line.setdefault(key, lineno) != lineno:
+            raise ConfigError(f"config key {key!r} repeats line {first_line[key]} (line {lineno})")
         values[key] = raw
     return values
 
@@ -252,7 +250,7 @@ def cmd_run(cfg: ExperimentConfig, out_dir) -> dict:
             SyntheticConfig(seed=cfg.seed, length=cfg.length, oracle_alpha=cfg.alpha))
         jobs = [(cfg, series, (oracle.lower, oracle.upper))]
     else:
-        jobs = [(cfg, series, None) for series in load_csv(cfg.data, cfg.layout)]
+        jobs = [(cfg, series, None) for series in load_csv(cfg.data)]
     # an --out that cannot be a directory fails here, before any net trains;
     # it is made only to write the two files, so a run that fails writes nothing.
     # The walk keeps each "..", for the OS to resolve: afile/../run stops at afile

@@ -45,9 +45,6 @@ WARMUP = 40
 NOISE_C0 = 0.1
 NOISE_SLOPE = 0.001
 
-# CSV layouts load_csv reads: one series per column, or (id, t, value) rows
-LAYOUTS = ("wide", "long")
-
 
 def norm_quantile(p: float) -> float:
     """Standard normal quantile at probability p in (0, 1)."""
@@ -78,7 +75,8 @@ class SyntheticConfig:
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}", "seed")
         if self.length <= WARMUP:
-            raise ConfigError(f"length must exceed the warmup of {WARMUP}", "length")
+            raise ConfigError(f"length must exceed the warmup of {WARMUP}, got {self.length}",
+                              "length")
         band_levels(self.oracle_alpha)
 
 
@@ -197,25 +195,21 @@ def parse_cell(cells, row: int, col: int, kind: type, what: str):
     return value
 
 
-def load_csv(path, layout: str) -> list[TimeSeries]:
-    """Read series from a CSV file.
+def load_csv(path) -> list[TimeSeries]:
+    """Read series from a CSV file in the layout its header names.
 
-    layout "wide": header row of series ids, one series per column, all the
-    same length. layout "long": header (id, t, value); rows may arrive in
-    any order and are sorted by t within each id, whose time indices must
-    be consecutive.
+    A header of (id, t, value), in any case, is the long layout: rows may
+    arrive in any order and are sorted by t within each id, whose time
+    indices must be consecutive. Any other header is the wide layout: a
+    row of series ids, one series per column, all the same length.
     """
-    if layout not in LAYOUTS:
-        raise ValueError(f"layout must be one of {', '.join(LAYOUTS)}")
-    header_line, names, body = read_table(path)
+    _, names, body = read_table(path)
 
-    if layout == "wide":
+    if [name.lower() for name in names] != ["id", "t", "value"]:
         rows = [[parse_cell(cells, r, c, float, "cell") for c in range(1, len(names) + 1)]
                 for r, cells in body]
         return [TimeSeries(np.asarray(col), id=i) for i, col in zip(names, zip(*rows))]
 
-    if [name.lower() for name in names] != ["id", "t", "value"]:
-        raise ParseError('long layout needs header "id,t,value"', row=header_line)
     by_id: dict[str, list[tuple[int, float, int]]] = {}  # id -> (t, value, line)
     first_line: dict[tuple[str, int], int] = {}  # (series, t) -> line
     for r, cells in body:

@@ -77,12 +77,12 @@ class TrainConfig:
 
     def __post_init__(self):
         if self.epochs < 1:
-            raise ConfigError("epochs must be >= 1", "epochs")
+            raise ConfigError(f"epochs must be >= 1, got {self.epochs}", "epochs")
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ConfigError(f"learning_rate must be positive and finite, "
                               f"got {self.learning_rate}", "learning_rate")
         if len(self.hidden) == 0 or any(w < 1 for w in self.hidden):
-            raise ConfigError("hidden widths must be positive", "hidden")
+            raise ConfigError(f"hidden widths must be positive, got {self.hidden}", "hidden")
 
 
 class QuantileNet:

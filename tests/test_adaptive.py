@@ -218,6 +218,10 @@ class TestSampleWithoutReplacement:
         np.testing.assert_array_equal(w.values(), [[1.0, 2.0, 9.0]])
         assert w.values().shape == (1, 3)
 
+    def test_rejects_capacity_below_one(self):
+        with pytest.raises(ValueError, match="capacity must be >= 1"):
+            sample_without_replacement([3.0, 1.0, 2.0], 0, seed=0)
+
     def test_large_set_thinned_to_capacity(self):
         scores = np.arange(100.0)
         vals = sample_without_replacement(scores, 10, seed=1)

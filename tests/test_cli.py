@@ -100,7 +100,6 @@ class TestExperimentConfig:
             dict(synthetic=False),   # no data source at all
             dict(data="x.csv"),      # two data sources
             dict(length=40),
-            dict(layout="tall"),
             dict(seed=-1),           # numpy cannot seed a synthetic series with it
             # length minus n-test leaves fewer training values than two frame
             # rows span: p + H + 1 = 8 (MIMO) or p + 2 = 7 (recursive)
@@ -575,6 +574,18 @@ class TestIntervalsCsvAndEval:
         assert captured.out == ""
         assert message in captured.err
 
+    def test_eval_rejects_a_file_without_a_y_column(self, tmp_path, capsys):
+        path = tmp_path / "intervals.csv"
+        path.write_text("series,origin,h,lower,upper,covered\n"
+                        "s,1,1,0.0,2.0,1\n" "s,1,2,0.0,2.0,0\n")
+        message = "intervals file lacks columns: y"
+        with pytest.raises(ParseError, match=re.escape(message)):
+            cmd_eval(str(path))
+        assert main(["eval", "--intervals", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+
     def test_eval_rejects_a_repeated_row(self, tmp_path, capsys):
         out = str(tmp_path / "run")
         cmd_run(fast_config(method="enbcqr"), out)
@@ -647,7 +658,7 @@ class TestCmdSynth:
     def test_round_trip_against_generator(self, tmp_path):
         csv_path = tmp_path / "series.csv"
         sidecar = cmd_synth(9, csv_path, length=90)
-        (loaded,) = load_csv(csv_path, "wide")
+        (loaded,) = load_csv(csv_path)
         series, oracle = gen_synthetic(SyntheticConfig(seed=9, length=90))
         np.testing.assert_array_equal(loaded.values, series.values)
         assert loaded.id == "synthetic-9"
@@ -682,7 +693,6 @@ SPELLINGS = {
     "seed": (("5", 5), ("7", 7)),
     "workers": (("2", 2), ("3", 3)),
     "data": (("a.csv", "a.csv"), ("b.csv", "b.csv")),
-    "layout": (("long", "long"), ("wide", "wide")),
     "synthetic": (("no", False), ("true", True)),
     "length": (("90", 90), ("200", 200)),
 }
@@ -762,6 +772,26 @@ class TestConfigFile:
             assert resolved(flag=flag(file_text)) == (file_value, type(file_value))
         assert resolved(file_text, flag(flag_text)) == (flag_value, type(flag_value))
 
+    def test_repeated_key_rejected(self, tmp_path, capsys, trained):
+        # the last value used to win unseen
+        cfg_file = tmp_path / "twice.cfg"
+        cfg_file.write_text("method = enbpi\nsynthetic = true\n\nmethod = mimocqr\n")
+        message = "config key 'method' repeats line 1 (line 4)"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            parse_config_file(cfg_file)
+        out = tmp_path / "run"
+        assert main(["run", "--config", str(cfg_file), "--out", str(out)]) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert trained == []
+        assert not out.exists()
+
+    def test_missing_file_is_two(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert main(["run", "--config", str(tmp_path / "missing.cfg"), "--synthetic",
+                     "--out", str(out)]) == 2
+        assert "error: cannot read config file" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_type_errors_are_config_errors(self, tmp_path):
         cfg_file = tmp_path / "bad.cfg"
         cfg_file.write_text("epochs = soon\n")
@@ -779,7 +809,6 @@ BAD_FLAG_VALUES = [
     ("--p", "x", "p expects an integer, got 'x'"),
     ("--lr", "fast", "lr expects a number, got 'fast'"),
     ("--method", "bogus", "method must be one of"),
-    ("--layout", "tall", "layout must be one of"),
     *((f"--{key}", "x", f"{key} expects an integer, got 'x'")
       for key in ("H", "B", "T", "n-test", "epochs", "seed", "workers", "length")),
     *((f"--{key}", "fast", f"{key} expects a number, got 'fast'")
@@ -832,18 +861,23 @@ class TestMainExitCodes:
                                               r"split, 0.3 of 2 frame rows, is empty"):
             fast_config(method="mimocqr", length=122, n_test=114, cal_fraction=0.3).validate()
 
-    # (key, a value its rule rejects): every run key that has a rule, at a
-    # method that ignores B and T, so a setting's rule holds whatever the method
-    RULED = [("p", "0"), ("H", "0"), ("B", "1"), ("T", "0"), ("n-test", "7"), ("epochs", "0"),
-             ("hidden", "0"), ("lr", "nan"), ("alpha", "1.0"), ("cal-fraction", "1.0"),
-             ("seed", "-1"), ("length", "40")]
+    # (key, a value its rule rejects, that value as the rule's text writes it):
+    # every run key that has a rule, at a method that ignores B and T, so a
+    # setting's rule holds whatever the method
+    RULED = [("p", "0", "0"), ("H", "0", "0"), ("B", "1", "1"), ("T", "0", "0"),
+             ("n-test", "7", "7"), ("epochs", "0", "0"), ("hidden", "0", "(0,)"),
+             ("lr", "nan", "nan"), ("alpha", "1.0", "1.0"), ("cal-fraction", "1.0", "1.0"),
+             ("seed", "-1", "-1"), ("length", "40", "40"), ("workers", "0", "0")]
 
-    @pytest.mark.parametrize("key, value", RULED, ids=[key for key, _ in RULED])
-    def test_each_rule_names_its_key(self, tmp_path, capsys, trained, key, value):
+    @pytest.mark.parametrize("key, value, shown", RULED, ids=[key for key, *_ in RULED])
+    def test_each_rule_names_its_key(self, tmp_path, capsys, trained, key, value, shown):
         out = tmp_path / "run"
         assert main(["run", "--synthetic", "--method", "mimocqr", f"--{key}={value}",
                      "--out", str(out)]) == 2
-        assert f"error: {key} " in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"error: {key} " in err
+        # and the value it rejects
+        assert err.rstrip().endswith(f", got {shown}"), err
         assert trained == []
         assert not out.exists()
 
@@ -876,6 +910,20 @@ class TestMainExitCodes:
     def test_unknown_flag_exits_via_argparse(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "--frobnicate"])
+
+    def test_layout_is_no_setting(self, tmp_path, capsys, rng):
+        # a CSV's header says its layout, so neither a flag nor a key sets it
+        data = tmp_path / "series.csv"
+        save_wide_csv([TimeSeries(rng.normal(size=60).cumsum(), id="s")], data)
+        out = tmp_path / "run"
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run", "--data", str(data), "--layout", "wide", "--out", str(out)])
+        assert excinfo.value.code == 2
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(f"data = {data}\nlayout = wide\n")
+        assert main(["run", "--config", str(cfg_file), "--out", str(out)]) == 2
+        assert "unknown config key 'layout' (line 2)" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("flag, value, message", BAD_FLAG_VALUES,
                              ids=[flag[2:] + (f"={value}" if "," in value else "")

@@ -216,7 +216,7 @@ class TestCsv:
         ]
         path = tmp_path / "wide.csv"
         save_wide_csv(series, path)
-        loaded = load_csv(path, "wide")
+        loaded = load_csv(path)
         assert [s.id for s in loaded] == ["a", "b"]
         for orig, back in zip(series, loaded):
             np.testing.assert_array_equal(orig.values, back.values)
@@ -231,7 +231,7 @@ class TestCsv:
             lines.append((tmp_path / f"{s.id}.csv").read_bytes().rstrip(b"\n").split(b"\n"))
         joined = tmp_path / "joined.csv"
         joined.write_bytes(b"".join(a + b"," + b + b"\n" for a, b in zip(*lines)))
-        loaded = load_csv(joined, "wide")
+        loaded = load_csv(joined)
         assert [s.id for s in loaded] == ["a", "b"]
         for orig, back in zip(series, loaded):
             np.testing.assert_array_equal(orig.values, back.values)
@@ -241,7 +241,7 @@ class TestCsv:
         series = [TimeSeries(rng.normal(size=791), id=f"T{i + 1}") for i in range(111)]
         path = tmp_path / "bank.csv"
         save_wide_csv(series, path)
-        loaded = load_csv(path, "wide")
+        loaded = load_csv(path)
         assert len(loaded) == 111
         assert all(len(s) == 791 for s in loaded)
         assert loaded[0].id == "T1"
@@ -257,7 +257,7 @@ class TestCsv:
             "a,2,20.0\n"
             "b,2,200.0\n"
         )
-        loaded = load_csv(path, "long")
+        loaded = load_csv(path)
         by_id = {s.id: s for s in loaded}
         np.testing.assert_array_equal(by_id["a"].values, [10.0, 20.0, 30.0])
         np.testing.assert_array_equal(by_id["b"].values, [100.0, 200.0])
@@ -266,7 +266,7 @@ class TestCsv:
         path = tmp_path / "dup.csv"
         path.write_text("id,t,value\na,1,10.0\na,1,11.0\n")
         with pytest.raises(ParseError, match="repeats row 2") as excinfo:
-            load_csv(path, "long")
+            load_csv(path)
         assert excinfo.value.row == 3
 
     def test_long_time_gap_rejected(self, tmp_path):
@@ -274,75 +274,97 @@ class TestCsv:
         path = tmp_path / "gap.csv"
         path.write_text("id,t,value\na,1,10.0\nb,1,1.0\na,2,20.0\na,5,50.0\n")
         with pytest.raises(MissingValue, match="series 'a' has no value at t 3") as excinfo:
-            load_csv(path, "long")
+            load_csv(path)
         assert excinfo.value.row == 5
 
     def test_long_bad_header(self, tmp_path):
+        # any header but id,t,value is the wide layout, where every cell is a number
         path = tmp_path / "hdr.csv"
         path.write_text("series,time,y\na,1,10.0\n")
-        with pytest.raises(ParseError):
-            load_csv(path, "long")
+        with pytest.raises(ParseError, match="cannot parse 'a' as a number") as excinfo:
+            load_csv(path)
+        assert (excinfo.value.row, excinfo.value.col) == (2, 1)
+
+    def test_header_says_the_layout(self, tmp_path):
+        path = tmp_path / "hdr.csv"
+        # id,t,value in any case is the long layout
+        path.write_text("ID,T,Value\na,2,20.0\na,1,10.0\n")
+        (loaded,) = load_csv(path)
+        assert loaded.id == "a"
+        np.testing.assert_array_equal(loaded.values, [10.0, 20.0])
+        # so three wide series named id, t and value read as one long series
+        path.write_text("id,t,value\n1,1,5.0\n1,2,6.0\n")
+        (loaded,) = load_csv(path)
+        assert loaded.id == "1"
+        np.testing.assert_array_equal(loaded.values, [5.0, 6.0])
+        # a header with one more or one fewer name is wide
+        for text, ids in (("id,t\n1,2\n", ["id", "t"]),
+                          ("id,t,value,w\n1,2,3,4\n", ["id", "t", "value", "w"])):
+            path.write_text(text)
+            assert [s.id for s in load_csv(path)] == ids, text
 
     def test_missing_value_location(self, tmp_path):
         path = tmp_path / "gap.csv"
         path.write_text("a,b\n1.0,2.0\n3.0,\n")
         with pytest.raises(MissingValue) as excinfo:
-            load_csv(path, "wide")
+            load_csv(path)
         assert excinfo.value.row == 3
         assert excinfo.value.col == 2
 
     def test_parse_error_location(self, tmp_path):
-        # (layout, text, row, col); a non-finite number is no value either
-        cases = [("wide", "a,b\n1.0,2.0\noops,4.0\n", 3, 1)]
+        # (text, row, col), wide then long; a non-finite number is no value either
+        cases = [("a,b\n1.0,2.0\noops,4.0\n", 3, 1)]
         for cell in ("nan", "inf", "-inf"):
-            cases.append(("wide", f"a,b\n1.0,2.0\n3.0,{cell}\n", 3, 2))
-            cases.append(("long", f"id,t,value\na,1,1.0\na,2,{cell}\n", 3, 3))
+            cases.append((f"a,b\n1.0,2.0\n3.0,{cell}\n", 3, 2))
+            cases.append((f"id,t,value\na,1,1.0\na,2,{cell}\n", 3, 3))
         # blank lines are skipped but still count as file lines
-        cases.append(("wide", "a,b\n\n1.0,2.0\n\noops,4.0\n", 5, 1))
-        cases.append(("long", "id,t,value\n\na,1,1.0\n\na,2,nan\n", 5, 3))
+        cases.append(("a,b\n\n1.0,2.0\n\noops,4.0\n", 5, 1))
+        cases.append(("id,t,value\n\na,1,1.0\n\na,2,nan\n", 5, 3))
         # a line of delimiters is a row of blank cells, not a blank line
-        cases.append(("wide", "a,b\n1.0,2.0\n,\n3.0,4.0\n", 3, 1))
-        cases.append(("long", "id,t,value\na,1,1.0\n,,\na,2,2.0\n", 3, 1))
+        cases.append(("a,b\n1.0,2.0\n,\n3.0,4.0\n", 3, 1))
+        cases.append(("id,t,value\na,1,1.0\n,,\na,2,2.0\n", 3, 1))
         # a blank line inside a one-column body is that row's blank cell
-        cases.append(("wide", "a\n1.0\n\n3.0\n4.0\n", 3, 1))
+        cases.append(("a\n1.0\n\n3.0\n4.0\n", 3, 1))
+        # a blank name is at its column of the header line
+        cases.append(("a,,b\n1.0,2.0,3.0\n", 1, 2))
         path = tmp_path / "bad.csv"
-        for layout, text, row, col in cases:
+        for text, row, col in cases:
             path.write_text(text)
             with pytest.raises(ParseError) as excinfo:
-                load_csv(path, layout)
+                load_csv(path)
             assert (excinfo.value.row, excinfo.value.col) == (row, col), text
 
-    @pytest.mark.parametrize("layout, text", [
-        ("wide", "a,b\n1.0,2.0\n3.0,4.0\n"),
-        ("long", "id,t,value\na,1,1.0\nb,1,2.0\na,2,3.0\nb,2,4.0\n"),
+    @pytest.mark.parametrize("text", [
+        "a,b\n1.0,2.0\n3.0,4.0\n",
+        "id,t,value\na,1,1.0\nb,1,2.0\na,2,3.0\nb,2,4.0\n",
     ], ids=["wide", "long"])
-    def test_byte_order_mark_is_not_part_of_the_header(self, tmp_path, layout, text):
+    def test_byte_order_mark_is_not_part_of_the_header(self, tmp_path, text):
         plain, marked = tmp_path / "plain.csv", tmp_path / "bom.csv"
         plain.write_text(text, encoding="utf-8")
         marked.write_text("\ufeff" + text, encoding="utf-8")
-        loaded = load_csv(marked, layout)
+        loaded = load_csv(marked)
         assert [s.id for s in loaded] == ["a", "b"]
-        for got, want in zip(loaded, load_csv(plain, layout)):
+        for got, want in zip(loaded, load_csv(plain)):
             np.testing.assert_array_equal(got.values, want.values)
 
     def test_ragged_wide_row_rejected(self, tmp_path):
         path = tmp_path / "ragged.csv"
         path.write_text("a,b\n1.0,2.0\n3.0\n")
         with pytest.raises(ParseError):
-            load_csv(path, "wide")
+            load_csv(path)
 
     def test_duplicate_wide_ids_rejected(self, tmp_path):
         path = tmp_path / "dupid.csv"
         path.write_text("a,a\n1.0,2.0\n")
         with pytest.raises(ParseError, match="repeated name 'a' in header") as excinfo:
-            load_csv(path, "wide")
+            load_csv(path)
         assert (excinfo.value.row, excinfo.value.col) == (1, 2)
 
     def test_header_only_file(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("a,b\n")
         with pytest.raises(EmptyFile):
-            load_csv(path, "wide")
+            load_csv(path)
 
     def test_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "blank.csv"
@@ -356,13 +378,7 @@ class TestCsv:
         ]
         for text, values in cases:
             path.write_text(text)
-            assert [s.values.tolist() for s in load_csv(path, "wide")] == values, text
-
-    def test_unknown_layout(self, tmp_path):
-        path = tmp_path / "x.csv"
-        path.write_text("a\n1.0\n")
-        with pytest.raises(ValueError):
-            load_csv(path, "matrix")
+            assert [s.values.tolist() for s in load_csv(path)] == values, text
 
     def test_save_rejects_unequal_lengths(self, tmp_path):
         series = [TimeSeries(np.arange(3.0)), TimeSeries(np.arange(4.0), id="b")]

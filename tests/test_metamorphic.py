@@ -93,18 +93,19 @@ def test_each_series_gets_the_same_intervals_in_any_file(tmp_path):
         name, *cells = path.read_text(encoding="utf-8").splitlines()
         columns[name] = cells
     (a, a_cells), (b, b_cells) = columns.items()
+    # the header says the layout: id,t,value is long, any other is wide
     files = {
-        "wide": ("wide", [f"{a},{b}"] + [f"{x},{y}" for x, y in zip(a_cells, b_cells)]),
-        "swapped": ("wide", [f"{b},{a}"] + [f"{y},{x}" for x, y in zip(a_cells, b_cells)]),
-        "long": ("long", ["id,t,value"] + [f"{sid},{t},{cell}" for sid in (b, a)
-                                           for t, cell in enumerate(columns[sid])]),
+        "wide": [f"{a},{b}"] + [f"{x},{y}" for x, y in zip(a_cells, b_cells)],
+        "swapped": [f"{b},{a}"] + [f"{y},{x}" for x, y in zip(a_cells, b_cells)],
+        "long": ["id,t,value"] + [f"{sid},{t},{cell}" for sid in (b, a)
+                                  for t, cell in enumerate(columns[sid])],
     }
     runs = {}
-    for label, (layout, lines) in files.items():
+    for label, lines in files.items():
         data = tmp_path / f"{label}.csv"
         data.write_text("\n".join(lines) + "\n", encoding="utf-8")
         out = tmp_path / label
-        assert main(["run", "--data", str(data), "--layout", layout, "--method", "enbpi",
+        assert main(["run", "--data", str(data), "--method", "enbpi",
                      "--epochs", "2", "--workers", "1", "--out", str(out)]) == 0
         runs[label] = intervals_by_series(out)
     assert sorted(runs["wide"]) == sorted([a, b])

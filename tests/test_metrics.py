@@ -182,6 +182,8 @@ class TestEvaluate:
             evaluate(*ivs([(0.0, 1.0)]), [0.5, 0.7], [1])
         with pytest.raises(LengthMismatch):
             evaluate(*ivs([(0.0, 1.0)]), [0.5], [1], reference=ivs([(0.0, 1.0), (0.0, 2.0)]))
+        with pytest.raises(LengthMismatch, match="intervals, y and horizons must align"):
+            evaluate(*ivs([(0.0, 1.0), (0.0, 1.0)]), [0.5, 0.7], [1])
 
 
 @st.composite
