@@ -175,10 +175,16 @@ class BootstrapEnsemble:
 
 def _train_net(frame: SupervisedFrame, rows, tau: float | None, seed: int,
                config: TrainConfig):
-    """Train one net at ``seed`` on the frame's ``rows`` (an index array or a
-    slice): a pinball net at level ``tau``, or a squared-error net if None."""
+    """Train one net at ``seed`` on the frame's ``rows``: a pinball net at
+    level ``tau``, or a squared-error net if None. A bag (an index array)
+    trains on its distinct rows, each weighted by how often it was drawn;
+    a slice trains on its rows at unit counts."""
+    counts = None
+    if not isinstance(rows, slice):
+        rows, counts = np.unique(rows, return_counts=True)
     sub = SupervisedFrame(frame.covariates[rows], frame.targets[rows])
-    return mse_train(sub, config, seed) if tau is None else train(sub, tau, config, seed)
+    return (mse_train(sub, config, seed, counts) if tau is None
+            else train(sub, tau, config, seed, counts))
 
 
 def _check_bags(n_models: int, n_rows: int | None = None) -> None:
@@ -202,8 +208,9 @@ def fit_ensemble(
     with-replacement row resamples; one ensemble per level, in order.
 
     A level in (0, 1) trains pinball nets, None squared-error nets. Every
-    level's member b trains on bag b at seed ``derive_seed(seed, "member",
-    b, "mse" or str(tau))``, so the ensembles pair up member for member.
+    level's member b trains on bag b, its distinct rows weighted by their
+    counts, at seed ``derive_seed(seed, "member", b, "mse" or str(tau))``,
+    so the ensembles pair up member for member.
     The bags depend only on ``seed`` and the frame's row count.
     """
     _check_bags(n_models, frame.n_rows)

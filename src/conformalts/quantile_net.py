@@ -10,7 +10,7 @@ Everything is float64 and seeded: two trainings with the same data, config
 and seed produce bitwise identical parameters.
 
 Training runs on one private kernel (``_Kernel``) built once per fit for
-the layer sizes and row count. It owns flat parameter, gradient and Adam
+the layer sizes and row counts. It owns flat parameter, gradient and Adam
 moment vectors with per-layer views, and preallocated output, delta and
 mask arrays, so an epoch allocates nothing: its forward pass is
 ``forward`` writing into the preallocated outputs, every backward product
@@ -18,9 +18,18 @@ is a ``np.matmul(..., out=)``, masks apply in place, and one elementwise
 Adam update covers every parameter. ``loss_and_gradients`` runs the same
 kernel once, so the gradient check tests the code training runs.
 
+Every fit is count-weighted: row i of the frame stands for ``counts[i]``
+copies of itself (default one), so a bootstrap bag trains on its distinct
+rows, with the loss sum(counts * terms) / (sum(counts) * H) and the
+standardization of the bag as drawn. That is the loss over the gathered
+bag, duplicates included, up to rounding (the bootstrap's resampling
+weights; Efron & Tibshirani 1993), at the cost of the distinct rows only.
+
 Exactness rule: the kernel keeps every element's sequence of float64
 operations, so its results equal a straightforward per-array
-implementation bit for bit (``tests/oracles.py::ref_fit``). Rewrites that
+implementation bit for bit (``tests/oracles.py::ref_fit``), and unit
+counts reproduce the unweighted kernel bit for bit: a product by 1.0 and
+a division by n * H, the same number as the element count. Rewrites that
 change bits, and so change every downstream interval, include training
 several members in one multi-member gemm, folding the bias into the gemm
 as an extra input column, float32 arithmetic, a different reduction shape
@@ -158,7 +167,8 @@ def init_net(
 
 
 class _Kernel:
-    """Full-batch training buffers for one layer shape on ``n_rows`` rows.
+    """Full-batch training buffers for one layer shape on rows weighted by
+    ``counts``, one positive count per row.
 
     Parameters and gradients live in flat vectors (every weight matrix, then
     every bias) exposed as per-layer C-ordered views, so the Adam update is
@@ -167,7 +177,11 @@ class _Kernel:
     nothing per call. ``tau`` None means squared error, else pinball at tau.
     """
 
-    def __init__(self, layer_sizes: tuple[int, ...], n_rows: int):
+    def __init__(self, layer_sizes: tuple[int, ...], counts: np.ndarray):
+        n_rows = len(counts)
+        # each row's count as a column, and the loss's divisor sum(counts) * H
+        self._counts = np.asarray(counts, dtype=float)[:, None]
+        self._total = float(np.sum(counts)) * layer_sizes[-1]
         shapes = list(zip(layer_sizes[:-1], layer_sizes[1:]))
         size = sum(i * o + o for i, o in shapes)
         self.params = np.zeros(size)
@@ -191,7 +205,7 @@ class _Kernel:
             dst[...] = src
 
     def loss(self, X: np.ndarray, Y: np.ndarray, tau: float | None) -> float:
-        """Forward pass over X and the mean loss against Y."""
+        """Forward pass over X and the count-weighted mean loss against Y."""
         u, terms = self._resid, self._terms
         np.subtract(Y, forward(self._layers, X, self._outs), out=u)
         if tau is None:
@@ -201,7 +215,8 @@ class _Kernel:
             np.multiply(u, tau, out=terms)
             np.multiply(u, tau - 1.0, out=other)
             np.maximum(terms, other, out=terms)
-        return float(np.mean(terms))
+        terms *= self._counts
+        return float(np.sum(terms)) / self._total
 
     def backward(self, X: np.ndarray, Y: np.ndarray, tau: float | None) -> None:
         """Gradients of the loss of the last ``loss`` call, into ``grads``.
@@ -216,7 +231,8 @@ class _Kernel:
             below = self._masks[-1]
             np.less(self._resid, 0.0, out=below)
             np.subtract(below, tau, out=d)
-        d /= d.size
+        d *= self._counts
+        d /= self._total
         for k in range(len(self.weights) - 1, -1, -1):
             a = X if k == 0 else self._outs[k - 1]
             np.matmul(a.T, d, out=self.grad_w[k])
@@ -264,9 +280,22 @@ def _layer_views(flat: np.ndarray, shapes):
     return weights, biases
 
 
-def loss_and_gradients(net: QuantileNet, X: np.ndarray, Y: np.ndarray):
-    """Mean loss over all rows and output components, with gradients for
-    every weight matrix and bias vector.
+def _row_counts(counts, n_rows: int) -> np.ndarray:
+    """``counts`` as one positive integer per row, or ones if None; else a
+    ValueError."""
+    if counts is None:
+        return np.ones(n_rows, dtype=np.int64)
+    counts = np.asarray(counts)
+    if counts.shape != (n_rows,) or counts.dtype.kind not in "iu" or np.any(counts < 1):
+        raise ValueError(f"counts must be one positive integer per row ({n_rows}), "
+                         f"got shape {counts.shape} of {counts.dtype}")
+    return counts
+
+
+def loss_and_gradients(net: QuantileNet, X: np.ndarray, Y: np.ndarray, counts=None):
+    """Mean loss over all rows and output components, each row weighted by
+    its entry in ``counts`` (default one), with gradients for every weight
+    matrix and bias vector.
 
     The loss is the net's own: pinball at ``net.tau`` (at a zero residual
     the subgradient takes the tau branch), or squared error when tau is
@@ -275,7 +304,7 @@ def loss_and_gradients(net: QuantileNet, X: np.ndarray, Y: np.ndarray):
     """
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
-    kernel = _Kernel(net.layer_sizes, X.shape[0])
+    kernel = _Kernel(net.layer_sizes, _row_counts(counts, X.shape[0]))
     kernel.load(net.weights, net.biases)
     loss = kernel.loss(X, Y, net.tau)
     kernel.backward(X, Y, net.tau)
@@ -283,19 +312,22 @@ def loss_and_gradients(net: QuantileNet, X: np.ndarray, Y: np.ndarray):
 
 
 def _fit(frame: SupervisedFrame, tau: float | None, config: TrainConfig,
-         seed: int) -> QuantileNet:
+         seed: int, counts) -> QuantileNet:
     # Optimize in standardized units (series values can sit far from the
     # origin, which starves full-batch Adam at a fixed step size), then fold
     # the affine maps into the first and last layers so the returned net
-    # works in original units.
-    loc = float(np.mean(frame.covariates))
-    scale = float(np.std(frame.covariates))
+    # works in original units. The units are the bag's: every row as many
+    # times as it counts.
+    counts = _row_counts(counts, frame.n_rows)
+    bag = np.repeat(frame.covariates, counts, axis=0)
+    loc = float(np.mean(bag))
+    scale = float(np.std(bag))
     if not scale > 0.0:
         scale = 1.0
     X = (frame.covariates - loc) / scale
     Y = (frame.targets - loc) / scale
     init = init_net(frame.n_lags, frame.horizon, tuple(config.hidden), tau, seed)
-    kernel = _Kernel(init.layer_sizes, X.shape[0])
+    kernel = _Kernel(init.layer_sizes, counts)
     kernel.load(init.weights, init.biases)
     history = []  # the loss before every Adam step and after the last
     for step in range(1, config.epochs + 2):
@@ -318,15 +350,18 @@ def _fit(frame: SupervisedFrame, tau: float | None, config: TrainConfig,
 
 
 def train(frame: SupervisedFrame, tau: float, config: TrainConfig,
-          seed: int = 0) -> QuantileNet:
+          seed: int = 0, counts=None) -> QuantileNet:
     """Fit a quantile network at level tau on the frame (full-batch Adam),
-    from the initial weights of ``seed``. A tau outside (0, 1) is the
-    initial net's InvalidTau, raised before the first epoch."""
-    return _fit(frame, tau, config, seed)
+    from the initial weights of ``seed``, each row weighted by its entry in
+    ``counts`` (default one; see the module docstring). A tau outside
+    (0, 1) is the initial net's InvalidTau, raised before the first epoch."""
+    return _fit(frame, tau, config, seed, counts)
 
 
-def mse_train(frame: SupervisedFrame, config: TrainConfig, seed: int = 0) -> QuantileNet:
+def mse_train(frame: SupervisedFrame, config: TrainConfig, seed: int = 0,
+              counts=None) -> QuantileNet:
     """Fit a point-forecast network on squared error (tau is None), from the
-    initial weights of ``seed``."""
-    return _fit(frame, None, config, seed)
+    initial weights of ``seed``, each row weighted by its entry in
+    ``counts`` (default one)."""
+    return _fit(frame, None, config, seed, counts)
 

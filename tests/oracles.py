@@ -281,9 +281,15 @@ def sim_enbcqr(train_values, test_values, p, H, alpha,
     return blocks
 
 
-def ref_fit(covariates, targets, tau, epochs, lr, seed, hidden):
+def ref_fit(covariates, targets, tau, epochs, lr, seed, hidden, counts=None):
     """Train a ReLU network the straightforward way; tau None means squared
     error, else pinball loss at tau.
+
+    ``counts`` None is the plain mean loss over every row and output.
+    Otherwise row i stands for ``counts[i]`` copies of itself: the
+    standardization is taken over the rows repeated by their counts, the
+    loss is sum(counts * terms) / (sum(counts) * H), and the output delta
+    is multiplied by the counts before that division.
 
     Inputs and targets are standardized by the covariates' mean and
     standard deviation, weights start fan-in uniform from
@@ -294,8 +300,9 @@ def ref_fit(covariates, targets, tau, epochs, lr, seed, hidden):
     """
     X = np.asarray(covariates, dtype=float)
     Y = np.asarray(targets, dtype=float)
-    loc = float(np.mean(X))
-    scale = float(np.std(X))
+    bag = X if counts is None else np.repeat(X, counts, axis=0)
+    loc = float(np.mean(bag))
+    scale = float(np.std(bag))
     if not scale > 0.0:
         scale = 1.0
     X = (X - loc) / scale
@@ -318,10 +325,15 @@ def ref_fit(covariates, targets, tau, epochs, lr, seed, hidden):
             inputs.append(a)
         return inputs, preacts, a @ weights[-1] + biases[-1]
 
+    if counts is not None:
+        w = np.asarray(counts, dtype=float)[:, None]
+        total = float(np.sum(counts)) * Y.shape[1]
+
     def mean_loss(u):
-        if tau is None:
-            return float(np.mean(u * u))
-        return float(np.mean(np.maximum(tau * u, (tau - 1.0) * u)))
+        terms = u * u if tau is None else np.maximum(tau * u, (tau - 1.0) * u)
+        if counts is None:
+            return float(np.mean(terms))
+        return float(np.sum(terms * w)) / total
 
     m = [np.zeros_like(p) for p in weights + biases]
     v = [np.zeros_like(p) for p in weights + biases]
@@ -330,10 +342,8 @@ def ref_fit(covariates, targets, tau, epochs, lr, seed, hidden):
         inputs, preacts, out = forward()
         u = Y - out
         losses.append(mean_loss(u))
-        if tau is None:
-            delta = (2.0 * (out - Y)) / u.size
-        else:
-            delta = np.where(u >= 0.0, -tau, 1.0 - tau) / u.size
+        delta = 2.0 * (out - Y) if tau is None else np.where(u >= 0.0, -tau, 1.0 - tau)
+        delta = delta / u.size if counts is None else (delta * w) / total
         grad_w = [None] * len(weights)
         grad_b = [None] * len(weights)
         for k in range(len(weights) - 1, -1, -1):

@@ -143,40 +143,43 @@ def test_criterion_03_adaptive_miss_bound():
 
 
 def test_criterion_04_pinball_gradient():
-    """Analytic pinball gradients match central finite differences."""
+    """Analytic pinball gradients match central finite differences, with
+    unit row counts and with the non-unit counts of a weighted bag."""
     rng = np.random.default_rng(404)
     net = init_net(3, 2, (10, 6), 0.25, seed=44)
     X = rng.normal(size=(40, 3))
     Y = rng.normal(size=(40, 2)) * 2.0 + 3.0
+    bag_counts = rng.integers(1, 4, size=40)
     margin = float(np.min(np.abs(Y - net.predict_batch(X))))
     assert margin > 1e-3  # keeps every finite-difference evaluation off the kink
 
-    _, grad_w, grad_b = loss_and_gradients(net, X, Y)
     h = 1e-5
     checked = 0
     worst_rel = 0.0
     worst_zero = 0.0
-    for params, grads in ((net.weights, grad_w), (net.biases, grad_b)):
-        for p_arr, g_arr in zip(params, grads):
-            flat_p = p_arr.reshape(-1)
-            flat_g = g_arr.reshape(-1)
-            for i in range(flat_p.size):
-                orig = flat_p[i]
-                flat_p[i] = orig + h
-                up, _, _ = loss_and_gradients(net, X, Y)
-                flat_p[i] = orig - h
-                down, _, _ = loss_and_gradients(net, X, Y)
-                flat_p[i] = orig
-                fd = (up - down) / (2.0 * h)
-                if abs(fd) > 1e-12:
-                    worst_rel = max(worst_rel, abs(flat_g[i] - fd) / abs(fd))
-                else:
-                    worst_zero = max(worst_zero, abs(flat_g[i]))
-                checked += 1
-    ok = checked >= 100 and worst_rel < 1e-4 and worst_zero < 1e-8
-    _line(4, ok, f"{checked} parameter coordinates, h 1e-5, "
+    for counts in (None, bag_counts):
+        _, grad_w, grad_b = loss_and_gradients(net, X, Y, counts)
+        for params, grads in ((net.weights, grad_w), (net.biases, grad_b)):
+            for p_arr, g_arr in zip(params, grads):
+                flat_p = p_arr.reshape(-1)
+                flat_g = g_arr.reshape(-1)
+                for i in range(flat_p.size):
+                    orig = flat_p[i]
+                    flat_p[i] = orig + h
+                    up, _, _ = loss_and_gradients(net, X, Y, counts)
+                    flat_p[i] = orig - h
+                    down, _, _ = loss_and_gradients(net, X, Y, counts)
+                    flat_p[i] = orig
+                    fd = (up - down) / (2.0 * h)
+                    if abs(fd) > 1e-12:
+                        worst_rel = max(worst_rel, abs(flat_g[i] - fd) / abs(fd))
+                    else:
+                        worst_zero = max(worst_zero, abs(flat_g[i]))
+                    checked += 1
+    ok = checked >= 200 and worst_rel < 1e-4 and worst_zero < 1e-8
+    _line(4, ok, f"{checked} parameter coordinates over unit and bag counts, h 1e-5, "
                  f"worst relative error {worst_rel:.2e} < 1e-4")
-    assert checked >= 100
+    assert checked >= 200
     assert worst_rel < 1e-4
     assert worst_zero < 1e-8
 

@@ -302,7 +302,8 @@ class TestFitEnsemble:
 
     def test_one_call_shares_bags_across_levels(self, rng):
         # one bag draw serves every level; member b of each level is the net
-        # trained on bag b at derive_seed(seed, "member", b, "mse" or str(tau))
+        # trained on bag b's distinct rows, weighted by their counts, at
+        # derive_seed(seed, "member", b, "mse" or str(tau))
         frame = SupervisedFrame(rng.normal(size=(25, 3)), rng.normal(size=(25, 2)))
         cfg, taus = TrainConfig(epochs=3, hidden=(4,)), (0.05, None, 0.95)
         ensembles = fit_ensemble(frame, taus, 3, seed=13, config=cfg)
@@ -313,10 +314,11 @@ class TestFitEnsemble:
             for b, (member, idx) in enumerate(zip(ens.members, ens.index_sets)):
                 np.testing.assert_array_equal(idx, bags[b])
                 assert member.tau == tau
-                sub = SupervisedFrame(frame.covariates[idx], frame.targets[idx])
+                rows, counts = np.unique(idx, return_counts=True)
+                sub = SupervisedFrame(frame.covariates[rows], frame.targets[rows])
                 member_seed = derive_seed(13, "member", b, "mse" if tau is None else str(tau))
-                direct = (quantile_net.mse_train(sub, cfg, member_seed) if tau is None
-                          else quantile_net.train(sub, tau, cfg, member_seed))
+                direct = (quantile_net.mse_train(sub, cfg, member_seed, counts) if tau is None
+                          else quantile_net.train(sub, tau, cfg, member_seed, counts))
                 for got, want in zip(member.weights + member.biases,
                                      direct.weights + direct.biases):
                     np.testing.assert_array_equal(got, want)
@@ -324,15 +326,18 @@ class TestFitEnsemble:
     @pytest.mark.parametrize("tau", [0.05, None])
     def test_member_is_a_net_trained_on_its_rows_at_its_seed(self, rng, tau):
         # the member seed scheme, derive_seed(seed, "member", b, "mse" or
-        # str(tau)), over the member's bootstrap rows of the frame
+        # str(tau)), over the distinct rows of the member's bootstrap bag,
+        # each weighted by how often the bag drew it
         frame = SupervisedFrame(rng.normal(size=(25, 3)), rng.normal(size=(25, 2)))
         cfg = TrainConfig(epochs=3, hidden=(4,))
         (ens,) = fit_ensemble(frame, (tau,), 3, seed=13, config=cfg)
         for b, (member, idx) in enumerate(zip(ens.members, ens.index_sets)):
-            sub = SupervisedFrame(frame.covariates[idx], frame.targets[idx])
+            rows, counts = np.unique(idx, return_counts=True)
+            assert counts.sum() == idx.size and np.any(counts > 1)  # a bag with repeats
+            sub = SupervisedFrame(frame.covariates[rows], frame.targets[rows])
             member_seed = derive_seed(13, "member", b, "mse" if tau is None else str(tau))
-            direct = (quantile_net.mse_train(sub, cfg, member_seed) if tau is None
-                      else quantile_net.train(sub, tau, cfg, member_seed))
+            direct = (quantile_net.mse_train(sub, cfg, member_seed, counts) if tau is None
+                      else quantile_net.train(sub, tau, cfg, member_seed, counts))
             for got, want in zip(member.weights + member.biases, direct.weights + direct.biases):
                 np.testing.assert_array_equal(got, want)
 

@@ -14,6 +14,7 @@ from conformalts.quantile_net import (
     pinball_loss,
     train,
 )
+from conformalts.seeding import spawn_rng
 
 
 def small_frame(rng, n_rows=60, n_lags=3, horizon=2):
@@ -189,6 +190,45 @@ class TestGradients:
         assert loss == pytest.approx(pinball_loss(Y, net.predict_batch(X), 0.7), rel=1e-12)
 
 
+def _bag(n_rows, seed):
+    """A bootstrap bag drawn as ``pipelines.fit_ensemble`` draws its first
+    one, and its distinct rows with their counts."""
+    idx = spawn_rng(seed, "bootstrap").integers(0, n_rows, size=n_rows)
+    rows, counts = np.unique(idx, return_counts=True)
+    assert counts.max() > 1  # the bag repeats rows, so the weights are not all 1
+    return idx, rows, counts
+
+
+class TestCountWeights:
+    """A bag's distinct rows weighted by their counts give the loss and the
+    gradients of the bag's gathered rows, up to rounding."""
+
+    @pytest.mark.parametrize("hidden", [(4,), (64, 64)], ids=["hidden-4", "hidden-64-64"])
+    @pytest.mark.parametrize("tau", [0.05, None], ids=["pinball-0.05", "squared-None"])
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_distinct_rows_with_counts_equal_gathered_rows(self, hidden, tau, seed):
+        frame = _kernel_frames()["mimo"]
+        X, Y = frame.covariates, frame.targets
+        idx, rows, counts = _bag(frame.n_rows, seed)
+        net = init_net(frame.n_lags, frame.horizon, hidden, tau, seed=seed)
+        gathered = loss_and_gradients(net, X[idx], Y[idx])
+        weighted = loss_and_gradients(net, X[rows], Y[rows], counts)
+        assert weighted[0] == pytest.approx(gathered[0], rel=1e-12, abs=0.0)
+        for got, want in zip(weighted[1] + weighted[2], gathered[1] + gathered[2]):
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("counts", [[1, 2], [1, 0, 2], [1.0, 2.0, 1.0], [[1, 2, 1]]],
+                             ids=["short", "zero", "float", "2-d"])
+    def test_counts_are_one_positive_integer_per_row(self, rng, counts):
+        net = init_net(2, 1, (3,), 0.5, seed=0)
+        X, Y = rng.normal(size=(3, 2)), rng.normal(size=(3, 1))
+        with pytest.raises(ValueError, match="counts must be one positive integer per row"):
+            loss_and_gradients(net, X, Y, np.array(counts))
+        with pytest.raises(ValueError, match="counts must be one positive integer per row"):
+            train(SupervisedFrame(X, Y), 0.5, TrainConfig(epochs=1, hidden=(3,)), 0,
+                  np.array(counts))
+
+
 def _forward(net, X):
     a = np.asarray(X, dtype=float)
     for W, b in zip(net.weights[:-1], net.biases[:-1]):
@@ -327,4 +367,43 @@ class TestKernelMatchesReference:
         for got, want in zip(net.weights + net.biases, weights + biases):
             assert np.array_equal(got, want)
             assert got.flags.owndata and got.flags.c_contiguous
+
+    @pytest.mark.parametrize("kind", ["mimo", "recursive"])
+    @pytest.mark.parametrize("hidden", [(4,), (64, 64)])
+    @pytest.mark.parametrize("tau", [0.05, None])
+    def test_bitwise_equal_with_counts(self, kind, hidden, tau):
+        # a bootstrap bag's distinct rows, weighted by their counts
+        frame = self.FRAMES[kind]
+        _, rows, counts = _bag(frame.n_rows, 3)
+        sub = SupervisedFrame(frame.covariates[rows], frame.targets[rows])
+        cfg, seed = TrainConfig(epochs=300, learning_rate=3e-3, hidden=hidden), 11
+        net = (mse_train(sub, cfg, seed, counts) if tau is None
+               else train(sub, tau, cfg, seed, counts))
+        weights, biases, losses = oracles.ref_fit(
+            sub.covariates, sub.targets, tau, cfg.epochs, cfg.learning_rate, seed, hidden, counts
+        )
+        assert net.loss_history == losses
+        for got, want in zip(net.weights + net.biases, weights + biases):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("tau", [0.05, None])
+    def test_unit_counts_are_the_unweighted_fit(self, tau):
+        # explicit unit counts train the net the call without counts trains,
+        # and both are the unweighted reference (plain means) bit for bit
+        frame = self.FRAMES["mimo"]
+        cfg, seed = TrainConfig(epochs=100, learning_rate=3e-3, hidden=(16, 8)), 5
+
+        def fit(*counts):
+            return (mse_train(frame, cfg, seed, *counts) if tau is None
+                    else train(frame, tau, cfg, seed, *counts))
+
+        plain, unit = fit(), fit(np.ones(frame.n_rows, dtype=int))
+        weights, biases, losses = oracles.ref_fit(
+            frame.covariates, frame.targets, tau, cfg.epochs, cfg.learning_rate, seed, cfg.hidden
+        )
+        assert unit.loss_history == plain.loss_history == losses
+        for got, same, want in zip(unit.weights + unit.biases, plain.weights + plain.biases,
+                                   weights + biases):
+            assert np.array_equal(_bits(got), _bits(same))
+            assert np.array_equal(_bits(got), _bits(want))
 
