@@ -3,10 +3,11 @@
 The synthetic process starts from ``WARMUP`` (40) uniform draws. From then
 on each value is Gaussian around the log of the sum of the squared last
 ``WARMUP`` values, with a standard deviation that grows linearly in time,
-so both the level and the spread drift. Because the generator knows mu_t
-and sigma_t it also returns the exact central (1 - alpha) interval per
-step, which downstream code uses as the reference when judging predicted
-intervals.
+so both the level and the spread drift. The Gaussian draws, and the
+oracle's z, are the standard library's ``statistics.NormalDist().inv_cdf``.
+Because the generator knows mu_t and sigma_t it also returns the exact
+central (1 - alpha) interval per step, which downstream code uses as the
+reference when judging predicted intervals.
 """
 
 from __future__ import annotations
@@ -27,40 +28,11 @@ from .errors import (
 )
 from .framing import TimeSeries, band_levels
 
-# Rational approximation of the standard normal quantile (Acklam's
-# coefficients, absolute relative error below 1.2e-9).
-_A = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-      1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
-_B = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-      6.680131188771972e+01, -1.328068155288572e+01)
-_C = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-      -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
-_D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-      3.754408661907416e+00)
-_P_LOW = 0.02425
-
 # The synthetic warmup length, and the noise standard deviation c_t * mu_t
 # at 1-based step t with c_t = NOISE_C0 + NOISE_SLOPE * t.
 WARMUP = 40
 NOISE_C0 = 0.1
 NOISE_SLOPE = 0.001
-
-
-def norm_quantile(p: float) -> float:
-    """Standard normal quantile at probability p in (0, 1)."""
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"p must be in (0, 1), got {p}")
-    if p < _P_LOW:
-        q = math.sqrt(-2.0 * math.log(p))
-        return (((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q + _C[5]) / \
-            ((((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1.0)
-    if p > 1.0 - _P_LOW:
-        # the lower tail mirrored, bit for bit: here 1 - p is exact and below _P_LOW
-        return -norm_quantile(1.0 - p)
-    q = p - 0.5
-    r = q * q
-    return (((((_A[0] * r + _A[1]) * r + _A[2]) * r + _A[3]) * r + _A[4]) * r + _A[5]) * q / \
-        (((((_B[0] * r + _B[1]) * r + _B[2]) * r + _B[3]) * r + _B[4]) * r + 1.0)
 
 
 @dataclass(frozen=True)
@@ -99,10 +71,13 @@ def gen_synthetic(config: SyntheticConfig) -> tuple[TimeSeries, OracleIntervalSe
 
     y_t ~ Normal(mu_t, sd_t) for t > WARMUP (1-based), where mu_t is the log
     of the sum of the squared previous ``WARMUP`` values and sd_t = c_t * mu_t
-    with c_t = NOISE_C0 + NOISE_SLOPE * t. Gaussian draws are the normal
-    quantile transform of open-interval uniforms from the seeded generator,
-    so the trace is reproducible bit for bit from the seed.
+    with c_t = NOISE_C0 + NOISE_SLOPE * t. Gaussian draws are
+    ``NormalDist().inv_cdf`` of open-interval uniforms from the seeded
+    generator, so the trace is reproducible bit for bit from the seed.
     """
+    # here, not at the top: it loads fractions and decimal (5 ms), and CSV runs never generate
+    from statistics import NormalDist
+    quantile = NormalDist().inv_cdf
     rng = np.random.default_rng(config.seed)
     n, w = config.length, WARMUP
     y = np.empty(n, dtype=float)
@@ -119,10 +94,10 @@ def gen_synthetic(config: SyntheticConfig) -> tuple[TimeSeries, OracleIntervalSe
         sd = (NOISE_C0 + NOISE_SLOPE * (t + 1)) * m
         mu[t] = m
         sigma[t] = sd
-        yt = m + sd * norm_quantile(uniforms[t - w])
+        yt = m + sd * quantile(uniforms[t - w])
         y[t] = yt
         squares.append(yt * yt)
-    z = norm_quantile(band_levels(config.oracle_alpha)[1])
+    z = quantile(band_levels(config.oracle_alpha)[1])
     oracle = OracleIntervalSet(mu=mu, sigma=sigma, lower=mu - z * sigma, upper=mu + z * sigma)
     return TimeSeries(y, id=f"synthetic-{config.seed}"), oracle
 

@@ -49,7 +49,7 @@ class EmptyInput(ConformalTSError, ValueError):
 
 class ZeroRange(ConformalTSError, ValueError):
     """Normalization by the realized value range is impossible because the
-    range is zero."""
+    range is zero, or so small that the widths divided by it overflow."""
 
 
 class NonPositiveMean(ConformalTSError, ArithmeticError):

@@ -11,6 +11,7 @@ means across series, so a short series counts as much as a long one.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,18 +40,23 @@ def picp(lower, upper, y) -> float:
     return float(np.mean(covered(lower, upper, y)))
 
 
-def _span(y) -> float:
-    """The range of the realized values, pinaw's divisor; zero is ZeroRange."""
+def _span(y, widths) -> float:
+    """The range of the realized values, pinaw's divisor. A range that the
+    widths cannot be divided by (zero, or so small that the widest interval
+    over it overflows) is ZeroRange."""
     span = float(np.max(y) - np.min(y))
     if span == 0.0:
         raise ZeroRange("realized values have zero range")
+    if not math.isfinite(float(np.max(widths)) / span):
+        raise ZeroRange(f"interval widths divided by the realized range {span!r} overflow")
     return span
 
 
 def pinaw(lower, upper, y) -> float:
     """Mean interval width divided by the range of the realized values."""
     lower, upper, y = _aligned("pinaw", lower, upper, y)
-    return float(np.mean(upper - lower) / _span(y))
+    widths = upper - lower
+    return float(np.mean(widths) / _span(y, widths))
 
 
 def _iou(a_lo, a_hi, b_lo, b_hi) -> np.ndarray:
@@ -85,7 +91,8 @@ def evaluate(lower, upper, y, horizons, reference=None) -> EvalReport:
     """Build an EvalReport from flat aligned arrays.
 
     ``horizons`` gives the 1-based forecast step of each interval; the
-    per-horizon numbers restrict each metric to one step. ``reference`` is
+    per-horizon numbers restrict each metric to one step, so a step below 1,
+    or one missing below the largest, is LengthMismatch. ``reference`` is
     an optional (lower, upper) pair of reference bounds. The width
     normalizer stays the full-series value range so per-horizon pinaw values
     are comparable with each other.
@@ -95,16 +102,18 @@ def evaluate(lower, upper, y, horizons, reference=None) -> EvalReport:
     lower, upper, *refs, y = _aligned("evaluate", lower, upper, *refs, y)
     if horizons.size != y.size:
         raise LengthMismatch("intervals, y and horizons must align")
-    span = _span(y)
+    widths = upper - lower
+    span = _span(y, widths)
     # checked before any per-step index is built; np.unique imports numpy.ma (15 ms)
-    present = sorted(set(horizons[horizons >= 1].tolist()))
+    present = sorted(set(horizons.tolist()))
+    if present[0] < 1:
+        raise LengthMismatch(f"horizon step {present[0]} is below 1")
     for h, step in enumerate(present, start=1):
         if step != h:
             raise LengthMismatch(f"no intervals for horizon step {h}")
     steps = [np.flatnonzero(horizons == h) for h in present]
     # every report number is the mean of one per-interval array, overall or on one step
     hits = covered(lower, upper, y)
-    widths = upper - lower
     ious = _iou(lower, upper, *refs) if refs else None
     return EvalReport(
         picp=float(np.mean(hits)),

@@ -175,13 +175,10 @@ class BootstrapEnsemble:
 
 def _train_net(frame: SupervisedFrame, rows, tau: float | None, seed: int,
                config: TrainConfig):
-    """Train one net at ``seed`` on the frame's ``rows``: a pinball net at
-    level ``tau``, or a squared-error net if None. A bag (an index array)
-    trains on its distinct rows, each weighted by how often it was drawn;
-    a slice trains on its rows at unit counts."""
-    counts = None
-    if not isinstance(rows, slice):
-        rows, counts = np.unique(rows, return_counts=True)
+    """Train one net at ``seed`` on the frame's ``rows``, an index array: a
+    pinball net at level ``tau``, or a squared-error net if None. It trains
+    on the distinct rows, each weighted by how often ``rows`` holds it."""
+    rows, counts = np.unique(rows, return_counts=True)
     sub = SupervisedFrame(frame.covariates[rows], frame.targets[rows])
     return (mse_train(sub, config, seed, counts) if tau is None
             else train(sub, tau, config, seed, counts))
@@ -519,7 +516,7 @@ def run_mimocqr(
     n_fit = frame.n_rows - int(frame.n_rows * cal_fraction)
     if models is None:
         f_lo, f_hi = (
-            _train_net(frame, slice(n_fit), tau, derive_seed(seed, "mimocqr", side), config)
+            _train_net(frame, np.arange(n_fit), tau, derive_seed(seed, "mimocqr", side), config)
             for tau, side in zip(levels, ("lo", "hi")))
     else:
         _check_widths(models, frame)

@@ -1,4 +1,5 @@
 import math
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from conformalts.data import (
     SyntheticConfig,
     gen_synthetic,
     load_csv,
-    norm_quantile,
     save_wide_csv,
     split_train_test,
 )
@@ -28,60 +28,6 @@ try:
     from scipy.stats import norm as _scipy_norm
 except ImportError:
     _scipy_norm = None
-
-
-class TestNormQuantile:
-    def test_tabulated_values(self):
-        assert norm_quantile(0.95) == pytest.approx(1.6448536269514722, abs=2e-9)
-        assert norm_quantile(0.975) == pytest.approx(1.959963984540054, abs=2e-9)
-        assert norm_quantile(0.5) == 0.0
-
-    def test_symmetry(self):
-        for p in (0.001, 0.01, 0.2, 0.4, 0.77, 0.999):
-            assert norm_quantile(p) == pytest.approx(-norm_quantile(1.0 - p), abs=1e-9)
-
-    @staticmethod
-    def _upper_tail(p):
-        # Acklam's upper tail written out: -C(q) / D(q) at q = sqrt(-2 log(1 - p))
-        c, d = data._C, data._D
-        q = math.sqrt(-2.0 * math.log(1.0 - p))
-        return -(((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / \
-            ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0)
-
-    def test_upper_tail_is_bitwise_the_written_out_formula(self):
-        edge = 1.0 - data._P_LOW
-        k0 = math.floor(edge * 2**53) + 1  # the first k/2^53 of the upper branch
-        rng = np.random.default_rng(0)
-        ks = np.concatenate([np.arange(k0, k0 + 500), np.arange(2**53 - 500, 2**53),
-                             rng.integers(k0, 2**53, 2000)])
-        ps = np.concatenate([ks / 2**53, rng.uniform(edge, 1.0, 2000),
-                             [np.nextafter(edge, 1.0)]])
-        ps = ps[(ps > edge) & (ps < 1.0)]
-        assert ps.size > 4900
-        ours = np.array([norm_quantile(p) for p in ps.tolist()])
-        written = np.array([self._upper_tail(p) for p in ps.tolist()])
-        np.testing.assert_array_equal(ours.view(np.int64), written.view(np.int64))
-        # the branch starts strictly above 1 - _P_LOW: its edge and the double
-        # below it take the central branch, which differs there by about 4e-9
-        for p in (edge, float(np.nextafter(edge, -1.0))):
-            assert norm_quantile(p) != self._upper_tail(p)
-
-    def test_tail_accuracy(self):
-        # well into the lower branch of the approximation
-        assert norm_quantile(0.001) == pytest.approx(-3.090232306167814, abs=1e-8)
-
-    @pytest.mark.skipif(_scipy_norm is None, reason="scipy not installed")
-    def test_against_scipy(self):
-        ps = np.linspace(0.0005, 0.9995, 501)
-        ours = np.array([norm_quantile(p) for p in ps])
-        ref = _scipy_norm.ppf(ps)
-        assert np.max(np.abs(ours - ref) / np.maximum(np.abs(ref), 1.0)) < 1.2e-9
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            norm_quantile(0.0)
-        with pytest.raises(ValueError):
-            norm_quantile(1.0)
 
 
 class TestSyntheticConfig:
@@ -141,10 +87,18 @@ class TestGenSynthetic:
 
     def test_oracle_interval_is_symmetric_normal_band(self):
         _, oracle = gen_synthetic(SyntheticConfig(seed=2, length=120))
-        z = norm_quantile(0.95)
+        z = NormalDist().inv_cdf(0.95)
         t = 80
         assert oracle.lower[t] == pytest.approx(oracle.mu[t] - z * oracle.sigma[t], rel=1e-14)
         assert oracle.upper[t] == pytest.approx(oracle.mu[t] + z * oracle.sigma[t], rel=1e-14)
+
+    @pytest.mark.skipif(_scipy_norm is None, reason="scipy not installed")
+    @pytest.mark.parametrize("alpha", [0.01, 0.05, 0.1, 0.2, 0.5, 0.9])
+    def test_oracle_z_is_the_normal_quantile(self, alpha):
+        # the band is exact up to rounding: (upper - mu) / sigma is z at 1 - alpha/2
+        _, oracle = gen_synthetic(SyntheticConfig(seed=4, length=200, oracle_alpha=alpha))
+        z = (oracle.upper[40:] - oracle.mu[40:]) / oracle.sigma[40:]
+        np.testing.assert_allclose(z, _scipy_norm.ppf(1.0 - alpha / 2.0), rtol=1e-14, atol=0)
 
     def test_mean_level_matches_warmup_moments(self):
         # sum of 40 squared uniforms concentrates near 40/3, so mu_41 should
@@ -175,7 +129,7 @@ class TestGenSynthetic:
             cfg = SyntheticConfig(seed=seed, length=length)
             series, oracle = gen_synthetic(cfg)
             expected = oracles.ref_gen_synthetic(
-                seed, length, 40, cfg.oracle_alpha, norm_quantile)
+                seed, length, 40, cfg.oracle_alpha, NormalDist().inv_cdf)
             got = (series.values, oracle.mu, oracle.sigma, oracle.lower, oracle.upper)
             for a, b in zip(got, expected):
                 assert np.array_equal(a, b, equal_nan=True), length

@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from conformalts import metrics
@@ -46,6 +46,11 @@ class TestPinaw:
     def test_zero_range_rejected(self):
         with pytest.raises(ZeroRange):
             pinaw(*ivs([(0.0, 1.0), (0.0, 1.0)]), [2.0, 2.0])
+        # a range of 2.2e-309 is not zero, but a width of 2 over it overflows
+        tiny = [0.0, 0.0, 2.22507386e-309]
+        with pytest.raises(ZeroRange):
+            pinaw([0.0, 0.0, 0.0], [0.0, 0.0, 2.0], tiny)
+        assert pinaw([0.0, 0.0, 0.0], [0.0, 0.0, 0.0], tiny) == 0.0
 
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
@@ -165,6 +170,13 @@ class TestEvaluate:
         with pytest.raises(LengthMismatch):
             evaluate(*ivs([(0.0, 1.0), (0.0, 1.0)]), [0.5, 0.8], [2, 2])
 
+    def test_step_below_one_rejected(self):
+        # a step-0 interval would count in picp but in no per-step number
+        with pytest.raises(LengthMismatch, match="step 0 is below 1"):
+            evaluate([0.0, 0.0], [1.0, 1.0], [0.5, 2.0], [0, 1])
+        with pytest.raises(LengthMismatch, match="step -3 is below 1"):
+            evaluate([0.0, 0.0], [1.0, 1.0], [0.5, 2.0], [1, -3])
+
     def test_missing_step_found_without_a_per_step_index(self):
         # two rows at steps 1 and 10**6: the gap is found from the steps
         # present, not from one index array per step up to the largest
@@ -207,8 +219,17 @@ def scored_rows(draw):
 
 class TestEvaluateIsOnePass:
     @given(scored_rows())
+    @example((np.zeros(3), np.array([0.0, 0.0, 2.0]), np.array([0.0, 0.0, 2.22507386e-309]),
+              np.array([1, 2, 1]), (np.zeros(3), np.array([0.0, 0.0, 2.0]))))
     def test_every_field_is_the_public_metric_on_its_rows(self, rows):
         lower, upper, y, horizons, reference = rows
+        try:
+            pinaw(lower, upper, y)
+        except ZeroRange:
+            # a range too small to divide the widths by fails evaluate alike
+            with pytest.raises(ZeroRange):
+                evaluate(lower, upper, y, horizons, reference)
+            return
         steps = [np.flatnonzero(horizons == h) for h in range(1, horizons.max() + 1)]
         span = float(np.max(y) - np.min(y))
         report = evaluate(lower, upper, y, horizons, reference)
