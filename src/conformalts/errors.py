@@ -19,7 +19,8 @@ class InvalidTau(ConformalTSError, ValueError):
 
 
 class NonFiniteLoss(ConformalTSError, ArithmeticError):
-    """Training loss became NaN or infinite (divergent optimization)."""
+    """Training loss became NaN or infinite (divergent optimization), or the
+    standardization of the training inputs overflowed before the first epoch."""
 
 
 class DimensionMismatch(ConformalTSError, ValueError):
@@ -49,7 +50,7 @@ class EmptyInput(ConformalTSError, ValueError):
 
 class ZeroRange(ConformalTSError, ValueError):
     """Normalization by the realized value range is impossible because the
-    range is zero, or so small that the widths divided by it overflow."""
+    range is zero or overflows, or so small that the widths over it overflow."""
 
 
 class NonPositiveMean(ConformalTSError, ArithmeticError):

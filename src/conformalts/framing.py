@@ -76,7 +76,7 @@ def band_levels(alpha: float) -> tuple[float, float]:
 
 
 def check_bounds(lower, upper) -> None:
-    """Raise InvalidInterval unless all bounds are finite and ordered."""
+    """Raise InvalidInterval unless all bounds and widths are finite and bounds ordered."""
     lower, upper = np.asarray(lower, dtype=float), np.asarray(upper, dtype=float)
     if not (np.isfinite(lower).all() and np.isfinite(upper).all()):
         raise InvalidInterval("interval bounds must be finite")
@@ -84,6 +84,9 @@ def check_bounds(lower, upper) -> None:
     if inverted.any():
         i = inverted.argmax()
         raise InvalidInterval(f"lower {lower.flat[i]} exceeds upper {upper.flat[i]}")
+    with np.errstate(over="ignore"):
+        if not np.isfinite(upper - lower).all():
+            raise InvalidInterval("an interval's width upper - lower overflows")
 
 
 def covered(lower, upper, y) -> np.ndarray:

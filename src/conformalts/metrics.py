@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyInput, LengthMismatch, ZeroRange
+from .errors import EmptyInput, InvalidInterval, LengthMismatch, ZeroRange
 from .framing import check_bounds, covered
 
 
@@ -42,11 +42,13 @@ def picp(lower, upper, y) -> float:
 
 def _span(y, widths) -> float:
     """The range of the realized values, pinaw's divisor. A range that the
-    widths cannot be divided by (zero, or so small that the widest interval
-    over it overflows) is ZeroRange."""
-    span = float(np.max(y) - np.min(y))
+    widths cannot be divided by (zero, overflowing, or so small that the
+    widest interval over it overflows) is ZeroRange."""
+    span = float(np.max(y)) - float(np.min(y))  # float arithmetic overflows to inf silently
     if span == 0.0:
         raise ZeroRange("realized values have zero range")
+    if not math.isfinite(span):
+        raise ZeroRange("the realized range overflows")
     if not math.isfinite(float(np.max(widths)) / span):
         raise ZeroRange(f"interval widths divided by the realized range {span!r} overflow")
     return span
@@ -60,8 +62,13 @@ def pinaw(lower, upper, y) -> float:
 
 
 def _iou(a_lo, a_hi, b_lo, b_hi) -> np.ndarray:
-    """Elementwise intersection-over-union of checked, aligned bounds."""
-    union = np.maximum(a_hi, b_hi) - np.minimum(a_lo, b_lo)
+    """Elementwise intersection-over-union of checked, aligned bounds; a
+    union that overflows is InvalidInterval."""
+    with np.errstate(over="ignore"):
+        union = np.maximum(a_hi, b_hi) - np.minimum(a_lo, b_lo)
+    if not np.isfinite(union).all():
+        raise InvalidInterval("the union of an interval and its reference overflows")
+    # no larger than the union, so finite
     inter = np.maximum(0.0, np.minimum(a_hi, b_hi) - np.maximum(a_lo, b_lo))
     # a zero union means both intervals are the same single point
     return np.divide(inter, union, out=np.ones_like(union), where=union != 0.0)

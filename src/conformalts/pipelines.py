@@ -48,6 +48,7 @@ frames of activations.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -397,7 +398,7 @@ def _check_widths(nets, frame):
                                     f"outputs; the frame needs {frame.n_lags} to {frame.horizon}")
 
 
-def _fit_or_take(frame, taus, n_models, seed, config, ensembles):
+def _take_or_fit(frame, taus, n_models, seed, config, ensembles):
     """``fit_ensemble``'s list for the levels ``taus``, or the injected
     ``ensembles``, checked to be that: one per level, all on one set of bags."""
     if ensembles is None:
@@ -458,7 +459,7 @@ def run_aenbmimocqr(
     if gamma_override is not None and not 0.0 <= gamma_override < np.inf:
         raise ValueError(f"gamma must be a finite number >= 0, got {gamma_override}")
     frame = frame_mimo(train_series, n_lags, horizon)
-    lo_ens, hi_ens = _fit_or_take(frame, levels, n_models, seed, config, ensembles)
+    lo_ens, hi_ens = _take_or_fit(frame, levels, n_models, seed, config, ensembles)
 
     scores, skipped = _oob_band_scores(lo_ens, hi_ens, frame)
     gamma = init_gamma(window_size, len(scores)) if gamma_override is None else gamma_override
@@ -533,7 +534,8 @@ def run_mimocqr(
     return RunResult(*_walk(train_series, stream, horizon, alpha, band, scores.T))
 
 
-def run_enbpi(
+def _recursive_walk(
+    method: str,
     train_series: TimeSeries,
     stream: FeedbackStream,
     *,
@@ -545,60 +547,23 @@ def run_enbpi(
     config: TrainConfig = TrainConfig(),
     ensembles: list[BootstrapEnsemble] | None = None,
 ) -> RunResult:
-    """Bagged point forecasts with symmetric absolute-residual intervals.
+    """The run of the recursive methods; ``run_enbpi`` and ``run_enbcqr`` are
+    this function with ``method`` bound.
 
-    One-step squared-error members are rolled forward recursively for each
-    block; every step gets the same correction, the conformal quantile of a
-    sliding window of absolute residuals that advances by ``horizon`` scores
-    per block.
-
-    It is ``run_enbcqr``'s walk with the path as a zero-width band, bit for
-    bit: IEEE subtraction is sign-symmetric, so the band's CQR score
-    max(p - y, y - p) is |p - y| exactly.
-    """
-    return _recursive_walk("enbpi", train_series, stream, n_lags, horizon, alpha, n_models,
-                           seed, config, ensembles)
-
-
-def run_enbcqr(
-    train_series: TimeSeries,
-    stream: FeedbackStream,
-    *,
-    n_lags: int,
-    horizon: int,
-    alpha: float,
-    n_models: int = RunDefaults.n_models,
-    seed: int = 0,
-    config: TrainConfig = TrainConfig(),
-    ensembles: list[BootstrapEnsemble] | None = None,
-) -> RunResult:
-    """Bagged one-step quantile bands rolled forward through the median.
-
-    Three ensembles (lower, median, upper) share bootstrap resamples. The
-    median ensemble feeds the recursion that builds each block's covariates;
-    the lower/upper ensembles evaluated on those covariates give the band,
-    widened by the conformal quantile of a sliding window of band scores.
-    """
-    return _recursive_walk("enbcqr", train_series, stream, n_lags, horizon, alpha, n_models,
-                           seed, config, ensembles)
-
-
-def _recursive_walk(method, train_series, stream, n_lags, horizon, alpha, n_models, seed,
-                    config, ensembles):
-    """The run of the recursive methods, enbpi and enbcqr.
-
-    They fit (or take) enbpi's ``(point,)`` ensembles or enbcqr's ``(lower,
-    median, upper)``. Each block's path is the point or median ensemble rolled
-    forward ``horizon`` steps. The band is the lower and upper ensembles'
-    mean at the path's lag windows, or the path itself for a point
-    ensemble. One sliding window of CQR band scores, out-of-bag first and
-    then ``horizon`` per block, sets the one correction of every step.
+    They fit (or take, as ``ensembles``) one-step ensembles on one set of
+    bootstrap resamples: enbpi's squared-error ``(point,)``, or enbcqr's
+    pinball ``(lower, median, upper)``. Each block's path is the point or
+    median ensemble rolled forward ``horizon`` steps. The band is the lower
+    and upper ensembles' mean at the path's lag windows, or the path itself
+    for a point ensemble, so enbpi's scores are absolute residuals. One
+    sliding window of CQR band scores, out-of-bag first and then ``horizon``
+    per block, sets the one correction of every step.
     """
     levels = check_run(method, len(stream), len(train_series), n_lags=n_lags, horizon=horizon,
                        alpha=alpha, trains=ensembles is None, n_models=n_models)
     frame = frame_recursive(train_series, n_lags)
     taus = (None,) if method == "enbpi" else (levels[0], 0.5, levels[1])
-    ensembles = _fit_or_take(frame, taus, n_models, seed, config, ensembles)
+    ensembles = _take_or_fit(frame, taus, n_models, seed, config, ensembles)
     lo_ens, med_ens, hi_ens = ensembles[0], ensembles[len(ensembles) // 2], ensembles[-1]
     scores, skipped = _oob_band_scores(lo_ens, hi_ens, frame)
 
@@ -615,3 +580,8 @@ def _recursive_walk(method, train_series, stream, n_lags, horizon, alpha, n_mode
     slide = (SlidingScoreWindow(scores.T), lambda lo, hi, y, history: score_cqr(lo, hi, y))
     return RunResult(*_walk(train_series, stream, horizon, alpha, band, scores.T, slide),
                      skipped_oob_rows=skipped)
+
+
+run_enbpi = partial(_recursive_walk, "enbpi")
+run_enbcqr = partial(_recursive_walk, "enbcqr")
+run_enbpi.__name__, run_enbcqr.__name__ = "run_enbpi", "run_enbcqr"  # partials have no name

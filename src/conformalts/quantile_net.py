@@ -311,8 +311,14 @@ def loss_and_gradients(net: QuantileNet, X: np.ndarray, Y: np.ndarray, counts=No
     return loss, [g.copy() for g in kernel.grad_w], [g.copy() for g in kernel.grad_b]
 
 
-def _fit(frame: SupervisedFrame, tau: float | None, config: TrainConfig,
-         seed: int, counts) -> QuantileNet:
+def train(frame: SupervisedFrame, tau: float | None, config: TrainConfig,
+          seed: int = 0, counts=None) -> QuantileNet:
+    """Fit a network on the frame (full-batch Adam), from the initial
+    weights of ``seed``, each row weighted by its entry in ``counts``
+    (default one; see the module docstring): a quantile net at level tau,
+    or a point net on squared error if tau is None. A tau outside (0, 1) is
+    the initial net's InvalidTau, and a standardization that overflows is
+    NonFiniteLoss, both raised before the first epoch."""
     # Optimize in standardized units (series values can sit far from the
     # origin, which starves full-batch Adam at a fixed step size), then fold
     # the affine maps into the first and last layers so the returned net
@@ -320,8 +326,12 @@ def _fit(frame: SupervisedFrame, tau: float | None, config: TrainConfig,
     # times as it counts.
     counts = _row_counts(counts, frame.n_rows)
     bag = np.repeat(frame.covariates, counts, axis=0)
-    loc = float(np.mean(bag))
-    scale = float(np.std(bag))
+    with np.errstate(over="ignore", invalid="ignore"):
+        loc = float(np.mean(bag))
+        scale = float(np.std(bag))
+    if not (math.isfinite(loc) and math.isfinite(scale)):
+        raise NonFiniteLoss(f"the standardization of the training inputs overflows: "
+                            f"mean {loc}, std {scale}")
     if not scale > 0.0:
         scale = 1.0
     X = (frame.covariates - loc) / scale
@@ -349,19 +359,8 @@ def _fit(frame: SupervisedFrame, tau: float | None, config: TrainConfig,
     return net
 
 
-def train(frame: SupervisedFrame, tau: float, config: TrainConfig,
-          seed: int = 0, counts=None) -> QuantileNet:
-    """Fit a quantile network at level tau on the frame (full-batch Adam),
-    from the initial weights of ``seed``, each row weighted by its entry in
-    ``counts`` (default one; see the module docstring). A tau outside
-    (0, 1) is the initial net's InvalidTau, raised before the first epoch."""
-    return _fit(frame, tau, config, seed, counts)
-
-
 def mse_train(frame: SupervisedFrame, config: TrainConfig, seed: int = 0,
               counts=None) -> QuantileNet:
-    """Fit a point-forecast network on squared error (tau is None), from the
-    initial weights of ``seed``, each row weighted by its entry in
-    ``counts`` (default one)."""
-    return _fit(frame, None, config, seed, counts)
+    """``train`` at tau None: a point-forecast net on squared error."""
+    return train(frame, None, config, seed, counts)
 

@@ -59,7 +59,8 @@ class TestPredictionInterval:
 
 
 class TestCheckBounds:
-    @pytest.mark.parametrize("pair", [(2.0, 1.0), (np.nan, 1.0), (0.0, -np.inf)])
+    # the last pair is finite and ordered, but its width overflows
+    @pytest.mark.parametrize("pair", [(2.0, 1.0), (np.nan, 1.0), (0.0, -np.inf), (-1e308, 1e308)])
     def test_rejects_a_bad_pair(self, pair):
         with pytest.raises(InvalidInterval):
             check_bounds([0.0, pair[0]], [1.0, pair[1]])

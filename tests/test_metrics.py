@@ -51,6 +51,9 @@ class TestPinaw:
         with pytest.raises(ZeroRange):
             pinaw([0.0, 0.0, 0.0], [0.0, 0.0, 2.0], tiny)
         assert pinaw([0.0, 0.0, 0.0], [0.0, 0.0, 0.0], tiny) == 0.0
+        # nor can the finite values -1e308 and 1e308, whose range overflows
+        with pytest.raises(ZeroRange, match="range overflows"):
+            pinaw([0.0, 0.0], [1.0, 1.0], [-1e308, 1e308])
 
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
@@ -87,6 +90,11 @@ class TestMiou:
         b = ivs([(4.0, 6.0), (0.0, 1.0)])
         assert miou(*a, *b) == pytest.approx((1.0 / 3.0 + 1.0) / 2.0)
 
+    def test_union_that_overflows_rejected(self):
+        # each interval's width is finite, their union's is not
+        with pytest.raises(InvalidInterval, match="union"):
+            miou([-1e308], [0.0], [0.0], [1e308])
+
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
             miou(*ivs([(0.0, 1.0)]), *ivs([(0.0, 1.0), (0.0, 2.0)]))
@@ -121,7 +129,8 @@ class TestMiou:
 
 
 class TestBoundsChecked:
-    @pytest.mark.parametrize("pair", [(2.0, 1.0), (np.nan, 1.0), (0.0, np.inf)])
+    # the last pair is finite and ordered, but its width overflows
+    @pytest.mark.parametrize("pair", [(2.0, 1.0), (np.nan, 1.0), (0.0, np.inf), (-1e308, 1e308)])
     def test_every_metric_rejects_a_bad_pair(self, pair):
         lower, upper = ivs([(0.0, 1.0), pair])
         with pytest.raises(InvalidInterval):
@@ -221,13 +230,21 @@ class TestEvaluateIsOnePass:
     @given(scored_rows())
     @example((np.zeros(3), np.array([0.0, 0.0, 2.0]), np.array([0.0, 0.0, 2.22507386e-309]),
               np.array([1, 2, 1]), (np.zeros(3), np.array([0.0, 0.0, 2.0]))))
+    # finite values whose range, width or union overflows
+    @example((np.zeros(2), np.ones(2), np.array([-1e308, 1e308]), np.array([1, 1]),
+              (np.zeros(2), np.ones(2))))
+    @example((np.array([-1e308, 0.0]), np.array([1e308, 1.0]), np.array([0.0, 1.0]),
+              np.array([1, 1]), (np.zeros(2), np.ones(2))))
+    @example((np.array([-1e308, 0.0]), np.array([0.0, 1.0]), np.array([0.0, 1.0]),
+              np.array([1, 1]), (np.zeros(2), np.array([1e308, 1.0]))))
     def test_every_field_is_the_public_metric_on_its_rows(self, rows):
         lower, upper, y, horizons, reference = rows
         try:
             pinaw(lower, upper, y)
-        except ZeroRange:
-            # a range too small to divide the widths by fails evaluate alike
-            with pytest.raises(ZeroRange):
+            miou(lower, upper, *reference)
+        except (ZeroRange, InvalidInterval) as exc:
+            # rows a public metric rejects fail evaluate with the same class
+            with pytest.raises(type(exc)):
                 evaluate(lower, upper, y, horizons, reference)
             return
         steps = [np.flatnonzero(horizons == h) for h in range(1, horizons.max() + 1)]

@@ -3,8 +3,10 @@
 Each check runs in a fresh interpreter, so what one import loads is not
 hidden by what this test process has already imported.
 """
+import importlib
 import os
 import pkgutil
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -14,6 +16,7 @@ import pytest
 import conformalts
 
 SRC = Path(conformalts.__file__).resolve().parents[1]
+BENCHTRACE = Path(__file__).resolve().parents[1] / "perfbench" / "benchtrace.py"
 MODULES = ["conformalts"] + sorted(
     f"conformalts.{m.name}" for m in pkgutil.iter_modules(conformalts.__path__)
 )
@@ -56,3 +59,15 @@ def test_data_leaves_the_training_stack_unloaded():
 
 def test_version():
     assert _run("import conformalts; print(conformalts.__version__)").strip() == "0.1.0"
+
+
+def test_every_traced_name_resolves():
+    # a traced benchmark run patches each name where its caller looks it up:
+    # a module attribute, or a method in its class's own namespace
+    targets = runpy.run_path(str(BENCHTRACE))["_TARGETS"]
+    assert targets
+    for module_name, attr, *_ in targets:
+        module = importlib.import_module(f"conformalts.{module_name}")
+        owner, _, method = attr.rpartition(".")
+        namespace = vars(getattr(module, owner)) if owner else vars(module)
+        assert callable(namespace.get(method)), (module_name, attr)

@@ -965,6 +965,13 @@ def training_calls(monkeypatch):
 RUNNERS = [run_aenbmimocqr, run_mimocqr, run_enbpi, run_enbcqr]
 
 
+@pytest.mark.parametrize("name", ["run_aenbmimocqr", "run_mimocqr", "run_enbpi", "run_enbcqr"])
+def test_runner_keeps_its_name_through_a_pickle(name):
+    # test ids and tracebacks read a runner's name; the recursive runners
+    # are partials of one walk, named like the others
+    assert pickle.loads(pickle.dumps(getattr(pipelines, name))).__name__ == name
+
+
 class TestAlphaCheck:
     @pytest.mark.parametrize("runner", RUNNERS)
     # at 1e-17 the upper level 1 - alpha / 2 rounds to 1.0

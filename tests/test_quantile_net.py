@@ -312,6 +312,19 @@ class TestTraining:
         with pytest.raises(NonFiniteLoss):
             mse_train(frame, TrainConfig(epochs=50, learning_rate=1e200, hidden=(8,)))
 
+    @pytest.mark.parametrize("tau", [None, 0.5])
+    def test_overflowing_standardization_takes_no_step(self, rng, monkeypatch, tau):
+        # the squares of values near 1e160 overflow the bag's std; at 1e150 they do not
+        steps = []
+        monkeypatch.setattr(quantile_net._Kernel, "adam_step", lambda *args: steps.append(args))
+        frame = small_frame(rng)
+        wide = SupervisedFrame(frame.covariates * 1e160, frame.targets * 1e160)
+        with pytest.raises(NonFiniteLoss, match="standardization .* std inf"):
+            train(wide, tau, TrainConfig(epochs=3))
+        assert steps == []
+        train(SupervisedFrame(frame.covariates * 1e150, frame.targets * 1e150), tau,
+              TrainConfig(epochs=3))
+
     def test_mse_net_has_no_tau(self, rng):
         net = mse_train(small_frame(rng), TrainConfig(epochs=5, hidden=(4,)))
         assert net.tau is None
