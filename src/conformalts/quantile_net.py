@@ -64,18 +64,6 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
 
-def pinball_loss(y, y_hat, tau: float):
-    """Pinball (quantile) loss max(tau * u, (tau - 1) * u) with u = y - y_hat.
-
-    Scalars give a scalar; arrays give the mean over all components.
-    """
-    if not 0.0 < tau < 1.0:
-        raise InvalidTau(f"tau must be in (0, 1), got {tau}")
-    u = np.asarray(y, dtype=float) - np.asarray(y_hat, dtype=float)
-    loss = np.maximum(tau * u, (tau - 1.0) * u)
-    return float(np.mean(loss))
-
-
 @dataclass(frozen=True)
 class TrainConfig:
     """Optimizer settings; ``hidden`` fixes the ReLU widths. A bad one is a ConfigError."""
@@ -317,8 +305,9 @@ def train(frame: SupervisedFrame, tau: float | None, config: TrainConfig,
     weights of ``seed``, each row weighted by its entry in ``counts``
     (default one; see the module docstring): a quantile net at level tau,
     or a point net on squared error if tau is None. A tau outside (0, 1) is
-    the initial net's InvalidTau, and a standardization that overflows is
-    NonFiniteLoss, both raised before the first epoch."""
+    the initial net's InvalidTau, and a standardization of the inputs or
+    targets that overflows is NonFiniteLoss, both raised before the first
+    epoch; so is a loss that overflows, at its epoch, without a warning."""
     # Optimize in standardized units (series values can sit far from the
     # origin, which starves full-batch Adam at a fixed step size), then fold
     # the affine maps into the first and last layers so the returned net
@@ -335,13 +324,18 @@ def train(frame: SupervisedFrame, tau: float | None, config: TrainConfig,
     if not scale > 0.0:
         scale = 1.0
     X = (frame.covariates - loc) / scale
-    Y = (frame.targets - loc) / scale
+    with np.errstate(over="ignore"):
+        Y = (frame.targets - loc) / scale
+    if not np.all(np.isfinite(Y)):
+        raise NonFiniteLoss(f"the standardized training targets overflow: "
+                            f"mean {loc}, std {scale}")
     init = init_net(frame.n_lags, frame.horizon, tuple(config.hidden), tau, seed)
     kernel = _Kernel(init.layer_sizes, counts)
     kernel.load(init.weights, init.biases)
     history = []  # the loss before every Adam step and after the last
     for step in range(1, config.epochs + 2):
-        loss = kernel.loss(X, Y, tau)
+        with np.errstate(over="ignore", invalid="ignore"):
+            loss = kernel.loss(X, Y, tau)
         if not np.isfinite(loss):
             raise NonFiniteLoss(f"loss became {loss} after {step - 1} of {config.epochs} epochs")
         history.append(loss)

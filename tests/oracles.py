@@ -1,7 +1,8 @@
 """Plain re-implementations of the four backtest procedures.
 
 Everything here is deliberately written the slow, obvious way: explicit
-loops, sorted lists, no imports from the package under test. Test modules
+loops, sorted lists, no imports from the package under test but the
+``InvalidTau`` that ``pinball_loss`` raises. Test modules
 compare the production pipelines against these on small instances with
 injected predictors. The oracles only call a predictor's ``predict`` on a
 lag window and read its step predictions back, so they never depend on
@@ -10,16 +11,19 @@ kept as Python lists; the adaptive simulation requires the window capacity
 to cover the whole initial score set so that no random subsampling is
 involved.
 
-``ref_fit`` is the one numpy routine: training is compared bit for bit, so
+``ref_fit`` is the one numpy training routine: training is compared bit for bit, so
 it must run the same float64 products, but it builds a fresh array for
 every intermediate and updates each parameter array on its own.
 ``ref_gen_synthetic`` likewise draws from numpy's generator, one scalar
-uniform per generated step.
+uniform per generated step. ``pinball_loss`` is the loss the training
+kernel computes, written as its formula on numpy arrays.
 """
 
 import math
 
 import numpy as np
+
+from conformalts.errors import InvalidTau
 
 
 def kth_smallest(values, level):
@@ -279,6 +283,18 @@ def sim_enbcqr(train_values, test_values, p, H, alpha,
             "intervals": intervals,
         })
     return blocks
+
+
+def pinball_loss(y, y_hat, tau):
+    """Pinball (quantile) loss max(tau * u, (tau - 1) * u) with u = y - y_hat.
+
+    Scalars give a scalar; arrays give the mean over all components. A tau
+    outside (0, 1) is InvalidTau.
+    """
+    if not 0.0 < tau < 1.0:
+        raise InvalidTau(f"tau must be in (0, 1), got {tau}")
+    u = np.asarray(y, dtype=float) - np.asarray(y_hat, dtype=float)
+    return float(np.mean(np.maximum(tau * u, (tau - 1.0) * u)))
 
 
 def ref_fit(covariates, targets, tau, epochs, lr, seed, hidden, counts=None):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import oracles
+from oracles import pinball_loss
 from conformalts import quantile_net
 from conformalts.errors import ConfigError, DimensionMismatch, InvalidTau, NonFiniteLoss
 from conformalts.framing import SupervisedFrame, TimeSeries, frame_mimo, frame_recursive
@@ -11,7 +12,6 @@ from conformalts.quantile_net import (
     init_net,
     loss_and_gradients,
     mse_train,
-    pinball_loss,
     train,
 )
 from conformalts.seeding import spawn_rng
@@ -324,6 +324,34 @@ class TestTraining:
         assert steps == []
         train(SupervisedFrame(frame.covariates * 1e150, frame.targets * 1e150), tau,
               TrainConfig(epochs=3))
+
+    @pytest.mark.parametrize("big, tau, overflows", [
+        (1e308, None, True), (1e308, 0.5, True), (1e200, None, True), (1e200, 0.5, False),
+    ])
+    def test_outlying_target_is_a_typed_error_not_a_warning(self, rng, monkeypatch,
+                                                           big, tau, overflows):
+        # a target far outside the covariates' spread: at 1e308 its standardized
+        # value overflows, at 1e200 only its square in the squared-error loss does,
+        # and the pinball net trains on it (aenbmimocqr exits 0 on such a series)
+        steps = []
+        real_step = quantile_net._Kernel.adam_step
+
+        def spy(kernel, step, lr):
+            steps.append(step)
+            return real_step(kernel, step, lr)
+
+        monkeypatch.setattr(quantile_net._Kernel, "adam_step", spy)
+        targets = rng.uniform(size=(60, 2))
+        targets[-1, -1] = big
+        frame = SupervisedFrame(rng.uniform(size=(60, 3)), targets)
+        if overflows:
+            with pytest.raises(NonFiniteLoss):
+                train(frame, tau, TrainConfig(epochs=3, hidden=(4,)))
+            assert steps == []
+        else:
+            net = train(frame, tau, TrainConfig(epochs=3, hidden=(4,)))
+            assert steps == [1, 2, 3]
+            assert np.all(np.isfinite(net.loss_history))
 
     def test_mse_net_has_no_tau(self, rng):
         net = mse_train(small_frame(rng), TrainConfig(epochs=5, hidden=(4,)))
